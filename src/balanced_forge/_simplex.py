@@ -1,14 +1,35 @@
-"""Exact rational simplex and small elimination helpers.
+"""Exact simplex on an integer-preserving tableau, and small elimination helpers.
+
+The tableau holds Python ints only (fraction-free pivoting: Edmonds 1967,
+Bareiss 1968). Each input row of A|b, and the cost vector, is first scaled
+to integers by the lcm of its denominators. The integer tableau M then
+stands for the rational tableau T = M / d, with one common denominator
+d > 0 shared by every row, the reduced-cost row included.
+
+A pivot on p = M[r][c] keeps the pivot row and replaces every other row
+by (p*a - f*b) // d, where f is that row's entry in column c and b the
+pivot row's entry in the same column as a; then d becomes |p|, and when
+p < 0 the whole tableau is negated so that d stays positive. The division
+is exact: by Sylvester's determinant identity every entry of M is, up to
+sign, a minor of the integer input (the constraint rows bordered by the
+cost row, with the artificial identity columns of phase 1), and d is the
+absolute determinant of the current basis.
 
 Everything here is deterministic: Bland's anti-cycling rule picks the
-lowest-index entering column and breaks ratio ties on the lowest basis
-variable, so identical inputs always walk the same pivot path and land on
-the same optimal basis.
+lowest-index column whose reduced cost is negative, which, as d > 0, is
+the sign of its integer entry, and the ratio test compares rhs_i / a_i by
+cross-multiplication, breaking ties on the lowest basis variable. Scaling
+a row by a positive number changes neither the signs of reduced costs nor
+any ratio, so the pivot path is the one the rational tableau walks, and
+identical inputs always land on the same optimal basis. Rationals are
+built only for the returned solution, as rhs / d.
 """
 from fractions import Fraction
+from math import lcm
+
+from .core import to_common_denominator
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LpResult:
@@ -21,78 +42,91 @@ class LpResult:
         self.basis = basis
 
 
-def _pivot(rows, cost, basis, r, c):
-    piv = rows[r][c]
-    inv = ONE / piv
-    row = [v * inv for v in rows[r]]
-    rows[r] = row
-    for i, other in enumerate(rows):
-        if i != r and other[c]:
-            f = other[c]
-            rows[i] = [a - f * b for a, b in zip(other, row)]
-    if cost[c]:
-        f = cost[c]
-        for j in range(len(cost)):
-            cost[j] -= f * row[j]
-    basis[r] = c
+def _pivot(tab, d, r, c):
+    """Fraction-free pivot on tab[r][c] over every row; returns the new d."""
+    row = tab[r]
+    p = row[c]
+    if p < 0:
+        p = -p
+        row = tab[r] = [-v for v in row]
+    for i, other in enumerate(tab):
+        if i == r:
+            continue
+        f = other[c]
+        if f:
+            tab[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
+        elif p != d:
+            tab[i] = [p * a // d for a in other]
+    return p
 
 
-def _iterate(rows, cost, basis, allowed):
-    """Bland pivots until optimal or unbounded; returns final status."""
+def _iterate(tab, basis, d, allowed):
+    """Bland pivots until optimal or unbounded; returns (status, d).
+
+    tab holds one row per basis entry, then the reduced-cost row.
+    """
+    m = len(basis)
     while True:
+        cost = tab[-1]
         enter = -1
         for j in range(allowed):
             if cost[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", d
         leave = -1
-        best = None
-        for i, row in enumerate(rows):
+        best_rhs = best_a = 0
+        for i in range(m):
+            row = tab[i]
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                # rhs / a < best_rhs / best_a, both denominators positive
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
-            return "unbounded"
-        _pivot(rows, cost, basis, leave, enter)
+            return "unbounded", d
+        d = _pivot(tab, d, leave, enter)
+        basis[leave] = enter
 
 
 def simplex_min(A, b, c, basis=None):
     """Minimize c.x subject to A x = b, x >= 0 (equality-form simplex).
 
     basis, when given, must list one column per row already forming a
-    feasible basis; otherwise a phase-1 with artificial variables runs
-    first. Returns LpResult(status, objective, x, basis) with status one
-    of optimal, infeasible, unbounded.
+    feasible basis (ValueError when its columns are singular); otherwise
+    a phase-1 with artificial variables runs first. Returns
+    LpResult(status, objective, x, basis) with status one of optimal,
+    infeasible, unbounded.
     """
     m = len(A)
     ncols = len(c)
     rows = []
+    scales = []
     for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        row.append(Fraction(b[i]))
+        row, scale = to_common_denominator(list(A[i]) + [b[i]])
         if row[-1] < 0:
             row = [-v for v in row]
         rows.append(row)
+        scales.append(scale)
+    d = 1
 
     if basis is None:
-        # phase 1: artificial identity basis
-        for i in range(m):
-            for k in range(m):
-                rows[i].insert(ncols + k, ONE if k == i else ZERO)
+        # Phase 1 minimizes the sum of one artificial per input row. In the
+        # row scaled by L_i that artificial stands for L_i times the
+        # unscaled one, so it costs 1/L_i; the cost row below is that
+        # reduced-cost row times s = lcm(L_i). Artificial columns never
+        # enter and are dropped afterwards, so they are not stored.
+        s = lcm(*scales)
+        cost = [0] * (ncols + 1)
+        for row, scale in zip(rows, scales):
+            w = s // scale
+            cost = [z - w * a for z, a in zip(cost, row)]
         basis = [ncols + i for i in range(m)]
-        cost = [ZERO] * (ncols + m) + [ZERO]
-        for row in rows:
-            for j in range(ncols + m + 1):
-                cost[j] -= row[j]
-        for i in range(m):
-            cost[ncols + i] = ZERO
-        status = _iterate(rows, cost, basis, ncols)
-        if status != "optimal" or -cost[-1] != 0:
+        tab = rows + [cost]
+        status, d = _iterate(tab, basis, d, ncols)
+        if status != "optimal" or tab[-1][-1] != 0:
             return LpResult("infeasible")
         # pivot lingering artificials out; drop rows that are redundant
         keep = []
@@ -100,49 +134,55 @@ def simplex_min(A, b, c, basis=None):
             if basis[i] >= ncols:
                 enter = -1
                 for j in range(ncols):
-                    if rows[i][j]:
+                    if tab[i][j]:
                         enter = j
                         break
                 if enter < 0:
                     continue  # all-zero constraint, drop
-                _pivot(rows, cost, basis, i, enter)
+                d = _pivot(tab, d, i, enter)
+                basis[i] = enter
             keep.append(i)
-        rows = [rows[i] for i in keep]
+        rows = [tab[i] for i in keep]
         basis = [basis[i] for i in keep]
-        rows = [row[:ncols] + row[-1:] for row in rows]
     else:
         basis = list(basis)
         for i in range(m):
-            if rows[i][basis[i]] == 0:
+            col = basis[i]
+            if rows[i][col] == 0:
                 for r in range(i + 1, m):
-                    if rows[r][basis[i]]:
+                    if rows[r][col]:
                         rows[i], rows[r] = rows[r], rows[i]
                         break
-            _pivot(rows, [ZERO] * (ncols + 1), basis, i, basis[i])
+                else:
+                    raise ValueError("basis columns are linearly dependent")
+            d = _pivot(rows, d, i, col)
         for row in rows:
             if row[-1] < 0:
                 return LpResult("infeasible")
 
-    cost = [Fraction(v) for v in c] + [ZERO]
-    for i, bi in enumerate(basis):
-        if cost[bi]:
-            f = cost[bi]
-            for j in range(ncols + 1):
-                cost[j] -= f * rows[i][j]
-    status = _iterate(rows, cost, basis, ncols)
+    # phase 2: the reduced costs of c scaled by its lcm, times d
+    scaled_c, cscale = to_common_denominator(c)
+    cost = [d * v for v in scaled_c] + [0]
+    for row, bi in zip(rows, basis):
+        f = scaled_c[bi]
+        if f:
+            cost = [z - f * a for z, a in zip(cost, row)]
+    tab = rows + [cost]
+    status, d = _iterate(tab, basis, d, ncols)
     if status != "optimal":
         return LpResult(status)
     x = [ZERO] * ncols
     for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
-    objective = sum((Fraction(c[j]) * x[j] for j in range(ncols)), ZERO)
+        x[bi] = Fraction(tab[i][-1], d)
+    objective = Fraction(-tab[-1][-1], d * cscale)
     return LpResult("optimal", objective, x, list(basis))
 
 
 def solve_square(M, rhs):
     """Exact solution of a square system, or None when singular."""
     n = len(M)
-    rows = [[Fraction(v) for v in M[i]] + [Fraction(rhs[i])] for i in range(n)]
+    rows = [to_common_denominator(list(M[i]) + [rhs[i]])[0] for i in range(n)]
+    d = 1
     for col in range(n):
         piv = -1
         for r in range(col, n):
@@ -152,13 +192,8 @@ def solve_square(M, rhs):
         if piv < 0:
             return None
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ONE / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][-1] for i in range(n)]
+        d = _pivot(rows, d, col, col)
+    return [Fraction(row[-1], d) for row in rows]
 
 
 def rank_of_masks(masks, n):

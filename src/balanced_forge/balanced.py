@@ -16,7 +16,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .core import check_players, full_mask, format_coalition, parse_coalition
+from .core import (
+    check_players,
+    format_coalition,
+    full_mask,
+    parse_coalition,
+    to_common_denominator,
+)
 from .hypergraph import Hypergraph
 from ._simplex import simplex_min, rank_of_masks
 
@@ -121,8 +127,8 @@ class BalancedCollection:
     Construction validates everything: distinct nonempty coalitions in
     canonical order, strictly positive weights, and the per-player sum
     identity. Equality and hashing cover the weights; catalogs
-    deduplicate on .key (the coalition sets alone), which is enough for
-    minimal collections since their weights are unique.
+    deduplicate on .coalitions alone, which is enough for minimal
+    collections since their weights are unique.
     """
 
     __slots__ = ("n", "coalitions", "weights")
@@ -138,11 +144,13 @@ class BalancedCollection:
                     "weight of %s must be positive, got %s" % (format_coalition(s), f)
                 )
             w[s] = f
+        # per-player sums of 1, checked as sums of numerators over the lcm
+        nums, den = to_common_denominator([w[s] for s in masks])
         for i in range(n):
-            total = sum((w[s] for s in masks if s >> i & 1), Fraction(0))
-            if total != 1:
+            total = sum([num for s, num in zip(masks, nums) if s >> i & 1])
+            if total != den:
                 raise ValueError(
-                    "player %d weight sum is %s, expected 1" % (i + 1, total)
+                    "player %d weight sum is %s, expected 1" % (i + 1, Fraction(total, den))
                 )
         self.n = n
         self.coalitions = masks

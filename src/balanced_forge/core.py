@@ -6,7 +6,8 @@ player 1 is the least significant bit. Weights and worths elsewhere use
 fractions.Fraction, which already keeps numerator/denominator reduced with
 a positive denominator.
 """
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 MAX_PLAYERS = 20
 
@@ -21,6 +22,17 @@ def check_players(n: int) -> None:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+def to_common_denominator(values):
+    """(numerators, d): the rationals as ints over their least common denominator.
+
+    Each value is numerators[i] / d exactly; d >= 1. Values may be ints,
+    Fractions, or anything Fraction() accepts.
+    """
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    d = lcm(*[f.denominator for f in fracs])
+    return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
 def binomial(n: int, k: int) -> int:

@@ -18,7 +18,14 @@ from itertools import combinations, combinations_with_replacement
 from math import isqrt
 
 from . import __version__
-from .core import check_players, coalitions_of, full_mask, format_coalition, parse_coalition
+from .core import (
+    check_players,
+    coalitions_of,
+    format_coalition,
+    full_mask,
+    parse_coalition,
+    to_common_denominator,
+)
 from .hypergraph import Hypergraph, is_minimally_uniform
 from .balanced import (
     BalancedCollection,
@@ -53,9 +60,14 @@ class CatalogError(ValueError):
 
 
 class MbcCatalog:
-    """Canonically sorted, duplicate-free list of minimal balanced collections."""
+    """Canonically sorted, duplicate-free list of minimal balanced collections.
 
-    __slots__ = ("n", "method", "collections", "generated", "tool", "diagnostics")
+    A catalog is not changed after construction: weight_table() derives
+    its integer form once and keeps it.
+    """
+
+    __slots__ = ("n", "method", "collections", "generated", "tool", "diagnostics",
+                 "_weight_table")
 
     METHODS = ("direct", "duality", "oracle")
 
@@ -76,6 +88,7 @@ class MbcCatalog:
         self.generated = generated or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.tool = tool or TOOL
         self.diagnostics = diagnostics or {}
+        self._weight_table = None
 
     @property
     def count(self):
@@ -84,6 +97,21 @@ class MbcCatalog:
     def coalition_sets(self):
         """Frozen set of the coalition tuples, the route-comparison key."""
         return frozenset(b.coalitions for b in self.collections)
+
+    def weight_table(self):
+        """One (coalitions, numerators, denominator) per collection, in order.
+
+        The denominator is the lcm of the collection's weight denominators
+        and the numerators are the weights times it, so each weight is
+        numerator / denominator in integers. Derived on first use.
+        """
+        if self._weight_table is None:
+            table = []
+            for b in self.collections:
+                nums, den = to_common_denominator([b.weights[s] for s in b.coalitions])
+                table.append((b.coalitions, nums, den))
+            self._weight_table = table
+        return self._weight_table
 
     def __iter__(self):
         return iter(self.collections)

@@ -9,8 +9,15 @@ the sharp criterion. The two must agree on every game.
 """
 import json
 from fractions import Fraction
+from operator import mul
 
-from .core import check_players, full_mask, format_coalition, parse_coalition
+from .core import (
+    check_players,
+    format_coalition,
+    full_mask,
+    parse_coalition,
+    to_common_denominator,
+)
 from .balanced import BalancedCollection, efficiency
 from ._simplex import simplex_min, solve_square
 
@@ -178,22 +185,30 @@ def core_mbc(game, catalog):
     """Sharp criterion: scan minimal balanced collections for a violation.
 
     Nonempty iff every collection's efficiency is at most v(N); the
-    maximally violating collection (ties broken canonically) certifies
-    emptiness, and witness construction for the nonempty case is
-    delegated to core_lp.
+    maximally violating collection certifies emptiness, and witness
+    construction for the nonempty case is delegated to core_lp.
+
+    The scan runs in integers over catalog.weight_table(): with the worths
+    scaled by their common denominator D to V, a collection with weights
+    num/den violates iff sum(num * V(S)) > den * V(N), and it beats the
+    current worst (t, den') iff t * den' > t' * den. Both tests are strict,
+    so among collections of equal efficiency the first in catalog
+    (canonical) order is kept. The reported efficiency is efficiency().
     """
     if catalog.n != game.n:
         raise ValueError(
             "catalog for n=%d used on a game with n=%d" % (catalog.n, game.n)
         )
-    vN = game.v[full_mask(game.n)]
-    worst = None
-    worst_eff = None
-    for bc in catalog:
-        e = efficiency(bc, game)
-        if e > vN and (worst_eff is None or e > worst_eff):
-            worst = bc
-            worst_eff = e
-    if worst is not None:
-        return CoreVerdict(False, collection=worst, eff=worst_eff)
+    worth, _ = to_common_denominator(game.v)
+    vN = worth[full_mask(game.n)]
+    worth_of = worth.__getitem__
+    worst = -1
+    worst_t = worst_den = 0
+    for i, (masks, nums, den) in enumerate(catalog.weight_table()):
+        t = sum(map(mul, nums, map(worth_of, masks)))
+        if t > den * vN and (worst < 0 or t * worst_den > worst_t * den):
+            worst, worst_t, worst_den = i, t, den
+    if worst >= 0:
+        bc = catalog.collections[worst]
+        return CoreVerdict(False, collection=bc, eff=efficiency(bc, game))
     return core_lp(game)

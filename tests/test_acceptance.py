@@ -25,7 +25,7 @@ from balanced_forge.enumeration import (
     k_max,
     mbc_via_duality,
 )
-from balanced_forge.games import core_lp, core_mbc, random_game, splitmix64
+from balanced_forge.games import Game, core_lp, core_mbc, random_game, splitmix64
 from balanced_forge.hypergraph import Hypergraph, is_minimally_regular, is_minimally_uniform
 
 FIG3 = Hypergraph(7, [0b0001111, 0b1110001, 0b0111100, 0b1101100])
@@ -145,13 +145,27 @@ def test_criterion_08_decomposition_exists():
     _report(8, "minimally uniform partition always found", "%d inputs, 7-node example has both known partitions" % total)
 
 
+def _criterion_09_games(n):
+    """1000 seeded games, plus one with v(N) = n * 100 per block of four.
+
+    Paying every player 100 meets every worth of random_game, so the
+    raised games have nonempty cores and reach solve_square.
+    """
+    for seed in range(1000):
+        g = random_game(n, seed)
+        yield seed, g
+        if seed % 4 == 3:
+            worths = {m: g.v[m] for m in range(1, 1 << n)}
+            worths[full_mask(n)] = n * 100
+            yield seed, Game(n, worths)
+
+
 def test_criterion_09_core_routes_agree():
-    games = 0
-    for n in (2, 3, 4):
+    games = nonempty = 0
+    for n in (2, 3, 4, 5):
         catalog = _direct(n)
         vn_mask = full_mask(n)
-        for seed in range(1000):
-            g = random_game(n, seed)
+        for seed, g in _criterion_09_games(n):
             a = core_lp(g)
             b = core_mbc(g, catalog)
             assert a.nonempty == b.nonempty, (n, seed)
@@ -168,8 +182,15 @@ def test_criterion_09_core_routes_agree():
                     assert is_minimal_balanced(n, bc.coalitions), (n, seed)
                     eff = sum(bc.weights[s] * g.worth(s) for s in bc.coalitions)
                     assert eff == v.efficiency and eff > vn, (n, seed)
+                assert a.efficiency == b.efficiency, (n, seed)
             games += 1
-    _report(9, "LP core test = catalog core test", "%d games, certificates revalidated exactly" % games)
+            nonempty += a.nonempty
+    assert nonempty >= 1000
+    _report(
+        9,
+        "LP core test = catalog core test",
+        "%d games at n=2..5, %d nonempty, certificates revalidated exactly" % (games, nonempty),
+    )
 
 
 def test_criterion_10_minimality_criteria_agree():

@@ -92,8 +92,10 @@ def test_collection_validation():
     bc = BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)})
     assert bc.coalitions == (3, 5, 6)
     assert bc.weights[3] == F(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="player 2 weight sum is 1/2, expected 1"):
         BalancedCollection(3, {3: F(1, 2), 5: F(1, 2)})   # sums off
+    with pytest.raises(ValueError, match="player 3 weight sum is 7/6, expected 1"):
+        BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2), 4: F(1, 6)})
     with pytest.raises(ValueError):
         BalancedCollection(3, {3: F(0), 5: F(1), 6: F(1)})  # nonpositive weight
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from balanced_forge.core import (
@@ -11,6 +13,7 @@ from balanced_forge.core import (
     parse_coalition,
     check_players,
     full_mask,
+    to_common_denominator,
 )
 
 
@@ -86,3 +89,9 @@ def test_check_players_bounds():
         check_players(0)
     with pytest.raises(ValueError):
         check_players(21)
+
+
+def test_to_common_denominator():
+    assert to_common_denominator([1, Fraction(1, 2), "2/3", -Fraction(3, 4)]) == ([12, 6, 8, -9], 12)
+    assert to_common_denominator([0, 5]) == ([0, 5], 1)
+    assert to_common_denominator([]) == ([], 1)

@@ -168,6 +168,58 @@ def test_core_mbc_matches_lp():
                     assert verdict.efficiency > g.v[-1]
 
 
+def _first_maximal(catalog, game):
+    """Reference scan in Fraction arithmetic: the first largest efficiency."""
+    best = None
+    for bc in catalog:
+        e = efficiency(bc, game)
+        if best is None or e > best[1]:
+            best = (bc, e)
+    return best
+
+
+def _symmetric_game(n, by_size):
+    return Game(n, {m: by_size[m.bit_count()] for m in range(1, 1 << n)})
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_core_mbc_symmetric_ties_keep_first_in_catalog_order(n):
+    # v depends on |S| only, so many collections share the top efficiency
+    catalog = enumerate_mbc(n)
+    gen = splitmix64(n)
+    checked = ties = 0
+    for _ in range(40):
+        # cheap singletons, so the top is rarely the one-member orbit {1},...,{n}
+        by_size = [0, next(gen) % 10] + [next(gen) % 50 for _ in range(n - 2)]
+        by_size.append(next(gen) % 100)
+        g = _symmetric_game(n, by_size)
+        bc, top = _first_maximal(catalog, g)
+        verdict = core_mbc(g, catalog)
+        assert verdict.nonempty == (top <= g.v[-1]) == core_lp(g).nonempty
+        if verdict.nonempty:
+            continue
+        assert verdict.collection is bc
+        assert verdict.efficiency == top
+        ties += sum(1 for other in catalog if efficiency(other, g) == top) > 1
+        checked += 1
+    assert checked >= 10 and ties >= 10
+
+
+def test_core_mbc_fractional_worths():
+    catalog = enumerate_mbc(4)
+    for seed in range(30):
+        base = random_game(4, seed)
+        g = Game(4, {m: base.v[m] / (1 + (m + seed) % 7) - Fraction(1, 3)
+                     for m in range(1, 16)})
+        via_lp = core_lp(g)
+        via_cat = core_mbc(g, catalog)
+        assert via_lp.nonempty == via_cat.nonempty
+        if not via_cat.nonempty:
+            bc, top = _first_maximal(catalog, g)
+            assert via_cat.collection is bc
+            assert via_cat.efficiency == top == via_lp.efficiency
+
+
 def test_core_mbc_rejects_catalog_mismatch():
     with pytest.raises(ValueError):
         core_mbc(random_game(3, 0), enumerate_mbc(4))
