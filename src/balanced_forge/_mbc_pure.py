@@ -96,10 +96,12 @@ def direct_search(n, first=0):
 def cover_search(n, k):
     """Minimally regular exact k-covers as (masks, multiplicities).
 
-    Support size never exceeds n (a cover that survives the uniform
-    sub-multiset filter is an instance of a minimal balanced collection,
-    which has at most n members; pruning larger supports loses nothing
-    because such candidates would be filtered afterwards anyway).
+    Support size is capped at n, the most members a minimal balanced
+    collection has, so the cap loses no collection. A cover that survives
+    the uniform sub-multiset filter is not always minimal balanced: for
+    n <= 5 it is, but at n = 6 and k = 2, 150 of the 10,292 covers have a
+    balanced proper subcollection of their support, so callers must
+    validate minimality themselves.
     """
     nmasks = 1 << n
     base = max(k, 2)

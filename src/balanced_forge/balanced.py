@@ -21,6 +21,7 @@ from .core import (
     format_coalition,
     full_mask,
     parse_coalition,
+    split_top_level,
     to_common_denominator,
 )
 from .hypergraph import Hypergraph
@@ -171,10 +172,6 @@ class BalancedCollection:
         self.weights = dict(weights)
         return self
 
-    @property
-    def key(self):
-        return (self.n, self.coalitions)
-
     def __eq__(self, other):
         return (
             isinstance(other, BalancedCollection)
@@ -211,19 +208,7 @@ def parse_collection(text):
     if not body:
         raise ValueError("empty collection in %r" % text)
     weights = {}
-    depth = 0
-    start = 0
-    parts = []
-    for i, ch in enumerate(body):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    for part in parts:
+    for part in split_top_level(body):
         coal, sep, frac = part.strip().rpartition(":")
         if not sep:
             raise ValueError("missing weight in %r" % part)

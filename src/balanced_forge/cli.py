@@ -5,21 +5,15 @@ Exit codes: 0 success (or affirmative verdict), 1 internal check failure,
 is not minimal balanced).
 """
 import argparse
+import inspect
 import json
 import sys
-import time
 from fractions import Fraction
 
 from . import __version__
-from .core import format_coalition, parse_coalition
+from .core import format_coalition, parse_coalition, split_top_level
 from .counting import count_total, count_spanning, count_cumulative, count_graphs, egf_table
-from .hypergraph import (
-    Hypergraph,
-    parse_hypergraph,
-    hypergraph_from_json,
-    is_minimally_uniform,
-    is_minimally_regular,
-)
+from .hypergraph import parse_hypergraph, hypergraph_from_json
 from .balanced import (
     BalancedCollection,
     parse_collection,
@@ -27,19 +21,18 @@ from .balanced import (
     is_minimal_balanced,
 )
 from .enumeration import (
-    TABLE1,
     enumerate_mbc,
     enumerate_mbc_oracle,
     enumerate_uniform,
     enumerate_minimally_uniform,
     mbc_via_duality,
-    k_max,
     save_catalog,
     load_catalog,
     CatalogError,
 )
 from .games import game_from_json, random_game, core_lp, core_mbc
 from .decomposition import decompose, decompose_all, IncompleteDecomposition
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -115,22 +108,7 @@ def _cmd_mbc_check(args):
         body = body.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError("expected a bracketed coalition list")
-        parts = []
-        depth = 0
-        cur = ""
-        for ch in body[1:-1]:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        if cur.strip():
-            parts.append(cur)
-        masks = tuple(sorted(parse_coalition(tok.strip(), n) for tok in parts))
+        masks = tuple(sorted(parse_coalition(tok, n) for tok in split_top_level(body[1:-1])))
         weights = find_balancing_weights(n, masks)
         balanced = weights is not None
     minimal = balanced and is_minimal_balanced(n, masks)
@@ -303,137 +281,14 @@ def _cmd_game_random(args):
 # ---------------------------------------------------------------- verify
 
 
-def _verify_table1(args):
-    checks = []
-    for n in range(2, args.max_n + 1):
-        t0 = time.monotonic()
-        got = enumerate_mbc(n).count
-        dt = time.monotonic() - t0
-        checks.append(("table1 n=%d" % n, got == TABLE1[n], "count=%d want=%d time=%.2fs" % (got, TABLE1[n], dt)))
-    return checks
-
-
-def _verify_example8(args):
-    checks = []
-    checks.append(("cumulative(3,2,3)", count_cumulative(3, 2, 3) == 8, "=%d want 8" % count_cumulative(3, 2, 3)))
-    checks.append(("spanning(2,2,3)", count_spanning(2, 2, 3) == 1, "=%d want 1" % count_spanning(2, 2, 3)))
-    checks.append(("spanning(3,2,3)", count_spanning(3, 2, 3) == 7, "=%d want 7" % count_spanning(3, 2, 3)))
-    e7 = len(enumerate_uniform(3, 2, 3, spanning=True))
-    e1 = len(enumerate_uniform(2, 2, 3, spanning=True))
-    m1 = len(enumerate_minimally_uniform(3, 2, 3))
-    checks.append(("enum(3,2,3,span)", e7 == 7, "=%d want 7" % e7))
-    checks.append(("enum(2,2,3,span)", e1 == 1, "=%d want 1" % e1))
-    checks.append(("minimal(3,2,3)", m1 == 1, "=%d want 1" % m1))
-    return checks
-
-
-def _proper_hypergraphs(n, p_cap):
-    """All PROPER hypergraphs on n nodes with at most p_cap edges."""
-    import itertools
-
-    full = (1 << n) - 1
-    nonempty = list(range(1, 1 << n))
-    for p in range(1, p_cap + 1):
-        for edges in itertools.combinations_with_replacement(nonempty, p):
-            cover = 0
-            for e in edges:
-                cover |= e
-            if cover == full:
-                yield Hypergraph(n, edges)
-
-
-def _verify_prop1(args):
-    checks = []
-    for n in range(1, args.max_nodes + 1):
-        total = 0
-        bad = 0
-        involution_bad = 0
-        for h in _proper_hypergraphs(n, args.max_size):
-            total += 1
-            d = h.dual()
-            if is_minimally_uniform(h) != is_minimally_regular(d):
-                bad += 1
-            if d.dual() != h.canonicalize():
-                involution_bad += 1
-        checks.append(
-            ("prop1 n=%d equivalence" % n, bad == 0, "%d mismatches / %d hypergraphs" % (bad, total))
-        )
-        checks.append(
-            ("prop1 n=%d dual involution" % n, involution_bad == 0, "%d failures" % involution_bad)
-        )
-    return checks
-
-
-def _verify_prop2(args):
-    checks = []
-    for n in range(1, args.max_nodes + 1):
-        total = 0
-        failed = 0
-        for k in range(1, min(3, n) + 1):
-            for p in range(1, 5):
-                for h in enumerate_uniform(n, k, p, spanning=True):
-                    total += 1
-                    try:
-                        decompose(h)
-                    except IncompleteDecomposition:
-                        failed += 1
-        checks.append(
-            ("prop2 n=%d existence" % n, failed == 0, "%d failures / %d hypergraphs" % (failed, total))
-        )
-    fig = Hypergraph(7, [0b0001111, 0b1110001, 0b0111100, 0b1101100])
-    found = {frozenset(p.blocks) for p in decompose_all(fig)}
-    want1 = frozenset({0b0100101, 0b1011010})
-    want2 = frozenset({0b0100010, 0b1011101})
-    checks.append(("prop2 non-uniqueness", want1 in found and want2 in found, "%d partitions" % len(found)))
-    return checks
-
-
-def _verify_sharpbs(args):
-    checks = []
-    for n in range(2, args.max_n + 1):
-        catalog = enumerate_mbc(n)
-        agree = True
-        certs = True
-        for seed in range(args.games):
-            g = random_game(n, seed)
-            a = core_lp(g)
-            b = core_mbc(g, catalog)
-            if a.nonempty != b.nonempty:
-                agree = False
-                break
-            vn = g.worth((1 << n) - 1)
-            if a.nonempty:
-                x = a.payment
-                if sum(x) != vn or any(
-                    sum(x[i] for i in range(n) if s >> i & 1) < g.worth(s)
-                    for s in range(1, 1 << n)
-                ):
-                    certs = False
-                    break
-            else:
-                for v in (a, b):
-                    ws = v.collection.weights
-                    eff = sum(ws[s] * g.worth(s) for s in v.collection.coalitions)
-                    if eff != v.efficiency or not eff > vn:
-                        certs = False
-                if not certs:
-                    break
-        checks.append(("sharpbs n=%d agreement" % n, agree, "%d games" % args.games))
-        checks.append(("sharpbs n=%d certificates" % n, certs, "exact revalidation"))
-    return checks
-
-
-_SUITES = {
-    "table1": _verify_table1,
-    "example8": _verify_example8,
-    "prop1": _verify_prop1,
-    "prop2": _verify_prop2,
-    "sharpbs": _verify_sharpbs,
-}
-
-
 def _cmd_verify(args):
-    checks = _SUITES[args.suite](args)
+    suite = SUITES[args.suite]
+    ranges = {
+        name: getattr(args, name)
+        for name in inspect.signature(suite).parameters
+        if getattr(args, name) is not None
+    }
+    checks = suite(**ranges)
     ok = all(c[1] for c in checks)
     if args.json:
         print(
@@ -536,28 +391,19 @@ def _build_parser():
     gr.set_defaults(func=_cmd_game_random)
 
     ver = sub.add_parser("verify", help="self-contained verification suites")
-    ver.add_argument("suite", choices=sorted(_SUITES))
-    ver.add_argument("--max-n", type=int, default=None)
-    ver.add_argument("--max-nodes", type=int, default=None)
-    ver.add_argument("--max-size", type=int, default=4)
-    ver.add_argument("--games", type=int, default=1000)
+    ver.add_argument("suite", choices=sorted(SUITES))
+    ver.add_argument("--max-n", type=int)
+    ver.add_argument("--max-nodes", type=int)
+    ver.add_argument("--max-size", type=int)
+    ver.add_argument("--games", type=int)
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=_cmd_verify)
 
     return p
 
 
-_VERIFY_DEFAULTS = {"table1": 5, "example8": 0, "prop1": 5, "prop2": 6, "sharpbs": 4}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.max_n is None:
-            args.max_n = _VERIFY_DEFAULTS[args.suite]
-        if args.max_nodes is None:
-            args.max_nodes = _VERIFY_DEFAULTS[args.suite]
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, CatalogError, OSError, json.JSONDecodeError, KeyError) as exc:

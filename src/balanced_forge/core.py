@@ -82,16 +82,6 @@ def players_of(mask: int) -> tuple:
     return tuple(out)
 
 
-def coalition(players) -> int:
-    """Bitmask of an iterable of 1-based player ids."""
-    m = 0
-    for p in players:
-        if not 1 <= p <= MAX_PLAYERS:
-            raise ValueError("player id %r outside 1..%d" % (p, MAX_PLAYERS))
-        m |= 1 << (p - 1)
-    return m
-
-
 def format_coalition(mask: int) -> str:
     """Canonical text form, e.g. {1,3,4}."""
     return "{%s}" % ",".join(str(p) for p in players_of(mask))
@@ -118,3 +108,26 @@ def parse_coalition(text: str, n: int = 0) -> int:
             raise ValueError("duplicate player %d in %r" % (p, text))
         mask |= 1 << (p - 1)
     return mask
+
+
+def split_top_level(text: str) -> list:
+    """Split a list body on the commas outside braces.
+
+    '{1,2}:1/2, {3}:1' gives ['{1,2}:1/2', ' {3}:1']. A blank text gives
+    []; empty items are kept, so that the caller's item parser rejects
+    them.
+    """
+    if not text.strip():
+        return []
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts

@@ -127,12 +127,7 @@ def _direct_subtree(args):
 
 def _threads_default():
     raw = os.environ.get("BALANCED_FORGE_THREADS", "")
-    if raw.strip():
-        t = int(raw)
-        if t < 1:
-            raise ValueError("BALANCED_FORGE_THREADS must be >= 1, got %r" % raw)
-        return t
-    return os.cpu_count() or 1
+    return int(raw) if raw.strip() else os.cpu_count() or 1
 
 
 def enumerate_mbc(n, threads=None):
@@ -148,6 +143,10 @@ def enumerate_mbc(n, threads=None):
         raise ValueError("enumerate_mbc supports 2 <= n <= 7, got %d" % n)
     if threads is None:
         threads = _threads_default()
+    if threads < 1:
+        raise ValueError(
+            "threads (argument or BALANCED_FORGE_THREADS) must be >= 1, got %r" % (threads,)
+        )
     if n >= 6 and threads > 1:
         tasks = [(n, first) for first in range(1, 1 << n)]
         raw = []
@@ -195,8 +194,24 @@ def enumerate_uniform(n, k, p, spanning):
     if p < 1:
         raise ValueError("size p must be >= 1, got %d" % p)
     edges = [m for m in range(1, 1 << n) if m.bit_count() == k]
+    return list(_multisets(n, edges, p, spanning))
+
+
+def enumerate_proper(n, p_max):
+    """Proper hypergraphs on n nodes with 1..p_max edges, lazily.
+
+    Every spanning multiset of nonempty edges, by size and then in
+    non-decreasing canonical edge order.
+    """
+    check_players(n)
+    if p_max < 1:
+        raise ValueError("size bound p_max must be >= 1, got %d" % p_max)
+    nonempty = range(1, 1 << n)
+    return (h for p in range(1, p_max + 1) for h in _multisets(n, nonempty, p, True))
+
+
+def _multisets(n, edges, p, spanning):
     full = full_mask(n)
-    out = []
     for combo in combinations_with_replacement(edges, p):
         if spanning:
             cover = 0
@@ -204,8 +219,7 @@ def enumerate_uniform(n, k, p, spanning):
                 cover |= e
             if cover != full:
                 continue
-        out.append(Hypergraph(n, combo))
-    return out
+        yield Hypergraph(n, combo)
 
 
 def enumerate_minimally_uniform(n, k, p):
@@ -226,7 +240,11 @@ def mbc_via_duality(n, kmax=None):
     Diagnostics on the returned catalog record how often any collection
     was produced more than once (multiplicity histogram; expected all-1,
     each collection arising only at k = lcm of its weight denominators)
-    and how many covers failed the minimality validation (expected 0).
+    and how many covers failed the minimality validation. That count is 0
+    for n <= 5, but not at n = 6: k = 2 yields 150 minimally 2-regular
+    covers whose support has a balanced proper subcollection, e.g.
+    {1},{2},{1,2},{3,4},{3,5,6},{4,5,6} contains {1,2}:1, {3,4}:1/2,
+    {3,5,6}:1/2, {4,5,6}:1/2. The validation is what keeps them out.
     """
     check_players(n)
     if not 2 <= n <= 6:

@@ -10,7 +10,7 @@ import json
 from collections import Counter
 from itertools import product
 
-from .core import check_players, full_mask, format_coalition, parse_coalition
+from .core import check_players, full_mask, format_coalition, parse_coalition, split_top_level
 
 
 class Hypergraph:
@@ -155,23 +155,8 @@ def parse_hypergraph(text):
     right = right.strip()
     if not right.startswith("edges=[") or not right.endswith("]"):
         raise ValueError("missing edges=[...] in %r" % text)
-    body = right[len("edges=["):-1].strip()
-    edges = []
-    if body:
-        depth = 0
-        start = 0
-        parts = []
-        for i, ch in enumerate(body):
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(body[start:i])
-                start = i + 1
-        parts.append(body[start:])
-        edges = [parse_coalition(p, n) for p in parts]
-    return Hypergraph(n, edges)
+    body = right[len("edges=["):-1]
+    return Hypergraph(n, [parse_coalition(p, n) for p in split_top_level(body)])
 
 
 def hypergraph_from_json(text):

@@ -121,7 +121,6 @@ def test_collection_equality_includes_weights():
     a = BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)})
     b = BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)})
     assert a == b and hash(a) == hash(b)
-    assert a.key == (3, (3, 5, 6))
 
 
 def test_from_regular_hypergraph():

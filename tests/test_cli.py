@@ -99,6 +99,18 @@ def test_mbc_check_reads_file(tmp_path, capsys):
     assert "minimal=true" in out
 
 
+def test_mbc_check_rejects_empty_item(capsys):
+    rc, _, err = run(capsys, "mbc", "check", "--collection", "n=3; [{1,2},]")
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_mbc_enum_rejects_zero_threads(capsys):
+    rc, _, err = run(capsys, "mbc", "enum", "--players", "3", "--threads", "0")
+    assert rc == 2
+    assert "threads" in err
+
+
 def test_mbc_check_needs_input(capsys):
     rc, _, err = run(capsys, "mbc", "check")
     assert rc == 2
@@ -321,3 +333,19 @@ def test_verify_sharpbs_small(capsys):
     rc, out, _ = run(capsys, "verify", "sharpbs", "--max-n", "2", "--games", "25")
     assert rc == 0
     assert "suite sharpbs: pass" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sharpbs", "--max-n", "1"),
+        ("table1", "--max-n", "1"),
+        ("prop1", "--max-nodes", "0"),
+        ("sharpbs", "--max-n", "2", "--games", "0"),
+    ],
+)
+def test_verify_empty_range_is_usage_error(capsys, argv):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -8,7 +8,6 @@ from balanced_forge.core import (
     multiset_coefficient,
     coalitions_of,
     players_of,
-    coalition,
     format_coalition,
     parse_coalition,
     check_players,
@@ -52,11 +51,6 @@ def test_masks_and_players():
     assert coalitions_of(2) == [1, 2, 3]
     assert players_of(0b101) == (1, 3)
     assert players_of(0) == ()
-    assert coalition([1, 3]) == 0b101
-    assert coalition([]) == 0
-    assert coalition([2, 2]) == 0b10
-    with pytest.raises(ValueError):
-        coalition([0])
 
 
 def test_format_parse_round_trip():

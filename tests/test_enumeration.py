@@ -13,6 +13,7 @@ from balanced_forge.enumeration import (
     enumerate_mbc,
     enumerate_mbc_oracle,
     enumerate_minimally_uniform,
+    enumerate_proper,
     enumerate_uniform,
     k_max,
     load_catalog,
@@ -53,6 +54,21 @@ def test_duality_agrees_with_direct():
         assert diag["rejected"] == 0
         assert set(diag["multiplicity_histogram"]) == {1}
         assert diag["multiplicity_histogram"][1] == TABLE1[n]
+
+
+def test_duality_rejects_non_minimal_covers_at_n6():
+    # from n = 6 on, a cover that survives cover_search's filter can have a
+    # balanced proper subcollection; k = 2 is the first regularity with any
+    assert mbc_via_duality(6, kmax=1).diagnostics["rejected"] == 0
+    assert mbc_via_duality(6, kmax=2).diagnostics["rejected"] == 150
+
+
+def test_threads_must_be_positive(monkeypatch):
+    with pytest.raises(ValueError):
+        enumerate_mbc(3, threads=0)
+    monkeypatch.setenv("BALANCED_FORGE_THREADS", "0")
+    with pytest.raises(ValueError):
+        enumerate_mbc(3)
 
 
 def test_duality_range_checks():
@@ -227,6 +243,12 @@ def test_uniform_enumeration_counts():
     assert len(enumerate_uniform(4, 2, 2, False)) == 21
     assert len(enumerate_uniform(4, 2, 2, True)) == 3
     assert len(enumerate_uniform(3, 3, 1, True)) == 1
+
+
+def test_proper_enumeration():
+    assert [h.edges for h in enumerate_proper(2, 2)] == [(3,), (1, 2), (1, 3), (2, 3), (3, 3)]
+    with pytest.raises(ValueError):
+        enumerate_proper(2, 0)
 
 
 def test_uniform_enumeration_validation():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from balanced_forge.enumeration import enumerate_proper
 from balanced_forge.hypergraph import (
     Hypergraph,
     parse_hypergraph,
@@ -142,16 +143,10 @@ def test_is_minimally_regular():
 
 def test_minimal_uniform_regular_duality_small():
     # the two predicates swap under duality on every proper hypergraph
-    import itertools
-
     for n in (1, 2, 3):
-        nonempty = range(1, 1 << n)
-        for p in (1, 2, 3):
-            for edges in itertools.combinations_with_replacement(nonempty, p):
-                h = Hypergraph(n, edges)
-                if not h.is_proper:
-                    continue
-                assert is_minimally_uniform(h) == is_minimally_regular(h.dual())
+        for h in enumerate_proper(n, 3):
+            assert h.is_proper
+            assert is_minimally_uniform(h) == is_minimally_regular(h.dual())
 
 
 def test_canonicalize():
