@@ -1,20 +1,23 @@
-"""Builds the optional Cython speedups.
+"""Builds the optional C speedups.
 
-The package is pure Python first: if Cython (or a C compiler) is missing,
-the build falls back to the interpreted kernels with identical behavior.
+The package is pure Python first: if the extension cannot be compiled
+(no C compiler, or one that fails), setuptools warns and the interpreted
+kernels, which return identical results, stay in use. Set
+BALANCED_FORGE_NO_EXT=1 to skip the extension. Offline build in place:
+`python3 setup.py build_ext --inplace`.
 """
 import os
-from setuptools import setup
 
-PYX = "src/balanced_forge/_speedups.pyx"
+from setuptools import Extension, setup
 
 ext_modules = []
-if os.environ.get("BALANCED_FORGE_NO_EXT") != "1" and os.path.exists(PYX):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize([PYX], language_level=3)
-    except ImportError:
-        ext_modules = []
+if os.environ.get("BALANCED_FORGE_NO_EXT") != "1":
+    ext_modules = [
+        Extension(
+            "balanced_forge._speedups",
+            ["src/balanced_forge/_speedups.c"],
+            optional=True,
+        )
+    ]
 
 setup(ext_modules=ext_modules)

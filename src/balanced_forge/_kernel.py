@@ -1,7 +1,8 @@
 """Kernel selection: compiled extension when available, else pure Python.
 
-Set BALANCED_FORGE_PURE=1 to force the interpreted kernels even when the
-extension is built (used by the benchmark and the twin-agreement tests).
+The extension is balanced_forge._speedups, built from _speedups.c by
+`python3 setup.py build_ext --inplace`. Set BALANCED_FORGE_PURE=1 to force
+the interpreted kernels even when the extension is built.
 """
 import os
 

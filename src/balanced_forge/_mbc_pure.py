@@ -1,8 +1,10 @@
-"""Interpreted search kernels; _speedups.pyx holds the compiled twins.
+"""Interpreted search kernels, the reference for the C twins in _speedups.c.
 
 Both kernels return plain ints so the compiled and pure variants are
 interchangeable: weights come back as (numerators, denominator) pairs or
-(multiplicities, k), never as Fraction.
+(multiplicities, k), never as Fraction. Both twins raise ValueError on the
+same arguments: n outside 1..7, first outside 0..2^n - 1, k < 1, or a
+cover state space (max(k, 2)^n encodings) above 2^28.
 
 direct_search walks coalitions in ascending mask order, keeping the
 chosen incidence rows in fraction-free integer echelon form together
@@ -20,6 +22,13 @@ in base k, grown incrementally with each copy added, so pruning and the
 final minimality decision share one state.
 """
 from math import gcd
+
+MAX_STATES = 1 << 28
+
+
+def _check_players(kernel, n):
+    if not 1 <= n <= 7:
+        raise ValueError("%s kernel supports 1 <= n <= 7, got %d" % (kernel, n))
 
 
 def _normalize(row):
@@ -39,7 +48,10 @@ def direct_search(n, first=0):
     searched; first = 0 runs the whole tree. Results are emitted with
     masks ascending within each tuple but in DFS order overall.
     """
+    _check_players("direct", n)
     nmasks = 1 << n
+    if not 0 <= first < nmasks:
+        raise ValueError("first must be in 0..%d, got %d" % (nmasks - 1, first))
     width = 2 * n + 1
     out = []
 
@@ -103,10 +115,15 @@ def cover_search(n, k):
     balanced proper subcollection of their support, so callers must
     validate minimality themselves.
     """
+    _check_players("cover", n)
+    if k < 1:
+        raise ValueError("k must be >= 1, got %d" % k)
     nmasks = 1 << n
     base = max(k, 2)
     place = [base ** i for i in range(n)]
     npos = base ** n
+    if npos > MAX_STATES:
+        raise ValueError("cover state space too large: base %d, n %d" % (base, n))
 
     # per-player bitset of encodings whose digit there is at most k-2,
     # i.e. positions safe to add one more copy of an edge containing it

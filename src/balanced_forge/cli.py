@@ -281,13 +281,18 @@ def _cmd_game_random(args):
 # ---------------------------------------------------------------- verify
 
 
+_VERIFY_RANGES = ("max_n", "max_nodes", "max_size", "games")
+
+
 def _cmd_verify(args):
     suite = SUITES[args.suite]
     ranges = {
-        name: getattr(args, name)
-        for name in inspect.signature(suite).parameters
-        if getattr(args, name) is not None
+        name: getattr(args, name) for name in _VERIFY_RANGES if getattr(args, name) is not None
     }
+    takes = inspect.signature(suite).parameters
+    unused = ["--" + name.replace("_", "-") for name in ranges if name not in takes]
+    if unused:
+        raise ValueError("suite %s takes no %s" % (args.suite, ", ".join(unused)))
     checks = suite(**ranges)
     ok = all(c[1] for c in checks)
     if args.json:
@@ -392,10 +397,8 @@ def _build_parser():
 
     ver = sub.add_parser("verify", help="self-contained verification suites")
     ver.add_argument("suite", choices=sorted(SUITES))
-    ver.add_argument("--max-n", type=int)
-    ver.add_argument("--max-nodes", type=int)
-    ver.add_argument("--max-size", type=int)
-    ver.add_argument("--games", type=int)
+    for name in _VERIFY_RANGES:
+        ver.add_argument("--" + name.replace("_", "-"), type=int)
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=_cmd_verify)
 

@@ -349,3 +349,18 @@ def test_verify_empty_range_is_usage_error(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (("example8", "--max-n", "9", "--games", "0"), ["--max-n", "--games"]),
+        (("prop2", "--max-n", "6"), ["--max-n"]),
+    ],
+)
+def test_verify_rejects_options_the_suite_does_not_take(capsys, argv, options):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert all(opt in err for opt in options)

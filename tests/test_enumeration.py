@@ -1,10 +1,15 @@
+import glob
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
-from balanced_forge._kernel import KERNEL, cover_search
+from balanced_forge import _mbc_pure, enumeration
+from balanced_forge._kernel import cover_search
 from balanced_forge.balanced import from_regular_hypergraph
 from balanced_forge.enumeration import (
     TABLE1,
@@ -105,8 +110,9 @@ def test_partial_kmax_misses_collections():
     assert mbc_via_duality(3).count == 6
 
 
-@pytest.mark.skipif(KERNEL != "compiled", reason="pure n=6 run takes minutes")
-def test_parallel_split_is_deterministic():
+def test_parallel_split_is_deterministic(speedups, monkeypatch):
+    # the pure n=6 search takes minutes; forked workers inherit the patch
+    monkeypatch.setattr(enumeration, "direct_search", speedups.direct_search)
     serial = enumerate_mbc(6, threads=1)
     parallel = enumerate_mbc(6, threads=2)
     assert serial.count == TABLE1[6]
@@ -131,16 +137,97 @@ def test_pure_kernel_override():
     assert out.stdout.split() == ["pure", "6"]
 
 
-def test_kernel_twins_agree():
-    pytest.importorskip("balanced_forge._speedups")
-    from balanced_forge import _mbc_pure, _speedups
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    for n in range(2, 5):
-        assert _speedups.direct_search(n) == _mbc_pure.direct_search(n)
-        for k in range(1, k_max(n) + 1):
-            assert _speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
-    for first in range(1, 8):
-        assert _speedups.direct_search(3, first) == _mbc_pure.direct_search(3, first)
+
+def _build_ext(src_root, env, *args):
+    return subprocess.run(
+        [sys.executable, "setup.py", "build_ext", *args],
+        cwd=src_root,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def speedups(tmp_path_factory):
+    """The C kernels built from this checkout into a temporary directory.
+
+    Skips when no C compiler or Python headers are present; with both
+    present, a build that yields no extension fails the test.
+    """
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    headers = os.path.join(sysconfig.get_paths()["include"], "Python.h")
+    if shutil.which(cc.split()[0]) is None or not os.path.exists(headers):
+        pytest.skip("no C compiler or Python headers to build the extension")
+    out = tmp_path_factory.mktemp("speedups")
+    env = {k: v for k, v in os.environ.items() if k != "BALANCED_FORGE_NO_EXT"}
+    proc = _build_ext(ROOT, env, "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp"))
+    built = glob.glob(str(out / "lib" / "balanced_forge" / "_speedups*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail("building balanced_forge._speedups failed:\n" + proc.stdout)
+    spec = importlib.util.spec_from_file_location("balanced_forge._speedups", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_twins_agree(speedups):
+    for n in range(2, 6):
+        assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
+        # every k up to k_max for n <= 4; at n = 5, k >= 5 takes minutes pure
+        for k in range(1, min(k_max(n), 4) + 1):
+            assert speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
+    for n in (3, 4):
+        for first in range(1, 1 << n):
+            assert speedups.direct_search(n, first) == _mbc_pure.direct_search(n, first)
+
+
+@pytest.mark.parametrize("twin", ["pure", "compiled"])
+def test_kernel_twins_reject_the_same_arguments(twin, request):
+    kernel = _mbc_pure if twin == "pure" else request.getfixturevalue("speedups")
+    for n in (0, 8):
+        with pytest.raises(ValueError):
+            kernel.direct_search(n)
+        with pytest.raises(ValueError):
+            kernel.cover_search(n, 2)
+    for first in (-1, 8):
+        with pytest.raises(ValueError):
+            kernel.direct_search(3, first)
+    with pytest.raises(ValueError):
+        kernel.cover_search(3, 0)
+    # (2^14 + 1)^2 encodings exceed the 2^28-bit state space
+    with pytest.raises(ValueError):
+        kernel.cover_search(2, (1 << 14) + 1)
+
+
+def test_build_without_compiler_falls_back(tmp_path):
+    pytest.importorskip("setuptools")
+    for name in ("setup.py", "pyproject.toml", "README.md"):
+        shutil.copy(os.path.join(ROOT, name), tmp_path)
+    shutil.copytree(
+        os.path.join(ROOT, "src"),
+        tmp_path / "src",
+        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd", "*.egg-info"),
+    )
+    env = dict(os.environ, CC=os.path.join(str(tmp_path), "no-such-cc"))
+    env.pop("BALANCED_FORGE_NO_EXT", None)
+    proc = _build_ext(tmp_path, env, "--inplace")
+    assert proc.returncode == 0, proc.stdout
+    assert glob.glob(str(tmp_path / "src" / "balanced_forge" / "_speedups*")) == [
+        str(tmp_path / "src" / "balanced_forge" / "_speedups.c")
+    ]
+    env["PYTHONPATH"] = str(tmp_path / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "from balanced_forge._kernel import KERNEL; print(KERNEL)"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.stdout.split() == ["pure"], out.stderr
 
 
 def test_catalog_rejects_bad_method():
