@@ -14,6 +14,18 @@ unique candidate weights can be read off; the subtree below such a node
 is pruned either way, because any extension keeps the all-ones vector in
 the span and forces weight zero on every later member.
 
+Each node holds its candidates, the later coalitions, as (mask, row
+reduced against the chosen rows, pivot). Entering a child reduces each
+candidate once, against the one newly chosen row and only where that
+row's pivot entry is nonzero; a candidate whose incidence part vanishes
+is dependent on the chosen rows and is dropped for the whole subtree.
+Unreduced rows are shared between parent and child. A row is n incidence
+entries, the all-ones coefficient, one coefficient slot per depth, and a
+last slot holding the candidate's own coefficient until it is chosen at
+depth d, when it moves to slot n + 1 + d. So every row, residual and gcd
+normalisation equals that of re-reducing each candidate against all
+chosen rows at every node, at one elimination per candidate and level.
+
 cover_search enumerates exact k-covers (multisets of coalitions covering
 every player exactly k times) in non-decreasing mask order and rejects
 any multiset containing a nonempty proper uniform sub-multiset. The
@@ -32,10 +44,7 @@ def _check_players(kernel, n):
 
 
 def _normalize(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x if x > 0 else -x)
+    g = gcd(*row)
     if g > 1:
         row = [x // g for x in row]
     return row
@@ -52,56 +61,57 @@ def direct_search(n, first=0):
     nmasks = 1 << n
     if not 0 <= first < nmasks:
         raise ValueError("first must be in 0..%d, got %d" % (nmasks - 1, first))
-    width = 2 * n + 1
+    own = 2 * n + 1
     out = []
+    chosen = []
 
-    def rec(cursor, chosen, rows, pivots, rho, depth, limit):
-        for m in range(cursor, limit):
-            row = [(m >> i) & 1 for i in range(n)] + [0] * (n + 1)
-            row[n + 1 + depth] = 1
-            for r, p in zip(rows, pivots):
-                if row[p]:
-                    a, b = r[p], row[p]
-                    row = _normalize([a * x - b * y for x, y in zip(row, r)])
-            p = -1
-            for i in range(n):
-                if row[i]:
-                    p = i
-                    break
-            if p < 0:
-                continue
+    def rec(cands, lo, hi, rho, depth):
+        slot = n + 1 + depth
+        for c in range(lo, hi):
+            m, row, p = cands[c]
             r2 = rho
             if r2[p]:
                 a, b = row[p], r2[p]
                 r2 = _normalize([a * x - b * y for x, y in zip(r2, row)])
+                r2[slot] = r2[own]
+                r2[own] = 0
             chosen.append(m)
-            solved = True
-            for i in range(n):
-                if r2[i]:
-                    solved = False
-                    break
-            if not solved:
-                rows.append(row)
-                pivots.append(p)
-                rec(m + 1, chosen, rows, pivots, r2, depth + 1, nmasks)
-                rows.pop()
-                pivots.pop()
+            if any(r2[:n]):
+                row = list(row)
+                row[slot] = row[own]
+                row[own] = 0
+                a = row[p]
+                kids = []
+                for m2, r, q in cands[c + 1 :]:
+                    b = r[p]
+                    if b:
+                        r = _normalize([a * x - b * y for x, y in zip(r, row)])
+                        for q in range(n):
+                            if r[q]:
+                                break
+                        else:
+                            continue  # dependent on the chosen rows
+                    kids.append((m2, r, q))
+                rec(kids, 0, len(kids), r2, depth + 1)
             else:
                 s = r2[n]
                 cs = r2[n + 1 : n + 2 + depth]
                 if s < 0:
                     s = -s
                     cs = [-c for c in cs]
-                if all(c < 0 for c in cs):
+                if max(cs) < 0:
                     out.append((tuple(chosen), tuple(-c for c in cs), s))
             chosen.pop()
 
-    rho0 = [1] * n + [1] + [0] * n
-    assert len(rho0) == width
+    cands = []
+    for m in range(1, nmasks):
+        row = [(m >> i) & 1 for i in range(n)] + [0] * (n + 1) + [1]
+        cands.append((m, row, (m & -m).bit_length() - 1))
+    rho0 = [1] * (n + 1) + [0] * (n + 1)
     if first:
-        rec(first, [], [], [], rho0, 0, first + 1)
+        rec(cands, first - 1, first, rho0, 0)
     else:
-        rec(1, [], [], [], rho0, 0, nmasks)
+        rec(cands, 0, nmasks - 1, rho0, 0)
     return out
 
 

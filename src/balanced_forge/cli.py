@@ -333,7 +333,13 @@ def _build_parser():
     enum.add_argument("--players", type=int, required=True)
     enum.add_argument("--method", choices=("direct", "duality", "oracle"), default="direct")
     enum.add_argument("--out", help="catalog path (.json for the JSON variant)")
-    enum.add_argument("--k-max", type=int, default=None, help="duality method: cap on the cover degree")
+    enum.add_argument(
+        "--k-max",
+        type=int,
+        default=None,
+        help="duality method: cap on the cover degree (default: the largest |det| of an "
+        "n x n 0/1 matrix, which finds every collection)",
+    )
     enum.add_argument("--threads", type=int, default=None, help="direct method: worker processes")
     enum.add_argument("--json", action="store_true")
     enum.set_defaults(func=_cmd_mbc_enum)

@@ -31,15 +31,23 @@ from .balanced import (
     BalancedCollection,
     find_balancing_weights,
     from_regular_hypergraph,
-    is_minimal_balanced,
     is_minimal_balanced_oracle,
 )
 from ._kernel import direct_search, cover_search
+from ._simplex import rank_of_masks
 
 TOOL = "balanced-forge/%s" % __version__
 
 # known counts of minimal balanced collections by player count
 TABLE1 = {1: 1, 2: 2, 3: 6, 4: 42, 5: 1292, 6: 200214, 7: 132422036}
+
+
+# Largest |det| of an n x n 0/1 matrix, Hadamard's maximal determinant
+# problem (OEIS A003432). The weights of a minimal balanced collection solve
+# a nonsingular square 0/1 minor of its incidence matrix, so the lcm of their
+# denominators divides that minor and is at most MAX_DET[n]. The tests
+# recompute the values for n <= 5 by exhaustion.
+MAX_DET = {2: 1, 3: 2, 4: 3, 5: 5, 6: 9}
 
 
 def k_max(n):
@@ -48,7 +56,8 @@ def k_max(n):
     Weight denominators of a minimal balanced collection divide the
     determinant of an n x n 0/1 matrix, and this Hadamard-type bound caps
     those determinants; sweeping regularities 1..k_max(n) in the duality
-    route is therefore exhaustive. Values: 2, 2, 4, 7, 15 for n = 2..6.
+    route is therefore exhaustive. Values: 2, 2, 4, 7, 15 for n = 2..6,
+    against the exact maxima MAX_DET[n] = 1, 2, 3, 5, 9.
     """
     check_players(n)
     a = (n + 1) ** (n + 1)
@@ -234,8 +243,15 @@ def mbc_via_duality(n, kmax=None):
     exact k-covers of the player set (each is the dual of a minimally
     k-uniform hypergraph of size n, with the primal node count equal to
     the cover's multiset size), convert through from_regular_hypergraph,
-    validate minimality, and deduplicate. kmax defaults to the k_max(n)
-    bound, which makes the sweep exhaustive.
+    validate minimality, and deduplicate. kmax defaults to MAX_DET[n], the
+    largest weight denominator lcm a minimal balanced collection on n
+    players can have, which makes the sweep exhaustive; k_max(n) is a
+    looser bound.
+
+    Minimality is validated by incidence rank alone. from_regular_hypergraph
+    already checks strictly positive weights that sum to 1 per player, so
+    the support is balanced by construction and the balancedness LP of
+    is_minimal_balanced would always succeed.
 
     Diagnostics on the returned catalog record how often any collection
     was produced more than once (multiplicity histogram; expected all-1,
@@ -250,7 +266,7 @@ def mbc_via_duality(n, kmax=None):
     if not 2 <= n <= 6:
         raise ValueError("duality route supports 2 <= n <= 6, got %d" % n)
     if kmax is None:
-        kmax = k_max(n)
+        kmax = MAX_DET[n]
     if kmax < 1:
         raise ValueError("kmax must be >= 1, got %r" % (kmax,))
     seen = {}
@@ -262,7 +278,8 @@ def mbc_via_duality(n, kmax=None):
             for m, c in zip(masks, mults):
                 edges.extend([m] * c)
             bc = from_regular_hypergraph(Hypergraph(n, edges))
-            if not is_minimal_balanced(n, bc.coalitions):
+            # balanced by construction, so independence decides minimality
+            if rank_of_masks(bc.coalitions, n) != len(bc.coalitions):
                 rejected += 1
                 continue
             key = bc.coalitions

@@ -1,17 +1,20 @@
 import glob
+import hashlib
 import importlib.util
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
+from fractions import Fraction
 
 import pytest
 
 from balanced_forge import _mbc_pure, enumeration
-from balanced_forge._kernel import cover_search
-from balanced_forge.balanced import from_regular_hypergraph
+from balanced_forge._kernel import cover_search, direct_search
+from balanced_forge.balanced import BalancedCollection, from_regular_hypergraph, is_minimal_balanced
 from balanced_forge.enumeration import (
+    MAX_DET,
     TABLE1,
     CatalogError,
     MbcCatalog,
@@ -30,6 +33,73 @@ from balanced_forge.hypergraph import Hypergraph, is_minimally_regular, is_minim
 
 def test_k_max_values():
     assert [k_max(n) for n in range(2, 7)] == [2, 2, 4, 7, 15]
+
+
+def _max_abs_det(n):
+    """Largest |det| over n x n matrices of distinct nonzero 0/1 rows.
+
+    Rows are added in increasing mask order; each node keeps the minors of
+    its rows on every column set of their number, expanded along the new
+    row, and a node whose minors all vanish is not extended.
+    """
+    best = 0
+
+    def rec(start, depth, minors):
+        nonlocal best
+        if depth == n:
+            best = max(best, abs(minors[(1 << n) - 1]))
+            return
+        for row in range(start, 1 << n):
+            grown = {}
+            for cols, minor in minors.items():
+                for j in range(n):
+                    if row >> j & 1 and not cols >> j & 1:
+                        sign = -1 if (depth + (cols & ((1 << j) - 1)).bit_count()) & 1 else 1
+                        key = cols | 1 << j
+                        grown[key] = grown.get(key, 0) + sign * minor
+            if any(grown.values()):
+                rec(row + 1, depth + 1, grown)
+
+    rec(1, 0, {0: 1})
+    return best
+
+
+def test_max_det_table():
+    # C(31, 5) = 169,911 row sets at n = 5; MAX_DET[6] = 9 is OEIS A003432
+    assert [_max_abs_det(n) for n in range(2, 6)] == [MAX_DET[n] for n in range(2, 6)]
+    # and the direct catalogs reach the bound: it is the largest denominator
+    for n in range(2, 6):
+        assert max(den for _, _, den in direct_search(n)) == MAX_DET[n]
+
+
+# sha256 of repr(_mbc_pure.direct_search(5)), the raw triples in DFS order,
+# and the result count of each first-member subtree at n = 5, both recorded
+# from the earlier search that re-reduced every candidate against all chosen
+# rows at each node
+DIRECT5_SHA256 = "583ed6963ede852f1e845ac78c1fdfa54a45cf6d9a04daf0d40c59511e00d040"
+DIRECT5_SUBTREE_COUNTS = (
+    [158, 137, 218, 81, 153, 127, 185, 15, 38, 33, 60, 11, 24, 9, 42] + [0] * 15 + [1]
+)
+
+
+def test_direct_search_output_is_pinned():
+    raw = _mbc_pure.direct_search(5)
+    assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT5_SHA256
+    counts = [len(_mbc_pure.direct_search(5, first)) for first in range(1, 32)]
+    assert counts == DIRECT5_SUBTREE_COUNTS
+    assert sum(counts) == len(raw) == TABLE1[5]
+
+
+def test_kernel_output_revalidates_at_n6():
+    # enumerate_mbc builds collections with BalancedCollection._trusted;
+    # re-check the n = 6 subtree whose first member is {3,5} (mask 20)
+    # through the validating constructor and the minimality test
+    raw = direct_search(6, 20)
+    assert len(raw) == 1151
+    for masks, nums, den in raw:
+        b = BalancedCollection(6, {m: Fraction(num, den) for m, num in zip(masks, nums)})
+        assert b.coalitions == masks
+        assert is_minimal_balanced(6, masks)
 
 
 def test_direct_counts_match_known_table():
@@ -181,9 +251,12 @@ def test_kernel_twins_agree(speedups):
         # every k up to k_max for n <= 4; at n = 5, k >= 5 takes minutes pure
         for k in range(1, min(k_max(n), 4) + 1):
             assert speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
-    for n in (3, 4):
+    for n in (3, 4, 5):
         for first in range(1, 1 << n):
             assert speedups.direct_search(n, first) == _mbc_pure.direct_search(n, first)
+    # n = 6 subtrees the pure twin finishes in about a second each
+    for first in (28, 30, 31):
+        assert speedups.direct_search(6, first) == _mbc_pure.direct_search(6, first)
 
 
 @pytest.mark.parametrize("twin", ["pure", "compiled"])
