@@ -26,6 +26,26 @@ depth d, when it moves to slot n + 1 + d. So every row, residual and gcd
 normalisation equals that of re-reducing each candidate against all
 chosen rows at every node, at one elimination per candidate and level.
 
+A node that is not solved is then tested by a Farkas rule. Let A be the
+chosen coalitions plus the node's later candidates, before the newly
+chosen row reduces them. Every collection emitted below the node is a
+subcollection B of A that holds the chosen coalitions and has positive
+weights summing to 1 for each player. If every member of A that holds
+player j also holds player i, the sums for i and j over B differ by the
+weights of B's members holding i but not j, so those weights are 0:
+y = e_i - e_j is a Farkas certificate that no such member has a positive
+weight. Hence the node is cut when some player is in no member of A, or
+when a chosen coalition holds such an i but not j; otherwise every later
+candidate holding such an i but not j is dropped before it is reduced.
+The rule removes only subtrees that emit nothing, and it changes no row,
+residual or pivot of a node it keeps, so the DFS order, every emitted
+triple, and the bound on the elimination entries (ENTRY_MAX in
+_speedups.c) are as without it. Player pairs are bits j * n + i of an
+int: a suffix OR over the candidate list gives A's pairs with one OR per
+child, and each candidate is tested with one AND. Repeating the
+candidate filter until nothing more drops visits the same nodes at n = 5
+and in the n = 6 subtrees first = 8 and 24, so it is not done.
+
 cover_search enumerates exact k-covers (multisets of coalitions covering
 every player exactly k times) in non-decreasing mask order and rejects
 any multiset containing a nonempty proper uniform sub-multiset. The
@@ -50,6 +70,26 @@ def _normalize(row):
     return row
 
 
+def _pair_tables(n):
+    """Per mask, its ordered player pairs as bits j * n + i of two ints.
+
+    split[m] has (j, i) when m contains j but not i, and (j, j) when m
+    contains j; lone[m] has (j, i) when m contains i but not j.
+    """
+    nmasks = 1 << n
+    split = [0] * nmasks
+    lone = [0] * nmasks
+    for m in range(1, nmasks):
+        for j in range(n):
+            for i in range(n):
+                bit = 1 << (j * n + i)
+                if m >> j & 1 and (i == j or not m >> i & 1):
+                    split[m] |= bit
+                if m >> i & 1 and not m >> j & 1:
+                    lone[m] |= bit
+    return split, lone
+
+
 def direct_search(n, first=0):
     """Minimal balanced collections as (masks, numerators, denominator).
 
@@ -62,11 +102,17 @@ def direct_search(n, first=0):
     if not 0 <= first < nmasks:
         raise ValueError("first must be in 0..%d, got %d" % (nmasks - 1, first))
     own = 2 * n + 1
+    split, lone = _pair_tables(n)
+    diag = sum(1 << (j * n + j) for j in range(n))
+    off = (1 << n * n) - 1 - diag
     out = []
     chosen = []
 
-    def rec(cands, lo, hi, rho, depth):
+    def rec(cands, lo, hi, rho, depth, split_chosen, lone_chosen):
         slot = n + 1 + depth
+        suf = [0] * (len(cands) + 1)  # split pairs of cands[c:]
+        for c in range(len(cands) - 1, lo, -1):
+            suf[c] = suf[c + 1] | split[cands[c][0]]
         for c in range(lo, hi):
             m, row, p = cands[c]
             r2 = rho
@@ -77,12 +123,21 @@ def direct_search(n, first=0):
                 r2[own] = 0
             chosen.append(m)
             if any(r2[:n]):
+                sc = split_chosen | split[m]
+                lc = lone_chosen | lone[m]
+                every = sc | suf[c + 1]
+                tied = off & ~every  # (j, i): every member of A with j has i
+                if every & diag != diag or lc & tied:
+                    chosen.pop()
+                    continue  # no positive weights below: cut
                 row = list(row)
                 row[slot] = row[own]
                 row[own] = 0
                 a = row[p]
                 kids = []
                 for m2, r, q in cands[c + 1 :]:
+                    if lone[m2] & tied:
+                        continue  # would need weight zero
                     b = r[p]
                     if b:
                         r = _normalize([a * x - b * y for x, y in zip(r, row)])
@@ -92,7 +147,7 @@ def direct_search(n, first=0):
                         else:
                             continue  # dependent on the chosen rows
                     kids.append((m2, r, q))
-                rec(kids, 0, len(kids), r2, depth + 1)
+                rec(kids, 0, len(kids), r2, depth + 1, sc, lc)
             else:
                 s = r2[n]
                 cs = r2[n + 1 : n + 2 + depth]
@@ -109,9 +164,9 @@ def direct_search(n, first=0):
         cands.append((m, row, (m & -m).bit_length() - 1))
     rho0 = [1] * (n + 1) + [0] * (n + 1)
     if first:
-        rec(cands, first - 1, first, rho0, 0)
+        rec(cands, first - 1, first, rho0, 0, 0, 0)
     else:
-        rec(cands, 0, nmasks - 1, rho0, 0)
+        rec(cands, 0, nmasks - 1, rho0, 0, 0, 0)
     return out
 
 

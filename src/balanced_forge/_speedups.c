@@ -17,6 +17,20 @@
  * the rows reduced on entering each depth take (n + 1) * 2^n entries on the
  * heap: 147 KB at n = 7.
  *
+ * A node that is not solved is then tested by the Farkas rule that
+ * _mbc_pure.py derives. A is the chosen masks plus the node's later
+ * candidates, before they are reduced. If every member of A holding player j
+ * also holds player i, y = e_i - e_j shows that any member holding i but not
+ * j has weight 0 in every balanced subcollection of A, so the node is cut
+ * when some player is in no member of A or a chosen mask holds such an i but
+ * not j, and otherwise every later candidate holding such an i but not j is
+ * dropped before it is reduced. Only subtrees that emit nothing are removed,
+ * and no entry of a kept node changes, so the output and the bound below
+ * stand. Player pairs (j, i) are bits j * n + i of a uint64_t (n * n <= 49):
+ * split[m] has (j, i) when m holds j but not i, and (j, j) when m holds j;
+ * lone[m] has (j, i) when m holds i but not j. A suffix OR of split per
+ * depth gives A's pairs in one OR per child; a candidate costs one AND.
+ *
  * Bound on the elimination entries of direct_search (ENTRY_MAX):
  * - A reduced row, or the residual of the all-ones vector, combines j + 1
  *   rows of 0/1 entries (the chosen masks, plus the all-ones row for the
@@ -93,6 +107,9 @@ typedef struct {
     int n, width, nmasks;
     Cand *cands;      /* per depth: that node's candidates, nmasks - 1 at most */
     int64_t *store;   /* per depth: rows reduced on entering it, WIDTH apart */
+    uint64_t *suf;    /* per depth: split pairs of the candidates from c on */
+    uint64_t split[1 << MAXN], lone[1 << MAXN];  /* player pairs, see the top */
+    uint64_t diag, off;                          /* pairs (j, j) and (j, i != j) */
     int64_t rows[MAXN * WIDTH];        /* the chosen row per depth */
     int64_t rhos[(MAXN + 1) * WIDTH];  /* all-ones residual per depth */
     int64_t chosen[MAXN];
@@ -153,9 +170,11 @@ direct_emit(Direct *d, int size, int64_t *r2)
 }
 
 /* Choose each of the node's candidates lo..hi-1 in turn, then search the
-   candidates after it, each reduced once against the newly chosen row. */
+   candidates after it, each reduced once against the newly chosen row.
+   split_chosen and lone_chosen are the player pairs of the chosen masks. */
 static int
-direct_rec(Direct *d, int depth, int ncand, int lo, int hi)
+direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
+           uint64_t split_chosen, uint64_t lone_chosen)
 {
     int n = d->n, width = d->width, own = width - 1, slot = n + 1 + depth;
     const Cand *cands = d->cands + (size_t)depth * d->nmasks;
@@ -163,10 +182,14 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi)
     int64_t *store = d->store + (size_t)(depth + 1) * d->nmasks * WIDTH;
     int64_t *row = d->rows + depth * WIDTH;
     int64_t *rho = d->rhos + depth * WIDTH, *r2 = rho + WIDTH;
+    uint64_t *suf = d->suf + (size_t)depth * d->nmasks;
     if (depth >= n) {  /* n independent rows leave a zero residual */
         PyErr_SetString(PyExc_SystemError, "direct kernel: depth exceeds n");
         return -1;
     }
+    suf[ncand] = 0;
+    for (int c = ncand - 1; c > lo; c--)
+        suf[c] = suf[c + 1] | d->split[cands[c].mask];
     for (int c = lo; c < hi; c++) {
         int i, p = cands[c].pivot, nkids = 0;
         memcpy(row, cands[c].row, width * sizeof *row);
@@ -190,9 +213,17 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi)
                 return -1;
             continue;
         }
+        uint64_t sc = split_chosen | d->split[cands[c].mask];
+        uint64_t lc = lone_chosen | d->lone[cands[c].mask];
+        uint64_t every = sc | suf[c + 1];
+        uint64_t tied = d->off & ~every;  /* (j, i): every member of A with j has i */
+        if ((every & d->diag) != d->diag || (lc & tied))
+            continue;  /* no positive weights below: cut */
         for (int j = c + 1; j < ncand; j++) {
             const int64_t *r = cands[j].row;
             int q = cands[j].pivot;
+            if (d->lone[cands[j].mask] & tied)
+                continue;  /* would need weight zero */
             if (r[p]) {
                 int64_t a = row[p], b = r[p], *r3 = store + nkids * WIDTH;
                 for (i = 0; i < width; i++)
@@ -210,7 +241,7 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi)
             kids[nkids].row = r;
             nkids++;
         }
-        if (direct_rec(d, depth + 1, nkids, 0, nkids) < 0)
+        if (direct_rec(d, depth + 1, nkids, 0, nkids, sc, lc) < 0)
             return -1;
     }
     return 0;
@@ -239,7 +270,8 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
     Direct d = {.n = n, .width = 2 * n + 2, .nmasks = 1 << n};
     d.cands = PyMem_Malloc((size_t)(n + 1) * d.nmasks * sizeof *d.cands);
     d.store = PyMem_Malloc((size_t)(n + 1) * d.nmasks * WIDTH * sizeof *d.store);
-    if (d.cands == NULL || d.store == NULL) {
+    d.suf = PyMem_Malloc((size_t)(n + 1) * d.nmasks * sizeof *d.suf);
+    if (d.cands == NULL || d.store == NULL || d.suf == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -255,17 +287,29 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
         d.cands[m - 1].mask = m;
         d.cands[m - 1].pivot = p;
         d.cands[m - 1].row = row;
+        for (int j = 0; j < n; j++)
+            for (int i = 0; i < n; i++) {
+                uint64_t bit = (uint64_t)1 << (j * n + i);
+                if (m >> j & 1 && (i == j || !(m >> i & 1)))
+                    d.split[m] |= bit;
+                if (m >> i & 1 && !(m >> j & 1))
+                    d.lone[m] |= bit;
+            }
     }
+    for (int j = 0; j < n; j++)
+        d.diag |= (uint64_t)1 << (j * n + j);
+    d.off = (((uint64_t)1 << n * n) - 1) & ~d.diag;
     for (int i = 0; i <= n; i++)
         d.rhos[i] = 1;
     d.out = PyList_New(0);
     if (d.out != NULL
         && direct_rec(&d, 0, d.nmasks - 1, first ? first - 1 : 0,
-                      first ? first : d.nmasks - 1) < 0)
+                      first ? first : d.nmasks - 1, 0, 0) < 0)
         Py_CLEAR(d.out);
 done:
     PyMem_Free(d.cands);
     PyMem_Free(d.store);
+    PyMem_Free(d.suf);
     return d.out;
 }
 

@@ -79,6 +79,7 @@ def _cmd_mbc_enum(args):
                     "method": catalog.method,
                     "count": catalog.count,
                     "out": args.out,
+                    "diagnostics": catalog.diagnostics,
                 }
             )
         )

@@ -33,7 +33,7 @@ from .balanced import (
     from_regular_hypergraph,
     is_minimal_balanced_oracle,
 )
-from ._kernel import direct_search, cover_search
+from ._kernel import KERNEL, direct_search, cover_search
 from ._simplex import rank_of_masks
 
 TOOL = "balanced-forge/%s" % __version__
@@ -146,6 +146,10 @@ def enumerate_mbc(n, threads=None):
     a process pool for n >= 6 (BALANCED_FORGE_THREADS or the thread
     argument caps workers); results are merged and sorted, so the catalog
     is identical however the work was scheduled.
+
+    Diagnostics on the returned catalog name the kernel ("compiled" or
+    "pure") and give the wall time of the search and of building and
+    sorting the collections, in seconds (search_s, build_s).
     """
     check_players(n)
     if not 2 <= n <= 7:
@@ -156,6 +160,7 @@ def enumerate_mbc(n, threads=None):
         raise ValueError(
             "threads (argument or BALANCED_FORGE_THREADS) must be >= 1, got %r" % (threads,)
         )
+    start = time.perf_counter()
     if n >= 6 and threads > 1:
         tasks = [(n, first) for first in range(1, 1 << n)]
         raw = []
@@ -164,13 +169,20 @@ def enumerate_mbc(n, threads=None):
                 raw.extend(chunk)
     else:
         raw = direct_search(n)
+    searched = time.perf_counter()
     cols = [
         BalancedCollection._trusted(
             n, masks, {m: Fraction(num, den) for m, num in zip(masks, nums)}
         )
         for masks, nums, den in raw
     ]
-    return MbcCatalog(n, "direct", cols)
+    catalog = MbcCatalog(n, "direct", cols)
+    catalog.diagnostics = {
+        "kernel": KERNEL,
+        "search_s": searched - start,
+        "build_s": time.perf_counter() - searched,
+    }
+    return catalog
 
 
 def enumerate_mbc_oracle(n):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from balanced_forge._kernel import KERNEL
 from balanced_forge.cli import main
 from balanced_forge.enumeration import enumerate_mbc, load_catalog, save_catalog
 
@@ -39,10 +40,28 @@ def test_mbc_enum_writes_text_catalog(tmp_path, capsys):
     rc, out, _ = run(capsys, "mbc", "enum", "--players", "3", "--out", path, "--json")
     assert rc == 0
     blob = json.loads(out)
+    blob.pop("diagnostics")  # checked in test_mbc_enum_json_reports_diagnostics
     assert blob == {"n": 3, "method": "direct", "count": 6, "out": path}
     cat = load_catalog(path)
     assert cat.count == 6
     assert cat.method == "direct"
+
+
+def test_mbc_enum_json_reports_diagnostics(capsys):
+    keys = {
+        "direct": {"kernel", "search_s", "build_s"},
+        "duality": {"multiplicity_histogram", "rejected", "k_max"},
+        "oracle": set(),
+    }
+    for method, want in keys.items():
+        rc, out, _ = run(capsys, "mbc", "enum", "--players", "3", "--method", method, "--json")
+        assert rc == 0
+        diag = json.loads(out)["diagnostics"]
+        assert set(diag) == want, method
+    rc, out, _ = run(capsys, "mbc", "enum", "--players", "3", "--json")
+    diag = json.loads(out)["diagnostics"]
+    assert diag["kernel"] == KERNEL
+    assert diag["search_s"] >= 0 and diag["build_s"] >= 0
 
 
 def test_mbc_enum_writes_json_catalog(tmp_path, capsys):

@@ -254,9 +254,28 @@ def test_kernel_twins_agree(speedups):
     for n in (3, 4, 5):
         for first in range(1, 1 << n):
             assert speedups.direct_search(n, first) == _mbc_pure.direct_search(n, first)
-    # n = 6 subtrees the pure twin finishes in about a second each
-    for first in (28, 30, 31):
+    # n = 6 subtrees the pure twin finishes in well under a second each; for
+    # 32 <= first <= 62 every later coalition holds player 6 and the Farkas
+    # rule cuts the subtree at its root
+    for first in (24, 28, 30, 31, *range(32, 63)):
         assert speedups.direct_search(6, first) == _mbc_pure.direct_search(6, first)
+    # likewise every n = 7 subtree with 64 <= first <= 126 is empty and cut
+    # at once, and first = 127 is the grand coalition alone
+    for first in (64, 100, 126):
+        assert speedups.direct_search(7, first) == _mbc_pure.direct_search(7, first) == []
+    grand = [((127,), (1,), 1)]
+    assert speedups.direct_search(7, 127) == _mbc_pure.direct_search(7, 127) == grand
+
+
+# sha256 of repr(direct_search(6)), recorded from the compiled kernel as it
+# was before the Farkas rule
+DIRECT6_SHA256 = "dacac381ac0c8bb6def344b051f94f837ea789eed50ea89dfacee566bd46f449"
+
+
+def test_compiled_n6_output_is_pinned(speedups):
+    raw = speedups.direct_search(6)
+    assert len(raw) == TABLE1[6]
+    assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT6_SHA256
 
 
 @pytest.mark.parametrize("twin", ["pure", "compiled"])
