@@ -1,8 +1,9 @@
 """Exact-arithmetic toolkit for minimal balanced collections, TU-game core
 tests, and uniform/regular hypergraph combinatorics.
 
-Coalitions are plain ints: bit i-1 set means player i belongs. All weights
-and worths are fractions.Fraction; no floating point enters any decision.
+Coalitions are plain ints: bit i-1 set means player i belongs. Worths are
+Fractions, weights integer numerators over one denominator; no floating
+point enters any decision.
 """
 
 __version__ = "0.1.0"

@@ -12,9 +12,11 @@ Minimality has a fast route (balanced + linearly independent incidence
 vectors, hence unique weights) and a literal oracle (no proper
 subcollection balanced) kept around to guard the equivalence.
 """
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
+from operator import mul
 
 from .core import (
     check_players,
@@ -123,7 +125,9 @@ def is_minimal_balanced_oracle(n, coalitions):
 
 
 class BalancedCollection:
-    """A balanced collection with its exact weight map.
+    """A balanced collection as integers: the weight of coalitions[i] is
+    numerators[i] / denominator, over the lcm of the reduced weight
+    denominators, so equal weights give equal integers.
 
     Construction validates everything: distinct nonempty coalitions in
     canonical order, strictly positive weights, and the per-player sum
@@ -132,21 +136,19 @@ class BalancedCollection:
     collections since their weights are unique.
     """
 
-    __slots__ = ("n", "coalitions", "weights")
+    __slots__ = ("n", "coalitions", "numerators", "denominator", "_weights")
 
     def __init__(self, n, weights):
         items = dict(weights)
         masks = _checked_masks(n, items.keys())
-        w = {}
-        for s in masks:
-            f = Fraction(items[s])
-            if f <= 0:
+        # positivity and per-player sums of 1, checked on numerators over the lcm
+        nums, den = to_common_denominator([items[s] for s in masks])
+        for s, num in zip(masks, nums):
+            if num <= 0:
                 raise ValueError(
-                    "weight of %s must be positive, got %s" % (format_coalition(s), f)
+                    "weight of %s must be positive, got %s"
+                    % (format_coalition(s), Fraction(num, den))
                 )
-            w[s] = f
-        # per-player sums of 1, checked as sums of numerators over the lcm
-        nums, den = to_common_denominator([w[s] for s in masks])
         for i in range(n):
             total = sum([num for s, num in zip(masks, nums) if s >> i & 1])
             if total != den:
@@ -155,11 +157,12 @@ class BalancedCollection:
                 )
         self.n = n
         self.coalitions = masks
-        self.weights = w
+        self.numerators = tuple(nums)
+        self.denominator = den
 
     @classmethod
-    def _trusted(cls, n, coalitions, weights):
-        """Skip validation; for enumeration kernels whose output is exact.
+    def _trusted(cls, n, masks, nums, den):
+        """Skip validation; the triple must be exact and in lowest terms.
 
         The kernels emit weights straight from exact elimination, so the
         per-player identity holds by construction; revalidating 200k+
@@ -168,27 +171,49 @@ class BalancedCollection:
         """
         self = object.__new__(cls)
         self.n = n
-        self.coalitions = tuple(coalitions)
-        self.weights = dict(weights)
+        self.coalitions = tuple(masks)
+        self.numerators = tuple(nums)
+        self.denominator = den
         return self
+
+    @property
+    def weights(self):
+        """{coalition: Fraction}, built on first read; every read returns that dict."""
+        try:
+            return self._weights
+        except AttributeError:
+            den = self.denominator
+            self._weights = {s: Fraction(a, den) for s, a in zip(self.coalitions, self.numerators)}
+            return self._weights
 
     def __eq__(self, other):
         return (
             isinstance(other, BalancedCollection)
             and self.n == other.n
             and self.coalitions == other.coalitions
-            and self.weights == other.weights
+            and self.numerators == other.numerators
+            and self.denominator == other.denominator
         )
 
     def __hash__(self):
-        return hash((self.n, self.coalitions, tuple(self.weights[s] for s in self.coalitions)))
+        return hash((self.n, self.coalitions, self.numerators, self.denominator))
 
     def __repr__(self):
         return "BalancedCollection(%d, %s)" % (self.n, self.to_text())
 
+    def weight_texts(self):
+        """Each weight as str(Fraction) writes it, `a/b` or `a`, in coalition order."""
+        den = self.denominator
+        out = []
+        for a in self.numerators:
+            g = gcd(a, den)
+            out.append(str(a // g) if g == den else "%d/%d" % (a // g, den // g))
+        return out
+
     def to_text(self):
         body = ", ".join(
-            "%s:%s" % (format_coalition(s), self.weights[s]) for s in self.coalitions
+            "%s:%s" % (format_coalition(s), w)
+            for s, w in zip(self.coalitions, self.weight_texts())
         )
         return "n=%d; [%s]" % (self.n, body)
 
@@ -226,18 +251,18 @@ def from_regular_hypergraph(h):
     k = h.regularity()
     if k is None:
         raise ValueError("hypergraph is not regular")
-    mult = {}
-    for e in h.edges:
-        mult[e] = mult.get(e, 0) + 1
-    return BalancedCollection(h.n, {e: Fraction(c, k) for e, c in mult.items()})
+    mult = Counter(h.edges)
+    masks = sorted(mult)
+    g = gcd(k, *mult.values())
+    # every player's multiplicities sum to k, so the weights sum to 1
+    return BalancedCollection._trusted(h.n, masks, [mult[s] // g for s in masks], k // g)
 
 
 def to_regular_hypergraph(b):
-    """Inverse of from_regular_hypergraph: k = lcm of weight denominators."""
-    k = lcm(*(b.weights[s].denominator for s in b.coalitions))
+    """Inverse of from_regular_hypergraph: S appears numerator(S) times."""
     edges = []
-    for s in b.coalitions:
-        edges.extend([s] * int(b.weights[s] * k))
+    for s, a in zip(b.coalitions, b.numerators):
+        edges.extend([s] * a)
     return Hypergraph(b.n, edges)
 
 
@@ -248,4 +273,4 @@ def efficiency(b, game):
     """
     if getattr(game, "n", b.n) != b.n:
         raise ValueError("collection on %d players, game on %d" % (b.n, game.n))
-    return sum((b.weights[s] * game.worth(s) for s in b.coalitions), Fraction(0))
+    return Fraction(sum(map(mul, b.numerators, map(game.worth, b.coalitions))), b.denominator)

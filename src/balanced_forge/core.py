@@ -2,9 +2,9 @@
 
 A coalition over players 1..n is an int bitmask with bit i-1 standing for
 player i, so the canonical order of coalitions is plain numeric order and
-player 1 is the least significant bit. Weights and worths elsewhere use
-fractions.Fraction, which already keeps numerator/denominator reduced with
-a positive denominator.
+player 1 is the least significant bit. Worths elsewhere are Fractions;
+the weights of a balanced collection are integer numerators over their
+least common denominator, as to_common_denominator gives them.
 """
 from fractions import Fraction
 from math import comb, lcm

@@ -13,7 +13,6 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import isqrt
 
@@ -24,7 +23,6 @@ from .core import (
     format_coalition,
     full_mask,
     parse_coalition,
-    to_common_denominator,
 )
 from .hypergraph import Hypergraph, is_minimally_uniform
 from .balanced import (
@@ -32,6 +30,7 @@ from .balanced import (
     find_balancing_weights,
     from_regular_hypergraph,
     is_minimal_balanced_oracle,
+    parse_collection,
 )
 from ._kernel import KERNEL, direct_search, cover_search
 from ._simplex import rank_of_masks
@@ -71,12 +70,11 @@ class CatalogError(ValueError):
 class MbcCatalog:
     """Canonically sorted, duplicate-free list of minimal balanced collections.
 
-    A catalog is not changed after construction: weight_table() derives
-    its integer form once and keeps it.
+    Each entry keeps its weights as the kernels emit them and core_mbc
+    scans them: integer numerators over one denominator.
     """
 
-    __slots__ = ("n", "method", "collections", "generated", "tool", "diagnostics",
-                 "_weight_table")
+    __slots__ = ("n", "method", "collections", "generated", "tool", "diagnostics")
 
     METHODS = ("direct", "duality", "oracle")
 
@@ -97,7 +95,6 @@ class MbcCatalog:
         self.generated = generated or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.tool = tool or TOOL
         self.diagnostics = diagnostics or {}
-        self._weight_table = None
 
     @property
     def count(self):
@@ -106,21 +103,6 @@ class MbcCatalog:
     def coalition_sets(self):
         """Frozen set of the coalition tuples, the route-comparison key."""
         return frozenset(b.coalitions for b in self.collections)
-
-    def weight_table(self):
-        """One (coalitions, numerators, denominator) per collection, in order.
-
-        The denominator is the lcm of the collection's weight denominators
-        and the numerators are the weights times it, so each weight is
-        numerator / denominator in integers. Derived on first use.
-        """
-        if self._weight_table is None:
-            table = []
-            for b in self.collections:
-                nums, den = to_common_denominator([b.weights[s] for s in b.coalitions])
-                table.append((b.coalitions, nums, den))
-            self._weight_table = table
-        return self._weight_table
 
     def __iter__(self):
         return iter(self.collections)
@@ -170,12 +152,7 @@ def enumerate_mbc(n, threads=None):
     else:
         raw = direct_search(n)
     searched = time.perf_counter()
-    cols = [
-        BalancedCollection._trusted(
-            n, masks, {m: Fraction(num, den) for m, num in zip(masks, nums)}
-        )
-        for masks, nums, den in raw
-    ]
+    cols = [BalancedCollection._trusted(n, masks, nums, den) for masks, nums, den in raw]
     catalog = MbcCatalog(n, "direct", cols)
     catalog.diagnostics = {
         "kernel": KERNEL,
@@ -336,7 +313,7 @@ def save_catalog(catalog, path, fmt="text"):
                 "collections": [
                     {
                         "coalitions": [format_coalition(s) for s in b.coalitions],
-                        "weights": [str(b.weights[s]) for s in b.coalitions],
+                        "weights": b.weight_texts(),
                     }
                     for b in catalog.collections
                 ],
@@ -359,8 +336,6 @@ def load_catalog(path):
 
 
 def _parse_collection_line(line, n):
-    from .balanced import parse_collection
-
     bc = parse_collection(line)
     if bc.n != n:
         raise CatalogError("collection on %d players in an n=%d catalog" % (bc.n, n))
@@ -421,10 +396,8 @@ def _load_catalog_json(data):
     n = obj["n"]
     body = []
     for item in obj["collections"]:
-        weights = {}
-        for coal, w in zip(item["coalitions"], item["weights"]):
-            weights[parse_coalition(coal, n)] = Fraction(w)
-        body.append(BalancedCollection(n, weights))
+        coalitions = [parse_coalition(coal, n) for coal in item["coalitions"]]
+        body.append(BalancedCollection(n, dict(zip(coalitions, item["weights"]))))
     if len(body) != obj["count"]:
         raise CatalogError("count field disagrees with collection list")
     for a, b in zip(body, body[1:]):

@@ -188,7 +188,7 @@ def core_mbc(game, catalog):
     maximally violating collection certifies emptiness, and witness
     construction for the nonempty case is delegated to core_lp.
 
-    The scan runs in integers over catalog.weight_table(): with the worths
+    The scan runs in the collections' integer weights: with the worths
     scaled by their common denominator D to V, a collection with weights
     num/den violates iff sum(num * V(S)) > den * V(N), and it beats the
     current worst (t, den') iff t * den' > t' * den. Both tests are strict,
@@ -202,13 +202,12 @@ def core_mbc(game, catalog):
     worth, _ = to_common_denominator(game.v)
     vN = worth[full_mask(game.n)]
     worth_of = worth.__getitem__
-    worst = -1
+    worst = None
     worst_t = worst_den = 0
-    for i, (masks, nums, den) in enumerate(catalog.weight_table()):
-        t = sum(map(mul, nums, map(worth_of, masks)))
-        if t > den * vN and (worst < 0 or t * worst_den > worst_t * den):
-            worst, worst_t, worst_den = i, t, den
-    if worst >= 0:
-        bc = catalog.collections[worst]
-        return CoreVerdict(False, collection=bc, eff=efficiency(bc, game))
+    for b in catalog.collections:
+        t = sum(map(mul, b.numerators, map(worth_of, b.coalitions)))
+        if t > b.denominator * vN and (worst is None or t * worst_den > worst_t * b.denominator):
+            worst, worst_t, worst_den = b, t, b.denominator
+    if worst is not None:
+        return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
     return core_lp(game)

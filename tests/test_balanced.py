@@ -111,6 +111,11 @@ def test_collection_text_round_trip():
     assert parse_collection(text) == bc
     unit = BalancedCollection(2, {1: F(1), 2: F(1)})
     assert parse_collection(unit.to_text()) == unit
+    # each weight is printed reduced on its own, not over the common denominator
+    mixed = BalancedCollection(3, {1: F(1, 2), 2: F(1, 2), 3: F(1, 2), 4: F(1)})
+    assert (mixed.numerators, mixed.denominator) == ((1, 1, 1, 2), 2)
+    assert mixed.to_text() == "n=3; [{1}:1/2, {2}:1/2, {1,2}:1/2, {3}:1]"
+    assert parse_collection(mixed.to_text()) == mixed
     with pytest.raises(ValueError):
         parse_collection("n=2; [{1}:1/2, {2}:1]")
     with pytest.raises(ValueError):
@@ -121,6 +126,16 @@ def test_collection_equality_includes_weights():
     a = BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)})
     b = BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)})
     assert a == b and hash(a) == hash(b)
+    assert BalancedCollection._trusted(3, (3, 5, 6), (1, 1, 1), 2) == a
+    assert BalancedCollection._trusted(3, (3, 5, 6), (2, 1, 1), 2) != a
+
+
+def test_weights_map_is_built_on_first_read_and_kept():
+    bc = BalancedCollection._trusted(3, (3, 5, 6), (1, 1, 1), 2)
+    assert not hasattr(bc, "_weights")
+    w = bc.weights
+    assert w == {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)}
+    assert bc.weights is w
 
 
 def test_from_regular_hypergraph():

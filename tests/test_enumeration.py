@@ -90,16 +90,50 @@ def test_direct_search_output_is_pinned():
     assert sum(counts) == len(raw) == TABLE1[5]
 
 
+def test_farkas_filter_drops_candidates_before_reduction(monkeypatch):
+    # a candidate the Farkas rule drops is never reduced against the chosen
+    # row, so the number of _normalize calls shows the filter at work: with
+    # the filter off, the same output takes 77,767 calls
+    calls = 0
+    normalize = _mbc_pure._normalize
+
+    def counted(row):
+        nonlocal calls
+        calls += 1
+        return normalize(row)
+
+    monkeypatch.setattr(_mbc_pure, "_normalize", counted)
+    assert len(_mbc_pure.direct_search(5)) == TABLE1[5]
+    assert calls == 77457
+
+
+def _revalidated(n, triple):
+    """The kernel triple, trusted and rebuilt through the validating
+    constructor: equal only if the kernel's triple is in lowest terms."""
+    masks, nums, den = triple
+    b = BalancedCollection(n, {m: Fraction(num, den) for m, num in zip(masks, nums)})
+    assert BalancedCollection._trusted(n, masks, nums, den) == b
+    return b
+
+
+def test_kernel_triples_are_in_lowest_terms():
+    # equality compares the integers, so a trusted triple must already be
+    # the validated form: denominator the lcm of the reduced denominators
+    for n in range(2, 6):
+        for triple in direct_search(n):
+            _revalidated(n, triple)
+
+
 def test_kernel_output_revalidates_at_n6():
     # enumerate_mbc builds collections with BalancedCollection._trusted;
     # re-check the n = 6 subtree whose first member is {3,5} (mask 20)
     # through the validating constructor and the minimality test
     raw = direct_search(6, 20)
     assert len(raw) == 1151
-    for masks, nums, den in raw:
-        b = BalancedCollection(6, {m: Fraction(num, den) for m, num in zip(masks, nums)})
-        assert b.coalitions == masks
-        assert is_minimal_balanced(6, masks)
+    for triple in raw:
+        b = _revalidated(6, triple)
+        assert b.coalitions == triple[0]
+        assert is_minimal_balanced(6, b.coalitions)
 
 
 def test_direct_counts_match_known_table():
@@ -191,7 +225,8 @@ def test_parallel_split_is_deterministic(speedups, monkeypatch):
 
 
 def test_pure_kernel_override():
-    env = dict(os.environ, BALANCED_FORGE_PURE="1")
+    # the child imports this checkout's package, as pytest's pythonpath does
+    env = dict(os.environ, BALANCED_FORGE_PURE="1", PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(
         [
             sys.executable,

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from balanced_forge.balanced import efficiency
+from balanced_forge.balanced import BalancedCollection, efficiency
 from balanced_forge.enumeration import enumerate_mbc
 from balanced_forge.games import (
+    CoreVerdict,
     Game,
     core_lp,
     core_mbc,
@@ -139,6 +140,43 @@ def test_core_payment_is_always_in_core():
         verdict = core_lp(g)
         if verdict.nonempty:
             assert verdict_problem(g, verdict) is None, seed
+
+
+PAIR_GAME = Game(3, {1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 6: 1, 7: 1})
+
+
+@pytest.mark.parametrize("case, message", [
+    ("payment off v(N)", "payment sums to 3/2, v(N) = 1"),
+    ("payment below a worth", "payment leaves {2} below its worth"),
+    ("one weight changed",
+     "weights of player 1 in n=3; [{1,2}:1, {1,3}:1/2, {2,3}:1/2] do not sum to 1"),
+    ("not minimal", "n=3; [{1}:1/2, {2}:1/2, {3}:1/2, {1,2,3}:1/2] is not minimal balanced"),
+    ("efficiency misreported", "efficiency is 3/2, reported 5/2"),
+    ("efficiency at most v(N)", "efficiency 3/2 does not exceed v(N) = 2"),
+])
+def test_verdict_problem_rejects_bad_certificates(case, message):
+    half = Fraction(1, 2)
+    pairs = core_lp(PAIR_GAME)
+    assert verdict_problem(PAIR_GAME, pairs) is None
+    game = PAIR_GAME
+    if case == "payment off v(N)":
+        game = Game(2, {1: 0, 2: 0, 3: 1})
+        verdict = CoreVerdict(True, payment=(half, 1))
+    elif case == "payment below a worth":
+        game = Game(2, {1: 0, 2: Fraction(1, 4), 3: 1})
+        verdict = CoreVerdict(True, payment=(1, 0))
+    elif case == "one weight changed":
+        bc = BalancedCollection._trusted(3, (3, 5, 6), (2, 1, 1), 2)
+        verdict = CoreVerdict(False, collection=bc, eff=pairs.efficiency)
+    elif case == "not minimal":
+        bc = BalancedCollection(3, {1: half, 2: half, 4: half, 7: half})
+        verdict = CoreVerdict(False, collection=bc, eff=efficiency(bc, game))
+    elif case == "efficiency misreported":
+        verdict = CoreVerdict(False, collection=pairs.collection, eff=pairs.efficiency + 1)
+    else:
+        game = Game(3, {1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 6: 1, 7: 2})
+        verdict = CoreVerdict(False, collection=pairs.collection, eff=pairs.efficiency)
+    assert verdict_problem(game, verdict) == message
 
 
 def test_core_lp_cap():
