@@ -47,11 +47,34 @@ candidate filter until nothing more drops visits the same nodes at n = 5
 and in the n = 6 subtrees first = 8 and 24, so it is not done.
 
 cover_search enumerates exact k-covers (multisets of coalitions covering
-every player exactly k times) in non-decreasing mask order and rejects
-any multiset containing a nonempty proper uniform sub-multiset. The
-sub-multiset test is a subset-sum bitset over coverage vectors encoded
-in base k, grown incrementally with each copy added, so pruning and the
-final minimality decision share one state.
+every player exactly k times, with at most n distinct coalitions) and
+rejects any multiset containing a nonempty proper uniform sub-multiset.
+Each node branches on the uncovered player with the fewest usable masks:
+those that hold the player, avoid every fully covered player and are not
+yet decided. For that player's usable masks s_1 < s_2 < ..., branch j
+takes s_j with each multiplicity c >= 1 and decides s_1 .. s_j for the
+subtree, so every multiset is produced once, and a node where some
+uncovered player has no usable mask has no branch (Knuth's Algorithm M,
+exact cover with multiplicities, with the minimum-remaining-values choice
+of Dancing Links).
+
+That player is always the lowest-numbered uncovered one, so nothing is
+counted. Uncovered players are held by equally many masks that avoid the
+covered players, so their usable counts differ only by decided masks. A
+node decides only masks of the player it branches on, and once that
+player is covered each of them holds a covered player, so every decided
+mask that still counts holds the current player. Hence the counts tie
+when a player is first chosen, the lowest-numbered one wins the tie, and
+it keeps the fewest until it is covered; if any uncovered player has no
+usable mask, it has none either.
+
+The sub-multiset test is a subset-sum bitset over coverage vectors
+encoded in base k, grown one copy at a time, so pruning and the final
+minimality decision share one state. The bitset holds every sub-multiset
+whose digits stay at most k - 1, whatever order the copies came in, so
+the accepted set does not depend on the branching order. Results are
+sorted by (m_1, c_1, m_2, c_2, ...), masks ascending within each, which
+is the order of a search over masks in ascending order.
 """
 from math import gcd
 
@@ -173,12 +196,14 @@ def direct_search(n, first=0):
 def cover_search(n, k):
     """Minimally regular exact k-covers as (masks, multiplicities).
 
-    Support size is capped at n, the most members a minimal balanced
-    collection has, so the cap loses no collection. A cover that survives
-    the uniform sub-multiset filter is not always minimal balanced: for
-    n <= 5 it is, but at n = 6 and k = 2, 150 of the 10,292 covers have a
-    balanced proper subcollection of their support, so callers must
-    validate minimality themselves.
+    Masks ascend within each result, and results are sorted by the
+    interleaved sequence (m_1, c_1, m_2, c_2, ...); the module docstring
+    describes the player-branching search. Support size is capped at n,
+    the most members a minimal balanced collection has, so the cap loses
+    no collection. A cover that survives the uniform sub-multiset filter
+    is not always minimal balanced: for n <= 5 it is, but at n = 6 and
+    k = 2, 150 of the 10,292 covers have a balanced proper subcollection
+    of their support, so callers must validate minimality themselves.
     """
     _check_players("cover", n)
     if k < 1:
@@ -223,35 +248,45 @@ def cover_search(n, k):
     for d in range(1, k):
         targets |= 1 << (d * ones)
 
+    players = [[i for i in range(n) if s >> i & 1] for s in range(nmasks)]
+    has = [sum(1 << s for s in range(nmasks) if s >> i & 1) for i in range(n)]
     out = []
 
-    def rec(cursor, rem, chosen, mults, dp):
+    def rec(live, rem, chosen, mults, dp):
+        # live: bitset of the masks still usable, undecided and avoiding
+        # every fully covered player
         if not any(rem):
-            out.append((tuple(chosen), tuple(mults)))
+            pairs = sorted(zip(chosen, mults))
+            out.append((tuple(s for s, _ in pairs), tuple(c for _, c in pairs)))
             return
         if len(chosen) >= n:
             return
-        for s in range(cursor, nmasks):
-            cmax = k + 1
-            for i in range(n):
-                if s >> i & 1 and rem[i] < cmax:
-                    cmax = rem[i]
-            if cmax <= 0:
-                continue
+        p = next(i for i in range(n) if rem[i])  # has the fewest usable masks
+        opts = live & has[p]
+        while opts:
+            low = opts & -opts
+            opts ^= low
+            s = low.bit_length() - 1
+            live ^= low  # p's masks up to s are decided
+            live2 = live
+            cmax = min(rem[i] for i in players[s])
             rem2 = list(rem)
             dp2 = dp
             chosen.append(s)
             for c in range(1, cmax + 1):
-                for i in range(n):
-                    if s >> i & 1:
-                        rem2[i] -= 1
+                for i in players[s]:
+                    rem2[i] -= 1
+                    if not rem2[i]:
+                        live2 &= ~has[i]
                 dp2 |= (dp2 & vm[s]) << off[s]
                 if dp2 & targets:
                     break
                 mults.append(c)
-                rec(s + 1, rem2, chosen, mults, dp2)
+                rec(live2, rem2, chosen, mults, dp2)
                 mults.pop()
             chosen.pop()
 
-    rec(1, [k] * n, [], [], 1)
+    rec((1 << nmasks) - 2, [k] * n, [], [], 1)  # every nonempty mask is live
+    # the DFS order of a search over masks in ascending order
+    out.sort(key=lambda r: [x for pair in zip(*r) for x in pair])
     return out

@@ -31,6 +31,18 @@
  * lone[m] has (j, i) when m holds i but not j. A suffix OR of split per
  * depth gives A's pairs in one OR per child; a candidate costs one AND.
  *
+ * cover_search branches, like its twin, on the uncovered player with the
+ * fewest usable masks, which _mbc_pure.py shows is always the lowest-numbered
+ * uncovered player. The masks of a node that are undecided and avoid every
+ * fully covered player are a 128-bit set of two uint64_t words; covering a
+ * player clears has[player], its masks. Branch j on the player's masks in the
+ * set, s_1 < s_2 < ..., takes s_j with each multiplicity c >= 1 and decides
+ * s_1 .. s_j for the subtree. The subset-sum bitset is kept per depth, and its accepted set does
+ * not depend on the branching order, so each cover is kept in a Found record
+ * (masks ascending) and the records are sorted by (m_1, c_1, m_2, c_2, ...)
+ * before the list is built: the pure twin's order, which is that of a search
+ * over masks in ascending order.
+ *
  * Bound on the elimination entries of direct_search (ENTRY_MAX):
  * - A reduced row, or the residual of the all-ones vector, combines j + 1
  *   rows of 0/1 entries (the chosen masks, plus the all-ones row for the
@@ -315,14 +327,21 @@ done:
 
 /* ------------------------------------------------------------- covers */
 
+/* A finished cover: len (mask, multiplicity) pairs, masks ascending. */
+typedef struct {
+    int32_t len, v[2 * MAXN];
+} Found;
+
 typedef struct {
     int n, k, nmasks, nwords;
     int64_t ones;            /* encoding of one copy of every player */
     int64_t off[1 << MAXN];  /* per-mask encoding increment */
+    uint64_t has[MAXN][2];   /* per player: the masks holding it, as bits */
     uint64_t *vm;            /* per mask: positions where one more copy is legal */
     uint64_t *dp;            /* subset-sum bitset per depth, then a scratch row */
-    int64_t chosen[MAXN], mults[MAXN];
-    PyObject *out;
+    int32_t chosen[MAXN], mults[MAXN];
+    Found *found;            /* covers in the order found, sorted at the end */
+    size_t nfound, cap;
 } Cover;
 
 /* dst |= src << off, within a fixed nwords window */
@@ -371,20 +390,69 @@ hits_target(const Cover *c, const uint64_t *dp)
     return 0;
 }
 
+/* Keep the chosen pairs of a finished cover, masks ascending. */
 static int
-cover_rec(Cover *c, int cursor, int depth, const int *rem, int rem_total)
+cover_keep(Cover *c, int len)
 {
-    int n = c->n, nwords = c->nwords, rem2[MAXN];
+    if (c->nfound == c->cap) {
+        size_t cap = c->cap ? 2 * c->cap : 1024;
+        Found *grown = PyMem_Realloc(c->found, cap * sizeof *grown);
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        c->found = grown;
+        c->cap = cap;
+    }
+    Found *f = c->found + c->nfound++;
+    f->len = len;
+    for (int j = 0; j < len; j++) {  /* insertion sort by mask */
+        int i = j;
+        for (; i > 0 && f->v[2 * i - 2] > c->chosen[j]; i--) {
+            f->v[2 * i] = f->v[2 * i - 2];
+            f->v[2 * i + 1] = f->v[2 * i - 1];
+        }
+        f->v[2 * i] = c->chosen[j];
+        f->v[2 * i + 1] = c->mults[j];
+    }
+    return 0;
+}
+
+/* Order covers by (m1, c1, m2, c2, ...): the DFS order of a search over
+   masks in ascending order. */
+static int
+found_cmp(const void *a, const void *b)
+{
+    const Found *x = a, *y = b;
+    int len = x->len < y->len ? x->len : y->len;
+    for (int i = 0; i < 2 * len; i++)
+        if (x->v[i] != y->v[i])
+            return x->v[i] < y->v[i] ? -1 : 1;
+    return (x->len > y->len) - (x->len < y->len);
+}
+
+/* Branch on the lowest uncovered player: live holds the masks that are
+   undecided and avoid every fully covered player. */
+static int
+cover_rec(Cover *c, int depth, const uint64_t *live, const int *rem, int rem_total)
+{
+    int n = c->n, nwords = c->nwords, p = 0, rem2[MAXN];
     const uint64_t *dp = c->dp + (size_t)depth * nwords;
     uint64_t *dp2 = c->dp + (size_t)(depth + 1) * nwords;
     uint64_t *scratch = c->dp + (size_t)(n + 1) * nwords;
+    uint64_t rest[2] = {live[0], live[1]}, live2[2];
     if (rem_total == 0)
-        return append_result(c->out, c->chosen, c->mults, depth, 1, -1);
+        return cover_keep(c, depth);
     if (depth >= n)
         return 0;
-    for (int s = cursor; s < c->nmasks; s++) {
-        const uint64_t *vm = c->vm + (size_t)s * nwords;
+    while (!rem[p])
+        p++;
+    for (int s = 1; s < c->nmasks; s++) {
+        uint64_t bit = (uint64_t)1 << (s & 63);
         int cmax = c->k + 1, pc = 0, i;
+        if (!(s >> p & 1 && rest[s >> 6] & bit))
+            continue;
+        rest[s >> 6] &= ~bit;  /* p's masks up to s are decided */
         for (i = 0; i < n; i++) {
             if (s >> i & 1) {
                 pc++;
@@ -392,22 +460,25 @@ cover_rec(Cover *c, int cursor, int depth, const int *rem, int rem_total)
                     cmax = rem[i];
             }
         }
-        if (cmax <= 0)
-            continue;
         memcpy(rem2, rem, n * sizeof *rem2);
         memcpy(dp2, dp, nwords * sizeof *dp2);
+        live2[0] = rest[0];
+        live2[1] = rest[1];
         c->chosen[depth] = s;
         for (int m = 1; m <= cmax; m++) {
-            for (i = 0; i < n; i++)
-                if (s >> i & 1)
-                    rem2[i]--;
+            for (i = 0; i < n; i++) {
+                if (s >> i & 1 && --rem2[i] == 0) {
+                    live2[0] &= ~c->has[i][0];
+                    live2[1] &= ~c->has[i][1];
+                }
+            }
             for (int w = 0; w < nwords; w++)
-                scratch[w] = dp2[w] & vm[w];
+                scratch[w] = dp2[w] & c->vm[(size_t)s * nwords + w];
             shift_or(dp2, scratch, nwords, c->off[s]);
             if (hits_target(c, dp2))
                 break;
             c->mults[depth] = m;
-            if (cover_rec(c, s + 1, depth + 1, rem2, rem_total - m * pc) < 0)
+            if (cover_rec(c, depth + 1, live2, rem2, rem_total - m * pc) < 0)
                 return -1;
         }
     }
@@ -416,7 +487,8 @@ cover_rec(Cover *c, int cursor, int depth, const int *rem, int rem_total)
 
 PyDoc_STRVAR(cover_search_doc,
 "cover_search(n, k)\n--\n\n"
-"Minimally regular exact k-covers as (masks, multiplicities).");
+"Minimally regular exact k-covers as (masks, multiplicities), masks\n"
+"ascending within each, sorted by (m1, c1, m2, c2, ...).");
 
 static PyObject *
 cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -424,6 +496,7 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"n", "k", NULL};
     int n, k, rem[MAXN];
     int64_t base, npos = 1, place[MAXN];
+    PyObject *out = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii:cover_search", kwlist,
                                      &n, &k))
         return NULL;
@@ -442,6 +515,7 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
                                 (int)base, n);
     }
     Cover c = {.n = n, .k = k, .nmasks = 1 << n, .nwords = (int)((npos + 63) >> 6)};
+    uint64_t live[2] = {0, 0};
     c.vm = PyMem_Calloc((size_t)c.nmasks * c.nwords, sizeof *c.vm);
     c.dp = PyMem_Calloc((size_t)(n + 2) * c.nwords, sizeof *c.dp);
     if (c.vm == NULL || c.dp == NULL) {
@@ -459,6 +533,10 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     for (int s = 1; s < c.nmasks; s++) {
         int low = s & -s;
+        live[s >> 6] |= (uint64_t)1 << (s & 63);
+        for (int i = 0; i < n; i++)
+            if (s >> i & 1)
+                c.has[i][s >> 6] |= (uint64_t)1 << (s & 63);
         if (s == low)
             continue;
         c.off[s] = c.off[s - low] + c.off[low];
@@ -469,13 +547,26 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     c.dp[0] = 1;
     for (int i = 0; i < n; i++)
         rem[i] = k;
-    c.out = PyList_New(0);
-    if (c.out != NULL && cover_rec(&c, 1, 0, rem, n * k) < 0)
-        Py_CLEAR(c.out);
+    if (cover_rec(&c, 0, live, rem, n * k) < 0)
+        goto done;
+    if (c.nfound > 1)
+        qsort(c.found, c.nfound, sizeof *c.found, found_cmp);
+    out = PyList_New(0);
+    for (size_t j = 0; out != NULL && j < c.nfound; j++) {
+        const Found *f = c.found + j;
+        int64_t masks[MAXN], mults[MAXN];
+        for (int i = 0; i < f->len; i++) {
+            masks[i] = f->v[2 * i];
+            mults[i] = f->v[2 * i + 1];
+        }
+        if (append_result(out, masks, mults, f->len, 1, -1) < 0)
+            Py_CLEAR(out);
+    }
 done:
     PyMem_Free(c.vm);
     PyMem_Free(c.dp);
-    return c.out;
+    PyMem_Free(c.found);
+    return out;
 }
 
 static PyMethodDef methods[] = {

@@ -98,8 +98,7 @@ def _cmd_mbc_check(args):
     text = text.strip()
     if ":" in text:
         bc = parse_collection(text)
-        n, masks, weights = bc.n, bc.coalitions, bc.weights
-        balanced = True
+        n, masks = bc.n, bc.coalitions
     else:
         # weightless form n=3; [{1,2}, {1,3}]: decide balancedness here
         head, _, body = text.partition(";")
@@ -111,7 +110,8 @@ def _cmd_mbc_check(args):
             raise ValueError("expected a bracketed coalition list")
         masks = tuple(sorted(parse_coalition(tok, n) for tok in split_top_level(body[1:-1])))
         weights = find_balancing_weights(n, masks)
-        balanced = weights is not None
+        bc = None if weights is None else BalancedCollection(n, weights)
+    balanced = bc is not None
     minimal = balanced and is_minimal_balanced(n, masks)
     if args.json:
         print(
@@ -121,7 +121,7 @@ def _cmd_mbc_check(args):
                     "coalitions": [format_coalition(s) for s in masks],
                     "balanced": balanced,
                     "minimal": minimal,
-                    "weights": {format_coalition(s): str(weights[s]) for s in masks}
+                    "weights": dict(zip(map(format_coalition, masks), bc.weight_texts()))
                     if balanced
                     else None,
                 }
@@ -130,7 +130,7 @@ def _cmd_mbc_check(args):
     else:
         print("balanced=%s minimal=%s" % (str(balanced).lower(), str(minimal).lower()))
         if balanced:
-            print(BalancedCollection(n, weights).to_text())
+            print(bc.to_text())
     return EXIT_OK if minimal else EXIT_NEGATIVE
 
 

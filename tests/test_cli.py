@@ -95,6 +95,29 @@ def test_mbc_check_weightless_form(capsys):
     assert out.splitlines()[1] == "n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]"
 
 
+MIXED_TEXT = "n=5; [{1}:1, {2,3}:1/3, {2,4}:1/3, {2,5}:1/3, {3,4,5}:2/3]"
+MIXED_JSON = (
+    '{"n": 5, "coalitions": ["{1}", "{2,3}", "{2,4}", "{2,5}", "{3,4,5}"], '
+    '"balanced": true, "minimal": true, "weights": {"{1}": "1", "{2,3}": "1/3", '
+    '"{2,4}": "1/3", "{2,5}": "1/3", "{3,4,5}": "2/3"}}'
+)
+
+
+@pytest.mark.parametrize(
+    "collection",
+    [
+        "n=5; [{3,4,5}:4/6, {1}:1, {2,3}:1/3, {2,4}:1/3, {2,5}:1/3]",
+        "n=5; [{3,4,5}, {2,5}, {2,4}, {1}, {2,3}]",
+    ],
+)
+def test_mbc_check_output_is_exact(capsys, collection):
+    # weights print reduced and in coalition order, whichever form came in
+    rc, out, _ = run(capsys, "mbc", "check", "--collection", collection)
+    assert (rc, out) == (0, "balanced=true minimal=true\n" + MIXED_TEXT + "\n")
+    rc, out, _ = run(capsys, "mbc", "check", "--collection", collection, "--json")
+    assert (rc, out) == (0, MIXED_JSON + "\n")
+
+
 def test_mbc_check_balanced_but_not_minimal(capsys):
     rc, out, _ = run(capsys, "mbc", "check", "--collection", "n=2; [{1}, {2}, {1,2}]")
     assert rc == 3

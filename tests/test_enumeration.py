@@ -90,6 +90,39 @@ def test_direct_search_output_is_pinned():
     assert sum(counts) == len(raw) == TABLE1[5]
 
 
+# result count and sha256 of repr(_mbc_pure.cover_search(n, k)), recorded
+# from the earlier search that walked masks in ascending order; every other
+# (n, k) with 2 <= n <= 5 and 1 <= k <= 5 had no cover
+COVER_PINS = {
+    (2, 1): (2, "edf27565c78d59a3a610a03e31dad55e218612fd7f052b26f3b81e4762a01f4d"),
+    (3, 1): (5, "2d89b975b452c2439297a2b5305c2f2035a9eaf7f42082a32dce570965ed0966"),
+    (3, 2): (1, "705045bd0d214be5f73af8dbab1d50e4ca6507869edac0ef82d070b7a71aac22"),
+    (4, 1): (15, "9b44064a49672dd44c15c40323dd256034b8552ec1e270ff690a04b07fa186ee"),
+    (4, 2): (22, "a97bda9f0e374a3d7e747f89baf636a9b3d0c1e9328e31c7fada1d523bb580f8"),
+    (4, 3): (5, "3b75ca25a8463b82fbc277333ad9513eb26961d8532cf94fc89998425219fc38"),
+    (5, 1): (52, "1e90b865f6b529c7faf876ec637c22e5c0a37370ef9d0b55d8365c5fd7afc37d"),
+    (5, 2): (447, "bb45e268a7118257e59abd1c5ab2c27ee5f41e36a8b72db192d68ffc8085a45c"),
+    (5, 3): (517, "2dbd9864394db90c3ee769422b2a86d742bada5e65aa09d4c404ecd3f8d5210b"),
+    (5, 4): (216, "0ba94372a7fe6509f1d4b6c8bbbd509067569a119c27a2d5ea582fe2f4e56fde"),
+    (5, 5): (60, "bf975a33a08729c4a6c846c9321e68826bf4162cec5a26547943e18ff17ae430"),
+    (6, 1): (203, "7c0f4401721c0bca5909a0960c3779e6f15996b40142c7a014e12396a6a6f76c"),
+    (6, 2): (10292, "ceb07c4fa07345b043e88c68c24de907ca87e4f03873e2bd84d385de4a156df4"),
+}
+
+
+def test_cover_search_output_is_pinned():
+    pairs = [(n, k) for n in range(2, 6) for k in range(1, 6)] + [(6, 1), (6, 2)]
+    for n, k in pairs:
+        raw = _mbc_pure.cover_search(n, k)
+        if (n, k) in COVER_PINS:
+            digest = hashlib.sha256(repr(raw).encode()).hexdigest()
+            assert (len(raw), digest) == COVER_PINS[n, k], (n, k)
+        else:
+            assert raw == [], (n, k)
+    # criterion 03 sweeps n = 5 to k_max = 7; no cover lies above k = 5
+    assert _mbc_pure.cover_search(5, 6) == _mbc_pure.cover_search(5, 7) == []
+
+
 def test_farkas_filter_drops_candidates_before_reduction(monkeypatch):
     # a candidate the Farkas rule drops is never reduced against the chosen
     # row, so the number of _normalize calls shows the filter at work: with
@@ -170,6 +203,18 @@ def test_duality_rejects_non_minimal_covers_at_n6():
     # balanced proper subcollection; k = 2 is the first regularity with any
     assert mbc_via_duality(6, kmax=1).diagnostics["rejected"] == 0
     assert mbc_via_duality(6, kmax=2).diagnostics["rejected"] == 150
+
+
+def test_duality_rejection_counts_at_n6_k3_k4(speedups, monkeypatch):
+    # the compiled covers at k = 3 (61,927) and k = 4 (63,886) take a few
+    # seconds; rejection counts are cumulative over k, and every collection
+    # kept is one the direct route finds
+    monkeypatch.setattr(enumeration, "cover_search", speedups.cover_search)
+    monkeypatch.setattr(enumeration, "direct_search", speedups.direct_search)
+    assert mbc_via_duality(6, kmax=3).diagnostics["rejected"] == 5670
+    dual = mbc_via_duality(6, kmax=4)
+    assert (dual.count, dual.diagnostics["rejected"]) == (127938, 8370)
+    assert dual.coalition_sets() <= enumerate_mbc(6, threads=1).coalition_sets()
 
 
 def test_threads_must_be_positive(monkeypatch):
@@ -283,9 +328,15 @@ def speedups(tmp_path_factory):
 def test_kernel_twins_agree(speedups):
     for n in range(2, 6):
         assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
-        # every k up to k_max for n <= 4; at n = 5, k >= 5 takes minutes pure
-        for k in range(1, min(k_max(n), 4) + 1):
+        # every k up to k_max for n <= 4; at n = 5 the pure twin takes about
+        # 0.9 s for k = 5, 1.9 s for k = 6 and 4.7 s for k = 7, and
+        # test_cover_search_output_is_pinned already runs k = 6 and 7
+        for k in range(1, min(k_max(n), 5) + 1):
             assert speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
+    assert speedups.cover_search(5, 6) == speedups.cover_search(5, 7) == []
+    # n = 6, k = 2 holds the 150 covers the duality route rejects; pure 0.3 s
+    for k in (1, 2):
+        assert speedups.cover_search(6, k) == _mbc_pure.cover_search(6, k)
     for n in (3, 4, 5):
         for first in range(1, 1 << n):
             assert speedups.direct_search(n, first) == _mbc_pure.direct_search(n, first)
