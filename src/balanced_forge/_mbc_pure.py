@@ -68,6 +68,15 @@ when a player is first chosen, the lowest-numbered one wins the tie, and
 it keeps the fewest until it is covered; if any uncovered player has no
 usable mask, it has none either.
 
+A node that already holds n - 1 distinct masks fills the last support
+slot. Its child can finish only with the mask u of the uncovered players:
+a finishing mask must hold every uncovered player and, being usable,
+avoids the covered ones. The child takes u with the common remaining
+degree c of its players, so it needs u usable and those degrees equal,
+and every other child is skipped, as is each smaller multiplicity of u,
+which would leave players uncovered at the support cap. u is still added
+one copy at a time so that the sub-multiset test sees every step.
+
 The sub-multiset test is a subset-sum bitset over coverage vectors
 encoded in base k, grown one copy at a time, so pruning and the final
 minimality decision share one state. The bitset holds every sub-multiset
@@ -262,6 +271,22 @@ def cover_search(n, k):
         if len(chosen) >= n:
             return
         p = next(i for i in range(n) if rem[i])  # has the fewest usable masks
+        if len(chosen) == n - 1:
+            # last support slot: only u, the uncovered players, can finish
+            c = rem[p]
+            u = sum(1 << i for i in range(n) if rem[i])
+            if not live >> u & 1 or any(rem[i] != c for i in players[u]):
+                return
+            for _ in range(c):
+                dp |= (dp & vm[u]) << off[u]
+                if dp & targets:
+                    return
+            chosen.append(u)
+            mults.append(c)
+            rec(0, [0] * n, chosen, mults, dp)
+            mults.pop()
+            chosen.pop()
+            return
         opts = live & has[p]
         while opts:
             low = opts & -opts

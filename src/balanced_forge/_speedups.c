@@ -37,11 +37,13 @@
  * fully covered player are a 128-bit set of two uint64_t words; covering a
  * player clears has[player], its masks. Branch j on the player's masks in the
  * set, s_1 < s_2 < ..., takes s_j with each multiplicity c >= 1 and decides
- * s_1 .. s_j for the subtree. The subset-sum bitset is kept per depth, and its accepted set does
- * not depend on the branching order, so each cover is kept in a Found record
- * (masks ascending) and the records are sorted by (m_1, c_1, m_2, c_2, ...)
- * before the list is built: the pure twin's order, which is that of a search
- * over masks in ascending order.
+ * s_1 .. s_j for the subtree. A node holding n - 1 masks has one child: the
+ * mask of the uncovered players with their common remaining degree, the only
+ * one that can finish. The subset-sum bitset is kept per depth, and its
+ * accepted set does not depend on the branching order, so each cover is kept
+ * in a Found record (masks ascending) and the records are sorted by
+ * (m_1, c_1, m_2, c_2, ...) before the list is built: the pure twin's order,
+ * which is that of a search over masks in ascending order.
  *
  * Bound on the elimination entries of direct_search (ENTRY_MAX):
  * - A reduced row, or the residual of the all-ones vector, combines j + 1
@@ -447,6 +449,29 @@ cover_rec(Cover *c, int depth, const uint64_t *live, const int *rem, int rem_tot
         return 0;
     while (!rem[p])
         p++;
+    if (depth == n - 1) {
+        /* last support slot: only u, the uncovered players, can finish */
+        int u = 0, m = rem[p];
+        for (int i = 0; i < n; i++) {
+            if (rem[i] && rem[i] != m)
+                return 0;
+            if (rem[i])
+                u |= 1 << i;
+        }
+        if (!(live[u >> 6] >> (u & 63) & 1))
+            return 0;
+        memcpy(dp2, dp, nwords * sizeof *dp2);
+        for (int j = 0; j < m; j++) {
+            for (int w = 0; w < nwords; w++)
+                scratch[w] = dp2[w] & c->vm[(size_t)u * nwords + w];
+            shift_or(dp2, scratch, nwords, c->off[u]);
+            if (hits_target(c, dp2))
+                return 0;
+        }
+        c->chosen[depth] = u;
+        c->mults[depth] = m;
+        return cover_keep(c, depth + 1);
+    }
     for (int s = 1; s < c->nmasks; s++) {
         uint64_t bit = (uint64_t)1 << (s & 63);
         int cmax = c->k + 1, pc = 0, i;

@@ -23,6 +23,7 @@ from .core import (
     format_coalition,
     full_mask,
     parse_coalition,
+    parse_weight,
     split_top_level,
     to_common_denominator,
 )
@@ -34,7 +35,7 @@ _balanced_cache = {}
 
 def _checked_masks(n, coalitions):
     check_players(n)
-    masks = sorted(int(s) for s in coalitions)
+    masks = sorted(map(int, coalitions))
     if not masks:
         raise ValueError("collection must be nonempty")
     full = full_mask(n)
@@ -139,18 +140,27 @@ class BalancedCollection:
     __slots__ = ("n", "coalitions", "numerators", "denominator", "_weights")
 
     def __init__(self, n, weights):
-        items = dict(weights)
-        masks = _checked_masks(n, items.keys())
+        """weights: a {coalition: weight} mapping or (coalition, weight) pairs;
+        a coalition given twice raises ValueError."""
+        pairs = list(weights.items() if hasattr(weights, "keys") else weights)
+        masks = _checked_masks(n, [s for s, _ in pairs])
+        by_mask = dict(pairs)
         # positivity and per-player sums of 1, checked on numerators over the lcm
-        nums, den = to_common_denominator([items[s] for s in masks])
+        nums, den = to_common_denominator([by_mask[s] for s in masks])
+        sums = [0] * n
         for s, num in zip(masks, nums):
             if num <= 0:
                 raise ValueError(
                     "weight of %s must be positive, got %s"
                     % (format_coalition(s), Fraction(num, den))
                 )
-        for i in range(n):
-            total = sum([num for s, num in zip(masks, nums) if s >> i & 1])
+            i = 0
+            while s:
+                if s & 1:
+                    sums[i] += num
+                s >>= 1
+                i += 1
+        for i, total in enumerate(sums):
             if total != den:
                 raise ValueError(
                     "player %d weight sum is %s, expected 1" % (i + 1, Fraction(total, den))
@@ -219,7 +229,12 @@ class BalancedCollection:
 
 
 def parse_collection(text):
-    """Parse `n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]`."""
+    """Parse `n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]`.
+
+    The one parser of weighted collections, for catalog lines and
+    `mbc check`. Every malformed input raises ValueError, a coalition
+    given twice included; weights are whatever Fraction() accepts.
+    """
     s = text.strip()
     left, _, right = s.partition(";")
     left = left.strip()
@@ -232,16 +247,16 @@ def parse_collection(text):
     body = right[1:-1].strip()
     if not body:
         raise ValueError("empty collection in %r" % text)
-    weights = {}
+    pairs = []
     for part in split_top_level(body):
-        coal, sep, frac = part.strip().rpartition(":")
+        coal, sep, frac = part.rpartition(":")
         if not sep:
             raise ValueError("missing weight in %r" % part)
         mask = parse_coalition(coal.strip(), n)
         if mask == 0:
             raise ValueError("empty coalition in %r" % text)
-        weights[mask] = Fraction(frac.strip())
-    return BalancedCollection(n, weights)
+        pairs.append((mask, parse_weight(frac.strip())))
+    return BalancedCollection(n, pairs)
 
 
 def from_regular_hypergraph(h):

@@ -6,7 +6,9 @@ player 1 is the least significant bit. Worths elsewhere are Fractions;
 the weights of a balanced collection are integer numerators over their
 least common denominator, as to_common_denominator gives them.
 """
+import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 MAX_PLAYERS = 20
@@ -30,9 +32,11 @@ def to_common_denominator(values):
     Each value is numerators[i] / d exactly; d >= 1. Values may be ints,
     Fractions, or anything Fraction() accepts.
     """
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    d = lcm(*[f.denominator for f in fracs])
-    return [f.numerator * (d // f.denominator) for f in fracs], d
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values
+    ]
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 def binomial(n: int, k: int) -> int:
@@ -82,17 +86,36 @@ def players_of(mask: int) -> tuple:
     return tuple(out)
 
 
+def _format_players(mask: int) -> str:
+    return "{%s}" % ",".join(map(str, players_of(mask)))
+
+
+# the text of every coalition of up to 8 players, read by the catalog writers
+_COALITION_TEXT = tuple(_format_players(mask) for mask in range(256))
+
+
 def format_coalition(mask: int) -> str:
     """Canonical text form, e.g. {1,3,4}."""
-    return "{%s}" % ",".join(str(p) for p in players_of(mask))
+    if 0 <= mask < 256:
+        return _COALITION_TEXT[mask]
+    return _format_players(mask)
 
 
 def parse_coalition(text: str, n: int = 0) -> int:
     """Parse {1,3,4} (spaces tolerated) into a bitmask.
 
     With n > 0, player ids above n are rejected. The empty form {} parses
-    to 0; callers that require nonempty coalitions must check.
+    to 0; callers that require nonempty coalitions must check. A catalog
+    holds few distinct coalition texts, so the last 4096 distinct
+    (text, n) pairs used are kept parsed.
     """
+    if not isinstance(text, str):
+        raise ValueError("coalition must be text like {1,3}, got %r" % (text,))
+    return _parse_coalition(text, n)
+
+
+@lru_cache(maxsize=4096)
+def _parse_coalition(text, n):
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise ValueError("coalition must be brace-delimited: %r" % text)
@@ -110,6 +133,30 @@ def parse_coalition(text: str, n: int = 0) -> int:
     return mask
 
 
+def parse_weight(value) -> Fraction:
+    """Fraction(value), with every malformed value raising ValueError.
+
+    Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
+    None. Catalogs repeat a few dozen weight texts, so the last 4096
+    distinct values used are kept converted.
+    """
+    try:
+        return _parse_weight(value)
+    except ZeroDivisionError:
+        raise ValueError("weight %r has a zero denominator" % (value,)) from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("bad weight %r: %s" % (value, exc)) from None
+
+
+@lru_cache(maxsize=4096)
+def _parse_weight(value):
+    return Fraction(value)
+
+
+_UNNESTED = re.compile(r"[^{}]*(?:\{[^{}]*\}[^{}]*)*")
+_TOP_COMMA = re.compile(r",(?![^{}]*\})")
+
+
 def split_top_level(text: str) -> list:
     """Split a list body on the commas outside braces.
 
@@ -119,6 +166,10 @@ def split_top_level(text: str) -> list:
     """
     if not text.strip():
         return []
+    if _UNNESTED.fullmatch(text):
+        # with balanced, unnested braces, a comma is outside them iff the
+        # next brace after it is not a closing one
+        return _TOP_COMMA.split(text)
     parts = []
     depth = start = 0
     for i, ch in enumerate(text):

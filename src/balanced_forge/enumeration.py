@@ -23,6 +23,7 @@ from .core import (
     format_coalition,
     full_mask,
     parse_coalition,
+    parse_weight,
 )
 from .hypergraph import Hypergraph, is_minimally_uniform
 from .balanced import (
@@ -291,7 +292,13 @@ FORMAT_VERSION = "v1"
 
 
 def save_catalog(catalog, path, fmt="text"):
-    """Write `mbc-catalog v1` text (one collection per line) or its JSON mirror."""
+    """Write `mbc-catalog v1` text (one collection per line) or its JSON mirror.
+
+    The JSON file is json.dumps(document, indent=0). Coalition and weight
+    texts hold only digits, braces, commas and slashes, which JSON writes
+    as they are, so each collection's lines are built as text and spliced
+    into the encoded header fields.
+    """
     if fmt == "text":
         lines = [
             "%s %s n=%d method=%s count=%d"
@@ -310,16 +317,18 @@ def save_catalog(catalog, path, fmt="text"):
                 "count": catalog.count,
                 "generated": catalog.generated,
                 "tool": catalog.tool,
-                "collections": [
-                    {
-                        "coalitions": [format_coalition(s) for s in b.coalitions],
-                        "weights": b.weight_texts(),
-                    }
-                    for b in catalog.collections
-                ],
+                "collections": [],
             },
             indent=0,
         )
+        items = [
+            '{\n"coalitions": [\n"%s"\n],\n"weights": [\n"%s"\n]\n}'
+            % ('",\n"'.join(map(format_coalition, b.coalitions)), '",\n"'.join(b.weight_texts()))
+            for b in catalog.collections
+        ]
+        if items:
+            # data ends with the empty list: "collections": []\n}
+            data = data[: -len("]\n}")] + "\n" + ",\n".join(items) + "\n]\n}"
     else:
         raise ValueError("fmt must be text or json, got %r" % (fmt,))
     with open(path, "w") as fh:
@@ -327,7 +336,13 @@ def save_catalog(catalog, path, fmt="text"):
 
 
 def load_catalog(path):
-    """Read either catalog format back, validating every invariant."""
+    """Read either catalog format back, validating every invariant.
+
+    Each collection goes through the validating constructor. A coalition
+    given twice in one collection, and a JSON collection whose coalitions
+    and weights lists differ in length, are rejected; every rejection
+    raises CatalogError naming the collection.
+    """
     with open(path) as fh:
         data = fh.read()
     if data.lstrip().startswith("{"):
@@ -372,9 +387,16 @@ def _load_catalog_text(data):
                 elif key == "tool":
                     tool = val
             continue
-        body.append(_parse_collection_line(ln, n))
+        try:
+            body.append(_parse_collection_line(ln, n))
+        except ValueError as exc:
+            raise CatalogError("collection %d: %s" % (len(body) + 1, exc)) from None
+    return _checked_catalog(n, method, count, body, generated, tool)
+
+
+def _checked_catalog(n, method, count, body, generated, tool):
     if len(body) != count:
-        raise CatalogError("header count=%d but %d collections" % (count, len(body)))
+        raise CatalogError("header count=%r but %d collections" % (count, len(body)))
     for a, b in zip(body, body[1:]):
         if a.coalitions >= b.coalitions:
             raise CatalogError("collections out of canonical order")
@@ -394,18 +416,32 @@ def _load_catalog_json(data):
     if obj.get("version") != 1:
         raise CatalogError("unsupported catalog version %r" % obj.get("version"))
     n = obj["n"]
-    body = []
-    for item in obj["collections"]:
-        coalitions = [parse_coalition(coal, n) for coal in item["coalitions"]]
-        body.append(BalancedCollection(n, dict(zip(coalitions, item["weights"]))))
-    if len(body) != obj["count"]:
-        raise CatalogError("count field disagrees with collection list")
-    for a, b in zip(body, body[1:]):
-        if a.coalitions >= b.coalitions:
-            raise CatalogError("collections out of canonical order")
     try:
-        return MbcCatalog(
-            n, obj["method"], body, generated=obj.get("generated"), tool=obj.get("tool")
-        )
+        check_players(n)
     except ValueError as exc:
         raise CatalogError(str(exc))
+    items = obj["collections"]
+    if not isinstance(items, list):
+        raise CatalogError("collections must be a list")
+    body = []
+    for item in items:
+        try:
+            body.append(_json_collection(item, n))
+        except ValueError as exc:
+            raise CatalogError("collection %d: %s" % (len(body) + 1, exc)) from None
+    return _checked_catalog(
+        n, obj["method"], obj["count"], body, obj.get("generated"), obj.get("tool")
+    )
+
+
+def _json_collection(item, n):
+    if not isinstance(item, dict):
+        raise CatalogError("a collection must be a JSON object")
+    coalitions, weights = item.get("coalitions"), item.get("weights")
+    if not (isinstance(coalitions, list) and isinstance(weights, list)):
+        raise CatalogError("a collection needs coalitions and weights lists")
+    if len(coalitions) != len(weights):
+        raise CatalogError("%d coalitions but %d weights" % (len(coalitions), len(weights)))
+    return BalancedCollection(
+        n, [(parse_coalition(c, n), parse_weight(w)) for c, w in zip(coalitions, weights)]
+    )

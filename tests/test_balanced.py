@@ -102,6 +102,18 @@ def test_collection_validation():
         BalancedCollection(3, {0: F(1)})
     with pytest.raises(ValueError):
         BalancedCollection(2, {5: F(1)})
+    # the first nonpositive weight is reported before any player sum
+    with pytest.raises(ValueError, match=r"weight of \{1,3\} must be positive, got -1/2"):
+        BalancedCollection(3, {3: F(1, 2), 5: F(-1, 2), 6: F(1, 2), 7: F(1)})
+
+
+def test_collection_from_pairs_rejects_a_repeated_coalition():
+    pairs = [(6, F(1, 2)), (3, F(1, 2)), (5, F(1, 2))]
+    assert BalancedCollection(3, pairs) == BalancedCollection(3, dict(pairs))
+    with pytest.raises(ValueError, match=r"duplicate coalition \{1,2,3\}"):
+        BalancedCollection(3, [(7, F(1)), (7, F(1))])
+    with pytest.raises(ValueError, match=r"duplicate coalition \{1,2\}"):
+        parse_collection("n=2; [{1,2}:1, {1, 2}:1]")
 
 
 def test_collection_text_round_trip():

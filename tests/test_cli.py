@@ -328,6 +328,40 @@ def test_game_core_catalog_mismatch(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "collection", ["n=2; [{1,2}:1/0]", "n=2; [{1,2}:1, {1,2}:1]", "n=2; [{1}:1, {2}:x]"]
+)
+def test_mbc_check_rejects_malformed_weighted_collection(capsys, collection):
+    rc, out, err = run(capsys, "mbc", "check", "--collection", collection)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+BAD_CATALOGS = {
+    "zero denominator": "mbc-catalog v1 n=2 method=direct count=1\nn=2; [{1,2}:1/0]\n",
+    "repeated coalition": "mbc-catalog v1 n=2 method=direct count=1\nn=2; [{1,2}:1, {1,2}:1]\n",
+    "mismatched lists": json.dumps(
+        {"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct", "count": 1,
+         "collections": [{"coalitions": ["{1}", "{2}", "{1,2}"], "weights": ["1", "1"]}]}
+    ),
+    "non-string coalition": json.dumps(
+        {"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct", "count": 1,
+         "collections": [{"coalitions": [3], "weights": ["1"]}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CATALOGS))
+def test_game_core_rejects_malformed_catalog(tmp_path, capsys, case):
+    gpath = str(tmp_path / "g.json")
+    cpath = tmp_path / "bad.mbc"
+    run(capsys, "game", "random", "--players", "2", "--seed", "1", "--out", gpath)
+    cpath.write_text(BAD_CATALOGS[case])
+    rc, out, err = run(capsys, "game", "core", "--game", gpath, "--catalog", str(cpath))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "game", "core", "--game", "/nonexistent/game.json")
     assert rc == 2

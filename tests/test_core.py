@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,8 @@ from balanced_forge.core import (
     players_of,
     format_coalition,
     parse_coalition,
+    parse_weight,
+    split_top_level,
     check_players,
     full_mask,
     to_common_denominator,
@@ -61,6 +64,9 @@ def test_format_parse_round_trip():
     assert parse_coalition("{}") == 0
     for mask in range(64):
         assert parse_coalition(format_coalition(mask)) == mask
+    # masks of up to 8 players come from a table, wider ones are built
+    for mask in (*range(300), 0b1101 << 8, (1 << 20) - 1):
+        assert format_coalition(mask) == "{%s}" % ",".join(map(str, players_of(mask)))
 
 
 def test_parse_coalition_errors():
@@ -74,6 +80,48 @@ def test_parse_coalition_errors():
         parse_coalition("{4}", 3)
     with pytest.raises(ValueError):
         parse_coalition("{1,}")
+    for value in (3, None, ["{1}"]):
+        with pytest.raises(ValueError, match="coalition must be text"):
+            parse_coalition(value)
+
+
+def test_parse_weight():
+    assert parse_weight("1/2") == parse_weight(" 2/4 ") == Fraction(1, 2)
+    assert parse_weight("0.25") == parse_weight(0.25) == Fraction(1, 4)
+    assert parse_weight(3) == 3
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_weight("1/0")
+    for value in ("x", "", None, [1], float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            parse_weight(value)
+
+
+def _split_by_characters(text):
+    """split_top_level as a scan of every character, the reference."""
+    if not text.strip():
+        return []
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def test_split_top_level_matches_character_scan():
+    assert split_top_level("{1,2}:1/2, {3}:1") == ["{1,2}:1/2", " {3}:1"]
+    # every text of up to 7 characters over braces, comma, space and a digit,
+    # unbalanced braces included
+    for size in range(8):
+        for chars in product("{}, 1", repeat=size):
+            text = "".join(chars)
+            assert split_top_level(text) == _split_by_characters(text), text
 
 
 def test_check_players_bounds():

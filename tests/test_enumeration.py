@@ -1,7 +1,9 @@
 import glob
 import hashlib
 import importlib.util
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from balanced_forge import _mbc_pure, enumeration
 from balanced_forge._kernel import cover_search, direct_search
 from balanced_forge.balanced import BalancedCollection, from_regular_hypergraph, is_minimal_balanced
+from balanced_forge.core import format_coalition
 from balanced_forge.enumeration import (
     MAX_DET,
     TABLE1,
@@ -329,7 +332,7 @@ def test_kernel_twins_agree(speedups):
     for n in range(2, 6):
         assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
         # every k up to k_max for n <= 4; at n = 5 the pure twin takes about
-        # 0.9 s for k = 5, 1.9 s for k = 6 and 4.7 s for k = 7, and
+        # 0.25 s for k = 5, 0.6 s for k = 6 and 1.1 s for k = 7, and
         # test_cover_search_output_is_pinned already runs k = 6 and 7
         for k in range(1, min(k_max(n), 5) + 1):
             assert speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
@@ -426,26 +429,126 @@ def test_catalog_rejects_duplicates():
 
 
 def test_catalog_roundtrip_text(tmp_path):
-    cat = enumerate_mbc(3)
-    path = tmp_path / "n3.mbc"
+    cat = enumerate_mbc(5)
+    path = tmp_path / "n5.mbc"
     save_catalog(cat, path)
     back = load_catalog(path)
-    assert back.n == 3
-    assert back.method == "direct"
-    assert back.count == cat.count
-    assert [b.coalitions for b in back] == [b.coalitions for b in cat]
-    for a, b in zip(back, cat):
-        assert a.weights == b.weights
+    assert (back.n, back.method, back.count) == (5, "direct", TABLE1[5])
+    assert (back.generated, back.tool) == (cat.generated, cat.tool)
+    assert back.collections == cat.collections
 
 
 def test_catalog_roundtrip_json(tmp_path):
-    cat = enumerate_mbc(3)
-    path = tmp_path / "n3.json"
+    cat = enumerate_mbc(5)
+    path = tmp_path / "n5.json"
     save_catalog(cat, path, fmt="json")
     back = load_catalog(path)
-    assert back.coalition_sets() == cat.coalition_sets()
-    assert back.generated == cat.generated
-    assert back.tool == cat.tool
+    assert (back.n, back.method, back.count) == (5, "direct", TABLE1[5])
+    assert (back.generated, back.tool) == (cat.generated, cat.tool)
+    assert back.collections == cat.collections
+
+
+# sha256 of the n = 5 direct catalog as save_catalog writes it, with the
+# provenance fields fixed; recorded from the writers before they read
+# coalition texts from a table
+SAVED5_SHA256 = {
+    "text": "9c7e31ffa1bd92e5d4534c32274f308ce5f891f006308ae307cbbf18c4632e95",
+    "json": "6ca76d66dd4efd5de96a7c5dc72fbda1f00552e0026f5bc227e0c6b7dc969534",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_saved_catalog_bytes_are_pinned(tmp_path, fmt):
+    cat = enumerate_mbc(5)
+    cat.generated, cat.tool = "2000-01-01T00:00:00Z", "balanced-forge/test"
+    path = tmp_path / ("n5." + fmt)
+    save_catalog(cat, path, fmt=fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED5_SHA256[fmt]
+
+
+def test_json_catalog_is_json_dumps_indent_0(tmp_path):
+    # save_catalog builds each collection's JSON lines as text; the file must
+    # stay what json.dumps writes, escaped header fields and no collections
+    # included
+    odd = MbcCatalog(3, "direct", [], tool='tool "q" é')
+    for cat in [enumerate_mbc(n) for n in (2, 3, 4)] + [odd]:
+        path = tmp_path / "c.json"
+        save_catalog(cat, path, fmt="json")
+        doc = {
+            "format": "mbc-catalog", "version": 1, "n": cat.n, "method": cat.method,
+            "count": cat.count, "generated": cat.generated, "tool": cat.tool,
+            "collections": [
+                {"coalitions": [format_coalition(s) for s in b.coalitions],
+                 "weights": [str(w) for w in b.weights.values()]}
+                for b in cat.collections
+            ],
+        }
+        assert path.read_text() == json.dumps(doc, indent=0)
+
+
+def _write_one_collection(path, fmt, coalitions, weights, n=2):
+    """A one-collection catalog on n players, written by hand."""
+    if fmt == "text":
+        items = ", ".join("%s:%s" % pair for pair in zip(coalitions, weights))
+        path.write_text("mbc-catalog v1 n=%d method=direct count=1\nn=%d; [%s]\n" % (n, n, items))
+    else:
+        item = {"coalitions": coalitions, "weights": weights}
+        doc = {"format": "mbc-catalog", "version": 1, "n": n, "method": "direct",
+               "count": 1, "collections": [item]}
+        path.write_text(json.dumps(doc))
+
+
+def test_hand_written_catalog_loads(tmp_path):
+    for fmt in ("text", "json"):
+        path = tmp_path / ("ok." + fmt)
+        _write_one_collection(path, fmt, ["{1}", "{2}", "{1,2}"], ["1/2", "1/2", "1/2"])
+        (b,) = load_catalog(path).collections
+        assert b.to_text() == "n=2; [{1}:1/2, {2}:1/2, {1,2}:1/2]"
+
+
+# one bad collection per case, with a fragment of the error it must raise
+BAD_COLLECTIONS = {
+    "nonpositive weight": (["{1}", "{2}", "{1,2}"], ["1", "1", "0"], "must be positive"),
+    "player sum not 1": (["{1}", "{2}"], ["1", "1/2"], "player 2 weight sum is 1/2"),
+    "player above n": (["{1,3}", "{2}"], ["1", "1"], "player id 3 out of range"),
+    "duplicate player": (["{1,1}", "{2}"], ["1", "1"], "duplicate player 1"),
+    "repeated coalition": (["{1,2}", "{1,2}"], ["1", "1"], "duplicate coalition {1,2}"),
+    "zero denominator": (["{1,2}"], ["1/0"], "zero denominator"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(BAD_COLLECTIONS))
+def test_load_rejects_bad_collection(tmp_path, fmt, case):
+    coalitions, weights, message = BAD_COLLECTIONS[case]
+    path = tmp_path / ("bad." + fmt)
+    _write_one_collection(path, fmt, coalitions, weights)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "coalitions, weights, message",
+    [
+        (["{1}", "{2}", "{1,2}"], ["1", "1"], "3 coalitions but 2 weights"),
+        (["{1}", "{2}"], ["1", "1", "1"], "2 coalitions but 3 weights"),
+        ([3, "{1,2}"], ["1", "1"], "coalition must be text"),
+        (["{1,2}"], [None], "bad weight None"),
+        (["{1,2}"], [[1]], "bad weight [1]"),
+        ("{1,2}", ["1"], "lists"),
+        (["{1,2}"], None, "lists"),
+    ],
+)
+def test_load_rejects_malformed_json_item(tmp_path, coalitions, weights, message):
+    path = tmp_path / "bad.json"
+    _write_one_collection(path, "json", coalitions, weights)
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog(path)
+    doc = json.loads(path.read_text())
+    doc["collections"] = [[coalitions, weights]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match="must be a JSON object"):
+        load_catalog(path)
 
 
 def test_save_rejects_unknown_format(tmp_path):
@@ -478,6 +581,17 @@ def test_load_rejects_count_mismatch(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("count", [3, "2", None])
+def test_load_rejects_json_count_mismatch(tmp_path, count):
+    path = tmp_path / "n2.json"
+    save_catalog(enumerate_mbc(2), path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["count"] = count
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match="header count="):
+        load_catalog(path)
+
+
 def test_load_rejects_disorder(tmp_path):
     cat = enumerate_mbc(2)
     path = tmp_path / "n2.mbc"
@@ -492,6 +606,17 @@ def test_load_rejects_disorder(tmp_path):
 def test_load_rejects_foreign_players(tmp_path):
     path = tmp_path / "bad"
     path.write_text("mbc-catalog v1 n=2 method=direct count=1\nn=3; [{1,2,3}:1]\n")
+    with pytest.raises(CatalogError):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize("field, value", [("n", "2"), ("n", 0), ("collections", 5)])
+def test_load_rejects_bad_json_fields(tmp_path, field, value):
+    path = tmp_path / "n2.json"
+    save_catalog(enumerate_mbc(2), path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
     with pytest.raises(CatalogError):
         load_catalog(path)
 
