@@ -81,9 +81,10 @@ The sub-multiset test is a subset-sum bitset over coverage vectors
 encoded in base k, grown one copy at a time, so pruning and the final
 minimality decision share one state. The bitset holds every sub-multiset
 whose digits stay at most k - 1, whatever order the copies came in, so
-the accepted set does not depend on the branching order. Results are
-sorted by (m_1, c_1, m_2, c_2, ...), masks ascending within each, which
-is the order of a search over masks in ascending order.
+the accepted set does not depend on the branching order. Each cover is
+returned as the search finds it: covers in DFS order, and the masks of
+each in the order they were chosen, with the mask of the last support
+slot last. MbcCatalog puts collections in canonical order.
 """
 from math import gcd
 
@@ -205,14 +206,14 @@ def direct_search(n, first=0):
 def cover_search(n, k):
     """Minimally regular exact k-covers as (masks, multiplicities).
 
-    Masks ascend within each result, and results are sorted by the
-    interleaved sequence (m_1, c_1, m_2, c_2, ...); the module docstring
-    describes the player-branching search. Support size is capped at n,
-    the most members a minimal balanced collection has, so the cap loses
-    no collection. A cover that survives the uniform sub-multiset filter
-    is not always minimal balanced: for n <= 5 it is, but at n = 6 and
-    k = 2, 150 of the 10,292 covers have a balanced proper subcollection
-    of their support, so callers must validate minimality themselves.
+    Covers and the masks within each come in the order found by the
+    player-branching search that the module docstring describes. Support
+    size is capped at n, the most members a minimal balanced collection
+    has, so the cap loses no collection. A cover that survives the uniform
+    sub-multiset filter is not always minimal balanced: for n <= 5 it is,
+    but at n = 6 and k = 2, 150 of the 10,292 covers have a balanced
+    proper subcollection of their support, so callers must validate
+    minimality themselves.
     """
     _check_players("cover", n)
     if k < 1:
@@ -265,8 +266,7 @@ def cover_search(n, k):
         # live: bitset of the masks still usable, undecided and avoiding
         # every fully covered player
         if not any(rem):
-            pairs = sorted(zip(chosen, mults))
-            out.append((tuple(s for s, _ in pairs), tuple(c for _, c in pairs)))
+            out.append((tuple(chosen), tuple(mults)))
             return
         if len(chosen) >= n:
             return
@@ -312,6 +312,4 @@ def cover_search(n, k):
             chosen.pop()
 
     rec((1 << nmasks) - 2, [k] * n, [], [], 1)  # every nonempty mask is live
-    # the DFS order of a search over masks in ascending order
-    out.sort(key=lambda r: [x for pair in zip(*r) for x in pair])
     return out

@@ -39,11 +39,9 @@
  * set, s_1 < s_2 < ..., takes s_j with each multiplicity c >= 1 and decides
  * s_1 .. s_j for the subtree. A node holding n - 1 masks has one child: the
  * mask of the uncovered players with their common remaining degree, the only
- * one that can finish. The subset-sum bitset is kept per depth, and its
- * accepted set does not depend on the branching order, so each cover is kept
- * in a Found record (masks ascending) and the records are sorted by
- * (m_1, c_1, m_2, c_2, ...) before the list is built: the pure twin's order,
- * which is that of a search over masks in ascending order.
+ * one that can finish. The subset-sum bitset is kept per depth. Each cover
+ * is appended to the result list when the search finds it, masks in the
+ * order chosen, which is the pure twin's order.
  *
  * Bound on the elimination entries of direct_search (ENTRY_MAX):
  * - A reduced row, or the residual of the all-ones vector, combines j + 1
@@ -329,11 +327,6 @@ done:
 
 /* ------------------------------------------------------------- covers */
 
-/* A finished cover: len (mask, multiplicity) pairs, masks ascending. */
-typedef struct {
-    int32_t len, v[2 * MAXN];
-} Found;
-
 typedef struct {
     int n, k, nmasks, nwords;
     int64_t ones;            /* encoding of one copy of every player */
@@ -341,9 +334,8 @@ typedef struct {
     uint64_t has[MAXN][2];   /* per player: the masks holding it, as bits */
     uint64_t *vm;            /* per mask: positions where one more copy is legal */
     uint64_t *dp;            /* subset-sum bitset per depth, then a scratch row */
-    int32_t chosen[MAXN], mults[MAXN];
-    Found *found;            /* covers in the order found, sorted at the end */
-    size_t nfound, cap;
+    int64_t chosen[MAXN], mults[MAXN];
+    PyObject *out;
 } Cover;
 
 /* dst |= src << off, within a fixed nwords window */
@@ -392,47 +384,6 @@ hits_target(const Cover *c, const uint64_t *dp)
     return 0;
 }
 
-/* Keep the chosen pairs of a finished cover, masks ascending. */
-static int
-cover_keep(Cover *c, int len)
-{
-    if (c->nfound == c->cap) {
-        size_t cap = c->cap ? 2 * c->cap : 1024;
-        Found *grown = PyMem_Realloc(c->found, cap * sizeof *grown);
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        c->found = grown;
-        c->cap = cap;
-    }
-    Found *f = c->found + c->nfound++;
-    f->len = len;
-    for (int j = 0; j < len; j++) {  /* insertion sort by mask */
-        int i = j;
-        for (; i > 0 && f->v[2 * i - 2] > c->chosen[j]; i--) {
-            f->v[2 * i] = f->v[2 * i - 2];
-            f->v[2 * i + 1] = f->v[2 * i - 1];
-        }
-        f->v[2 * i] = c->chosen[j];
-        f->v[2 * i + 1] = c->mults[j];
-    }
-    return 0;
-}
-
-/* Order covers by (m1, c1, m2, c2, ...): the DFS order of a search over
-   masks in ascending order. */
-static int
-found_cmp(const void *a, const void *b)
-{
-    const Found *x = a, *y = b;
-    int len = x->len < y->len ? x->len : y->len;
-    for (int i = 0; i < 2 * len; i++)
-        if (x->v[i] != y->v[i])
-            return x->v[i] < y->v[i] ? -1 : 1;
-    return (x->len > y->len) - (x->len < y->len);
-}
-
 /* Branch on the lowest uncovered player: live holds the masks that are
    undecided and avoid every fully covered player. */
 static int
@@ -444,7 +395,7 @@ cover_rec(Cover *c, int depth, const uint64_t *live, const int *rem, int rem_tot
     uint64_t *scratch = c->dp + (size_t)(n + 1) * nwords;
     uint64_t rest[2] = {live[0], live[1]}, live2[2];
     if (rem_total == 0)
-        return cover_keep(c, depth);
+        return append_result(c->out, c->chosen, c->mults, depth, 1, -1);
     if (depth >= n)
         return 0;
     while (!rem[p])
@@ -470,7 +421,7 @@ cover_rec(Cover *c, int depth, const uint64_t *live, const int *rem, int rem_tot
         }
         c->chosen[depth] = u;
         c->mults[depth] = m;
-        return cover_keep(c, depth + 1);
+        return append_result(c->out, c->chosen, c->mults, depth + 1, 1, -1);
     }
     for (int s = 1; s < c->nmasks; s++) {
         uint64_t bit = (uint64_t)1 << (s & 63);
@@ -512,8 +463,8 @@ cover_rec(Cover *c, int depth, const uint64_t *live, const int *rem, int rem_tot
 
 PyDoc_STRVAR(cover_search_doc,
 "cover_search(n, k)\n--\n\n"
-"Minimally regular exact k-covers as (masks, multiplicities), masks\n"
-"ascending within each, sorted by (m1, c1, m2, c2, ...).");
+"Minimally regular exact k-covers as (masks, multiplicities), in the\n"
+"order found.");
 
 static PyObject *
 cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -521,7 +472,6 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"n", "k", NULL};
     int n, k, rem[MAXN];
     int64_t base, npos = 1, place[MAXN];
-    PyObject *out = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii:cover_search", kwlist,
                                      &n, &k))
         return NULL;
@@ -543,8 +493,10 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     uint64_t live[2] = {0, 0};
     c.vm = PyMem_Calloc((size_t)c.nmasks * c.nwords, sizeof *c.vm);
     c.dp = PyMem_Calloc((size_t)(n + 2) * c.nwords, sizeof *c.dp);
-    if (c.vm == NULL || c.dp == NULL) {
+    c.out = PyList_New(0);
+    if (c.vm == NULL || c.dp == NULL || c.out == NULL) {
         PyErr_NoMemory();
+        Py_CLEAR(c.out);
         goto done;
     }
     /* a singleton {i} may take one more copy where player i's digit is at
@@ -573,25 +525,11 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     for (int i = 0; i < n; i++)
         rem[i] = k;
     if (cover_rec(&c, 0, live, rem, n * k) < 0)
-        goto done;
-    if (c.nfound > 1)
-        qsort(c.found, c.nfound, sizeof *c.found, found_cmp);
-    out = PyList_New(0);
-    for (size_t j = 0; out != NULL && j < c.nfound; j++) {
-        const Found *f = c.found + j;
-        int64_t masks[MAXN], mults[MAXN];
-        for (int i = 0; i < f->len; i++) {
-            masks[i] = f->v[2 * i];
-            mults[i] = f->v[2 * i + 1];
-        }
-        if (append_result(out, masks, mults, f->len, 1, -1) < 0)
-            Py_CLEAR(out);
-    }
+        Py_CLEAR(c.out);
 done:
     PyMem_Free(c.vm);
     PyMem_Free(c.dp);
-    PyMem_Free(c.found);
-    return out;
+    return c.out;
 }
 
 static PyMethodDef methods[] = {

@@ -27,7 +27,6 @@ from .core import (
     split_top_level,
     to_common_denominator,
 )
-from .hypergraph import Hypergraph
 from ._simplex import simplex_min, rank_of_masks
 
 _balanced_cache = {}
@@ -271,14 +270,6 @@ def from_regular_hypergraph(h):
     g = gcd(k, *mult.values())
     # every player's multiplicities sum to k, so the weights sum to 1
     return BalancedCollection._trusted(h.n, masks, [mult[s] // g for s in masks], k // g)
-
-
-def to_regular_hypergraph(b):
-    """Inverse of from_regular_hypergraph: S appears numerator(S) times."""
-    edges = []
-    for s, a in zip(b.coalitions, b.numerators):
-        edges.extend([s] * a)
-    return Hypergraph(b.n, edges)
 
 
 def efficiency(b, game):

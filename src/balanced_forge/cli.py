@@ -8,10 +8,9 @@ import argparse
 import inspect
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .core import format_coalition, parse_coalition, split_top_level
+from .core import format_coalition, json_number, parse_coalition, split_top_level
 from .counting import count_total, count_spanning, count_cumulative, count_graphs, egf_table
 from .hypergraph import parse_hypergraph, hypergraph_from_json
 from .balanced import (
@@ -38,11 +37,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
-
-
-def _frac_out(f):
-    f = Fraction(f)
-    return int(f) if f.denominator == 1 else str(f)
 
 
 def _read(path):
@@ -239,7 +233,7 @@ def _cmd_game_core(args):
             json.dumps(
                 {
                     "nonempty": verdict.nonempty,
-                    "payment": [_frac_out(x) for x in verdict.payment]
+                    "payment": [json_number(x) for x in verdict.payment]
                     if verdict.nonempty
                     else None,
                     "collection": None
@@ -247,7 +241,7 @@ def _cmd_game_core(args):
                     else verdict.collection.to_text(),
                     "efficiency": None
                     if verdict.nonempty
-                    else _frac_out(verdict.efficiency),
+                    else json_number(verdict.efficiency),
                 }
             )
         )

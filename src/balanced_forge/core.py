@@ -133,6 +133,11 @@ def _parse_coalition(text, n):
     return mask
 
 
+def json_number(f):
+    """A rational as JSON output writes it: an int if integral, else "a/b"."""
+    return int(f) if f.denominator == 1 else str(f)
+
+
 def parse_weight(value) -> Fraction:
     """Fraction(value), with every malformed value raising ValueError.
 

@@ -5,8 +5,14 @@ that the subhypergraph induced on each block (empty intersections kept,
 so the edge count is preserved) is minimally uniform. Such partitions
 are not unique; decompose returns the lexicographically first one and
 decompose_all enumerates them all.
+
+Whether a block qualifies is hypergraph.minimally_uniform_on, the one
+minimal-uniformity predicate, applied to the block's node mask; the
+search, UniformPartition's check and is_minimally_uniform share it, so
+no induced subhypergraph is built.
 """
-from .hypergraph import is_minimally_uniform
+from .core import format_coalition, players_of
+from .hypergraph import minimally_uniform_on
 
 
 class IncompleteDecomposition(RuntimeError):
@@ -39,14 +45,12 @@ class UniformPartition:
             if union & b:
                 raise ValueError("blocks overlap")
             union |= b
-            nodes = [x + 1 for x in range(h.n) if b >> x & 1]
-            sub, _ = h.subhypergraph(nodes)
-            if not is_minimally_uniform(sub):
+            if not minimally_uniform_on(h.edges, b):
                 raise ValueError(
-                    "block {%s} does not induce a minimally uniform subhypergraph"
-                    % ",".join(str(x) for x in nodes)
+                    "block %s does not induce a minimally uniform subhypergraph"
+                    % format_coalition(b)
                 )
-            degrees.append(sub.uniformity())
+            degrees.append((h.edges[0] & b).bit_count())
         if union != (1 << h.n) - 1:
             raise ValueError("blocks do not cover all %d nodes" % h.n)
         self.n = h.n
@@ -55,9 +59,7 @@ class UniformPartition:
         self.size = h.size
 
     def block_nodes(self):
-        return tuple(
-            tuple(x + 1 for x in range(self.n) if b >> x & 1) for b in self.blocks
-        )
+        return tuple(players_of(b) for b in self.blocks)
 
     def __eq__(self, other):
         return (
@@ -70,31 +72,7 @@ class UniformPartition:
         return hash((self.n, self.blocks))
 
     def __repr__(self):
-        body = ", ".join("{%s}" % ",".join(str(x) for x in ns) for ns in self.block_nodes())
-        return "UniformPartition(%s)" % body
-
-
-def _block_uniform(edges, a):
-    sizes = {(e & a).bit_count() for e in edges}
-    return len(sizes) == 1
-
-
-def _block_ok(edges, b):
-    """Induced-subhypergraph minimal uniformity, on bitmasks directly.
-
-    Uniformity of a restriction depends only on intersection sizes, so
-    relabeling is irrelevant and no objects need building inside the
-    search loop.
-    """
-    if not _block_uniform(edges, b):
-        return False
-    s = 0
-    while True:
-        s = (s - b) & b
-        if s == b:
-            return True
-        if _block_uniform(edges, s):
-            return False
+        return "UniformPartition(%s)" % ", ".join(map(format_coalition, self.blocks))
 
 
 def _partitions(edges, n):
@@ -118,7 +96,7 @@ def _partitions(edges, n):
             block = low | s
             good = ok.get(block)
             if good is None:
-                good = ok[block] = _block_ok(edges, block)
+                good = ok[block] = minimally_uniform_on(edges, block)
             if good:
                 acc.append(block)
                 yield from rec(remaining ^ block)

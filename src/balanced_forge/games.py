@@ -15,7 +15,9 @@ from .core import (
     check_players,
     format_coalition,
     full_mask,
+    json_number,
     parse_coalition,
+    parse_weight,
     to_common_denominator,
 )
 from .balanced import BalancedCollection, efficiency
@@ -76,7 +78,7 @@ class Game:
             {
                 "n": self.n,
                 "v": {
-                    format_coalition(m): _num_or_str(self.v[m])
+                    format_coalition(m): json_number(self.v[m])
                     for m in range(1, 1 << self.n)
                 },
             },
@@ -84,22 +86,23 @@ class Game:
         )
 
 
-def _num_or_str(f):
-    return int(f) if f.denominator == 1 else str(f)
-
-
 def game_from_json(text):
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("game JSON must be an object, got %r" % (obj,))
     n = obj["n"]
     check_players(n)
+    worths = obj["v"]
+    if not isinstance(worths, dict):
+        raise ValueError("v must map coalitions to worths, got %r" % (worths,))
     vs = {}
-    for key, val in obj["v"].items():
+    for key, val in worths.items():
         mask = parse_coalition(key, n)
         if mask == 0:
             raise ValueError("the empty coalition does not belong in a game file")
         if mask in vs:
             raise ValueError("coalition %s appears twice" % key)
-        vs[mask] = Fraction(str(val)) if isinstance(val, str) else Fraction(val)
+        vs[mask] = parse_weight(val)
     return Game(n, vs)
 
 

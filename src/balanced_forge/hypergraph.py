@@ -5,6 +5,11 @@ Edges keep their list order because duality is defined relative to it
 explicit sorting step. Empty edges are representable since induced
 subhypergraphs retain edges that become empty; constructors of proper
 hypergraphs must check is_proper themselves.
+
+Minimal uniformity is decided in one place, minimally_uniform_on, on
+bitmasks: is_minimally_uniform and the blocks of decomposition both
+call it. subhypergraph builds the induced object of the definition and
+is the reference the tests compare the predicate against.
 """
 import json
 from collections import Counter
@@ -118,16 +123,6 @@ class Hypergraph:
             out.append(sub)
         return Hypergraph(len(ids), out), mapping
 
-    def partial(self, sub_edges):
-        """Partial hypergraph: same nodes, a sub-multiset of the edges."""
-        sub = tuple(int(e) for e in sub_edges)
-        have = Counter(self.edges)
-        want = Counter(sub)
-        for e, k in want.items():
-            if have[e] < k:
-                raise ValueError("edges %r are not a sub-multiset" % (sub,))
-        return Hypergraph(self.n, sub)
-
     def canonicalize(self):
         return Hypergraph(self.n, sorted(self.edges))
 
@@ -160,12 +155,21 @@ def parse_hypergraph(text):
 
 
 def hypergraph_from_json(text):
+    """Parse `{"n": 3, "edges": [[1, 2], [3]]}`: a list of lists of node ids."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("hypergraph JSON must be an object, got %r" % (obj,))
     n = obj["n"]
+    check_players(n)
+    lists = obj["edges"]
+    if not isinstance(lists, list) or not all(isinstance(lst, list) for lst in lists):
+        raise ValueError("edges must be a list of lists of node ids, got %r" % (lists,))
     edges = []
-    for lst in obj["edges"]:
+    for lst in lists:
         m = 0
         for p in lst:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError("node id %r is not an int" % (p,))
             if not 1 <= p <= n:
                 raise ValueError("node id %r outside 1..%d" % (p, n))
             m |= 1 << (p - 1)
@@ -175,6 +179,30 @@ def hypergraph_from_json(text):
     return Hypergraph(n, edges)
 
 
+def _uniform_on(edges, nodes):
+    return len({(e & nodes).bit_count() for e in edges}) == 1
+
+
+def minimally_uniform_on(edges, nodes):
+    """Whether the edges restricted to the node mask are uniform and their
+    restriction to every nonempty proper subset of it is not.
+
+    The restriction is the induced subhypergraph without relabeling: its
+    uniformity depends only on the intersection sizes, so no object is
+    built. Empty intersections count as size 0 and edgeless input is not
+    uniform.
+    """
+    if not _uniform_on(edges, nodes):
+        return False
+    s = 0
+    while True:
+        s = (s - nodes) & nodes
+        if s == nodes:
+            return True
+        if _uniform_on(edges, s):
+            return False
+
+
 def is_minimally_uniform(h):
     """Uniform with no uniform induced subhypergraph on a proper subset.
 
@@ -182,14 +210,7 @@ def is_minimally_uniform(h):
     object keeps empty intersections, which is what makes the predicate
     nontrivial.
     """
-    if h.uniformity() is None:
-        return False
-    for a in range(1, (1 << h.n) - 1):
-        nodes = [x + 1 for x in range(h.n) if a >> x & 1]
-        sub, _ = h.subhypergraph(nodes)
-        if sub.uniformity() is not None:
-            return False
-    return True
+    return minimally_uniform_on(h.edges, full_mask(h.n))
 
 
 def is_minimally_regular(h):

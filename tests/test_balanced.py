@@ -11,7 +11,6 @@ from balanced_forge.balanced import (
     is_minimal_balanced_oracle,
     parse_collection,
     from_regular_hypergraph,
-    to_regular_hypergraph,
     efficiency,
 )
 from balanced_forge.hypergraph import Hypergraph
@@ -166,15 +165,21 @@ def test_from_regular_hypergraph():
 
 
 def test_to_regular_hypergraph_inverts():
+    # coalition S taken numerator(S) times is a regular hypergraph whose
+    # conversion gives the collection back
     bc = BalancedCollection(3, {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)})
-    h = to_regular_hypergraph(bc)
-    assert h == Hypergraph(3, [3, 5, 6])
+    assert (bc.numerators, bc.denominator) == ((1, 1, 1), 2)
+    h = Hypergraph(3, [3, 5, 6])
+    assert h.regularity() == 2
     assert from_regular_hypergraph(h) == bc
     # unit-weight partition becomes a 1-regular hypergraph
     part = BalancedCollection(4, {3: F(1), 12: F(1)})
-    h = to_regular_hypergraph(part)
+    h = Hypergraph(4, [3, 12])
     assert h.regularity() == 1
     assert from_regular_hypergraph(h) == part
+    # a weight of 2/3 is two copies of its coalition at regularity 3
+    b = BalancedCollection(2, {1: F(1, 3), 2: F(1, 3), 3: F(2, 3)})
+    assert from_regular_hypergraph(Hypergraph(2, [1, 2, 3, 3])) == b
 
 
 def test_fig3_block_dual_is_balanced():

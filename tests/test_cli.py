@@ -362,6 +362,38 @@ def test_game_core_rejects_malformed_catalog(tmp_path, capsys, case):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+BAD_HYPERGRAPHS = {
+    "non-int node id": '{"n": 3, "edges": [[1, 2.5], [3]]}',
+    "edges not a list": '{"n": 3, "edges": 5}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HYPERGRAPHS))
+def test_hyper_dual_rejects_malformed_json(tmp_path, capsys, case):
+    path = tmp_path / "h.json"
+    path.write_text(BAD_HYPERGRAPHS[case])
+    rc, out, err = run(capsys, "hyper", "dual", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+BAD_GAMES = {
+    "not an object": "[1]",
+    "v not an object": '{"n": 3, "v": []}',
+    "null worth": '{"n": 1, "v": {"{1}": null}}',
+    "list worth": '{"n": 1, "v": {"{1}": [1]}}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GAMES))
+def test_game_core_rejects_malformed_game(tmp_path, capsys, case):
+    path = tmp_path / "g.json"
+    path.write_text(BAD_GAMES[case])
+    rc, out, err = run(capsys, "game", "core", "--game", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "game", "core", "--game", "/nonexistent/game.json")
     assert rc == 2

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -141,6 +142,16 @@ def test_partition_constructor_validation():
         UniformPartition(TRIANGLE, [0b011, 0b100])
     with pytest.raises(ValueError):
         UniformPartition(TRIANGLE, [0b111, 0])
+
+
+def test_partition_rejects_uniform_block_that_is_not_minimal():
+    # FIG3 is 4-uniform on all 7 nodes, but uniform again on {1,3,6}
+    assert FIG3.uniformity() == 4
+    message = "block {1,2,3,4,5,6,7} does not induce a minimally uniform subhypergraph"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        UniformPartition(FIG3, [0b1111111])
+    with pytest.raises(ValueError, match=re.escape("block {1,2} does not induce")):
+        UniformPartition(Hypergraph(2, [3, 3, 3]), [0b11])
 
 
 def test_partition_equality_and_repr():

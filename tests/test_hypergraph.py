@@ -108,21 +108,6 @@ def test_subhypergraph_keeps_empty_intersections():
         FIG3.subhypergraph([8])
 
 
-def test_partial_hypergraph():
-    p = TRIANGLE.partial([0b011])
-    assert p.n == 3 and p.edges == (0b011,)
-    assert TRIANGLE.partial([0b011, 0b101, 0b110]) == TRIANGLE
-    d = FIG3.dual()
-    p = d.partial(list(d.edges[:2]))
-    assert p.n == 4 and p.size == 2
-    h = Hypergraph(2, [3, 3])
-    assert h.partial([3, 3]).size == 2
-    with pytest.raises(ValueError):
-        h.partial([3, 3, 3])
-    with pytest.raises(ValueError):
-        TRIANGLE.partial([7])
-
-
 def test_is_minimally_uniform():
     assert is_minimally_uniform(TRIANGLE)
     assert not is_minimally_uniform(Hypergraph(2, [3, 3, 3]))
@@ -131,6 +116,19 @@ def test_is_minimally_uniform():
     block, _ = FIG3.subhypergraph([1, 3, 6])
     assert is_minimally_uniform(block)
     assert not is_minimally_uniform(Hypergraph(2, [1, 3]))
+
+
+def test_is_minimally_uniform_matches_the_definition():
+    # the literal test on induced subhypergraphs: uniform on N, and on no
+    # other nonempty node subset
+    for n in range(1, 5):
+        for h in enumerate_proper(n, 4):
+            literal = all(
+                (h.subhypergraph([x + 1 for x in range(n) if a >> x & 1])[0].uniformity()
+                 is not None) == (a == (1 << n) - 1)
+                for a in range(1, 1 << n)
+            )
+            assert is_minimally_uniform(h) == literal, h
 
 
 def test_is_minimally_regular():
