@@ -33,13 +33,16 @@ ZERO = Fraction(0)
 
 
 class LpResult:
-    __slots__ = ("status", "objective", "x", "basis")
+    """pivots counts every pivot of the solve, phase 1 and the initial basis included."""
 
-    def __init__(self, status, objective=None, x=None, basis=None):
+    __slots__ = ("status", "objective", "x", "basis", "pivots")
+
+    def __init__(self, status, objective=None, x=None, basis=None, pivots=0):
         self.status = status
         self.objective = objective
         self.x = x
         self.basis = basis
+        self.pivots = pivots
 
 
 def _pivot(tab, d, r, c):
@@ -61,11 +64,12 @@ def _pivot(tab, d, r, c):
 
 
 def _iterate(tab, basis, d, allowed):
-    """Bland pivots until optimal or unbounded; returns (status, d).
+    """Bland pivots until optimal or unbounded; returns (status, d, pivots).
 
     tab holds one row per basis entry, then the reduced-cost row.
     """
     m = len(basis)
+    pivots = 0
     while True:
         cost = tab[-1]
         enter = -1
@@ -74,7 +78,7 @@ def _iterate(tab, basis, d, allowed):
                 enter = j
                 break
         if enter < 0:
-            return "optimal", d
+            return "optimal", d, pivots
         leave = -1
         best_rhs = best_a = 0
         for i in range(m):
@@ -86,9 +90,10 @@ def _iterate(tab, basis, d, allowed):
                 if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
-            return "unbounded", d
+            return "unbounded", d, pivots
         d = _pivot(tab, d, leave, enter)
         basis[leave] = enter
+        pivots += 1
 
 
 def simplex_min(A, b, c, basis=None):
@@ -97,8 +102,8 @@ def simplex_min(A, b, c, basis=None):
     basis, when given, must list one column per row already forming a
     feasible basis (ValueError when its columns are singular); otherwise
     a phase-1 with artificial variables runs first. Returns
-    LpResult(status, objective, x, basis) with status one of optimal,
-    infeasible, unbounded.
+    LpResult(status, objective, x, basis, pivots) with status one of
+    optimal, infeasible, unbounded.
     """
     m = len(A)
     ncols = len(c)
@@ -111,6 +116,7 @@ def simplex_min(A, b, c, basis=None):
         rows.append(row)
         scales.append(scale)
     d = 1
+    pivots = 0
 
     if basis is None:
         # Phase 1 minimizes the sum of one artificial per input row. In the
@@ -125,9 +131,9 @@ def simplex_min(A, b, c, basis=None):
             cost = [z - w * a for z, a in zip(cost, row)]
         basis = [ncols + i for i in range(m)]
         tab = rows + [cost]
-        status, d = _iterate(tab, basis, d, ncols)
+        status, d, pivots = _iterate(tab, basis, d, ncols)
         if status != "optimal" or tab[-1][-1] != 0:
-            return LpResult("infeasible")
+            return LpResult("infeasible", pivots=pivots)
         # pivot lingering artificials out; drop rows that are redundant
         keep = []
         for i in range(m):
@@ -141,6 +147,7 @@ def simplex_min(A, b, c, basis=None):
                     continue  # all-zero constraint, drop
                 d = _pivot(tab, d, i, enter)
                 basis[i] = enter
+                pivots += 1
             keep.append(i)
         rows = [tab[i] for i in keep]
         basis = [basis[i] for i in keep]
@@ -156,9 +163,10 @@ def simplex_min(A, b, c, basis=None):
                 else:
                     raise ValueError("basis columns are linearly dependent")
             d = _pivot(rows, d, i, col)
+            pivots += 1
         for row in rows:
             if row[-1] < 0:
-                return LpResult("infeasible")
+                return LpResult("infeasible", pivots=pivots)
 
     # phase 2: the reduced costs of c scaled by its lcm, times d
     scaled_c, cscale = to_common_denominator(c)
@@ -168,14 +176,15 @@ def simplex_min(A, b, c, basis=None):
         if f:
             cost = [z - f * a for z, a in zip(cost, row)]
     tab = rows + [cost]
-    status, d = _iterate(tab, basis, d, ncols)
+    status, d, phase2 = _iterate(tab, basis, d, ncols)
+    pivots += phase2
     if status != "optimal":
-        return LpResult(status)
+        return LpResult(status, pivots=pivots)
     x = [ZERO] * ncols
     for i, bi in enumerate(basis):
         x[bi] = Fraction(tab[i][-1], d)
     objective = Fraction(-tab[-1][-1], d * cscale)
-    return LpResult("optimal", objective, x, list(basis))
+    return LpResult("optimal", objective, x, list(basis), pivots)
 
 
 def solve_square(M, rhs):

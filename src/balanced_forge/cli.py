@@ -242,6 +242,7 @@ def _cmd_game_core(args):
                     "efficiency": None
                     if verdict.nonempty
                     else json_number(verdict.efficiency),
+                    "pivots": verdict.pivots,
                 }
             )
         )

@@ -72,10 +72,13 @@ class MbcCatalog:
     """Canonically sorted, duplicate-free list of minimal balanced collections.
 
     Each entry keeps its weights as the kernels emit them and core_mbc
-    scans them: integer numerators over one denominator.
+    scans them: integer numerators over one denominator. _scan holds
+    core_mbc's packed index of those numerators. It is None until the
+    first core_mbc call on the catalog builds it, and core_mbc builds it
+    again when collections no longer equals the list it was built from.
     """
 
-    __slots__ = ("n", "method", "collections", "generated", "tool", "diagnostics")
+    __slots__ = ("n", "method", "collections", "generated", "tool", "diagnostics", "_scan")
 
     METHODS = ("direct", "duality", "oracle")
 
@@ -96,6 +99,7 @@ class MbcCatalog:
         self.generated = generated or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.tool = tool or TOOL
         self.diagnostics = diagnostics or {}
+        self._scan = None
 
     @property
     def count(self):

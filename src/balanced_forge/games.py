@@ -8,6 +8,8 @@ catalog of minimal balanced collections for an efficiency above v(N),
 the sharp criterion. The two must agree on every game.
 """
 import json
+import sys
+from array import array
 from fractions import Fraction
 from operator import mul
 
@@ -24,6 +26,11 @@ from .balanced import BalancedCollection, efficiency
 from ._simplex import simplex_min, solve_square
 
 MASK64 = (1 << 64) - 1
+
+# core_mbc's packed scan keeps one efficiency numerator per 32-bit field
+# of an array("I"); a field holds HALF + t for |t| < HALF
+assert array("I").itemsize == 4
+HALF = 1 << 31
 
 
 def splitmix64(seed):
@@ -127,16 +134,18 @@ class CoreVerdict:
 
     nonempty -> payment is a tuple of n rationals with sum v(N) meeting
     every coalition's worth; empty -> collection is a minimal balanced
-    collection whose efficiency exceeds v(N).
+    collection whose efficiency exceeds v(N). pivots counts the simplex
+    pivots the verdict took: 0 when a catalog scan certified it.
     """
 
-    __slots__ = ("nonempty", "payment", "collection", "efficiency")
+    __slots__ = ("nonempty", "payment", "collection", "efficiency", "pivots")
 
-    def __init__(self, nonempty, payment=None, collection=None, eff=None):
+    def __init__(self, nonempty, payment=None, collection=None, eff=None, pivots=0):
         self.nonempty = nonempty
         self.payment = payment
         self.collection = collection
         self.efficiency = eff
+        self.pivots = pivots
 
     def __repr__(self):
         if self.nonempty:
@@ -175,13 +184,13 @@ def core_lp(game):
     if zstar > vN:
         weights = {proper[j]: res.x[j] for j in range(len(proper)) if res.x[j] > 0}
         bc = BalancedCollection(n, weights)
-        return CoreVerdict(False, collection=bc, eff=zstar)
+        return CoreVerdict(False, collection=bc, eff=zstar, pivots=res.pivots)
     rows = [[1 if proper[j] >> i & 1 else 0 for i in range(n)] for j in res.basis]
     rhs = [game.v[proper[j]] for j in res.basis]
     x = solve_square(rows, rhs)
     surplus = (vN - zstar) / n
     payment = tuple(xi + surplus for xi in x)
-    return CoreVerdict(True, payment=payment)
+    return CoreVerdict(True, payment=payment, pivots=res.pivots)
 
 
 def core_mbc(game, catalog):
@@ -193,10 +202,24 @@ def core_mbc(game, catalog):
 
     The scan runs in the collections' integer weights: with the worths
     scaled by their common denominator D to V, a collection with weights
-    num/den violates iff sum(num * V(S)) > den * V(N), and it beats the
-    current worst (t, den') iff t * den' > t' * den. Both tests are strict,
-    so among collections of equal efficiency the first in catalog
-    (canonical) order is kept. The reported efficiency is efficiency().
+    num/den has efficiency t / (den * D) for t = sum(num * V(S)), and it
+    violates iff t > den * V(N). Among collections of equal efficiency
+    the first in catalog (canonical) order is kept. The reported
+    efficiency is efficiency().
+
+    The first call on a catalog builds an index, catalog._scan, and a
+    later call rebuilds it when catalog.collections has changed. It
+    groups the collections by den, and for each group and coalition S
+    holds one int whose 32-bit fields are the numerators of S, one field
+    per collection in catalog order. Then bias + sum(V(S) * column(S)),
+    with HALF = 2^31 in every field of bias, holds HALF + t in each
+    field, with no carry between fields while |t| < HALF. That holds
+    whenever max|V| times the largest numerator sum (9 at n=5, 17 at
+    n=6) is below HALF. A group's best collection is then the first
+    field holding the group's largest value, and the group bests are
+    compared by cross-multiplication, ties going to the lower catalog
+    position. Larger worths, such as Fraction(0.1) with its denominator
+    2^55, take the scalar loop over the collections.
     """
     if catalog.n != game.n:
         raise ValueError(
@@ -206,11 +229,65 @@ def core_mbc(game, catalog):
     vN = worth[full_mask(game.n)]
     worth_of = worth.__getitem__
     worst = None
-    worst_t = worst_den = 0
-    for b in catalog.collections:
-        t = sum(map(mul, b.numerators, map(worth_of, b.coalitions)))
-        if t > b.denominator * vN and (worst is None or t * worst_den > worst_t * b.denominator):
-            worst, worst_t, worst_den = b, t, b.denominator
+    cols = catalog.collections
+    # comparing the lists checks identity first: about a microsecond per
+    # thousand collections
+    if catalog._scan is None or catalog._scan[0] != cols:
+        catalog._scan = _build_scan(cols)
+    _, width, groups = catalog._scan
+    if groups is not None and max(map(abs, worth)) * width < HALF:
+        best_pos = -1
+        best_t = best_den = 0
+        for den, positions, bias, masks, columns in groups:
+            x = bias + sum(map(mul, map(worth_of, masks), columns))
+            fields = array("I", x.to_bytes(4 * len(positions), sys.byteorder))
+            top = max(fields)
+            t, pos = top - HALF, positions[fields.index(top)]
+            lhs, rhs = t * best_den, best_t * den
+            if best_pos < 0 or lhs > rhs or (lhs == rhs and pos < best_pos):
+                best_pos, best_t, best_den = pos, t, den
+        if best_pos >= 0 and best_t > best_den * vN:
+            worst = cols[best_pos]
+    else:
+        worst_t = worst_den = 0
+        for b in cols:
+            t = sum(map(mul, b.numerators, map(worth_of, b.coalitions)))
+            if t > b.denominator * vN and (worst is None or t * worst_den > worst_t * b.denominator):
+                worst, worst_t, worst_den = b, t, b.denominator
     if worst is not None:
         return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
     return core_lp(game)
+
+
+def _build_scan(cols):
+    """(copy of cols, largest numerator sum, groups) for core_mbc.
+
+    A group is (den, positions, bias, masks, columns): the positions in
+    cols of the collections with denominator den, and for each coalition
+    in masks the int packing its numerators in those collections, one
+    32-bit field each, 0 where it is no member. groups is None when a
+    numerator sum alone reaches HALF, so that no game can use them.
+    """
+    width = max((sum(b.numerators) for b in cols), default=0)
+    groups = None
+    if width < HALF:
+        by_den = {}
+        for pos, b in enumerate(cols):
+            by_den.setdefault(b.denominator, []).append(pos)
+        groups = []
+        for den, positions in sorted(by_den.items()):
+            size = len(positions)
+            fields = {}
+            for j, pos in enumerate(positions):
+                b = cols[pos]
+                for s, num in zip(b.coalitions, b.numerators):
+                    if s not in fields:
+                        fields[s] = array("I", bytes(4 * size))
+                    fields[s][j] = num
+            # the fields are read in native byte order, and to_bytes in
+            # core_mbc writes them back in the same order
+            masks = sorted(fields)
+            columns = [int.from_bytes(fields.pop(s), sys.byteorder) for s in masks]
+            bias = int.from_bytes(array("I", [HALF]) * size, sys.byteorder)
+            groups.append((den, positions, bias, masks, columns))
+    return list(cols), width, groups

@@ -199,10 +199,7 @@ def _sharpbs_games(n, games):
 def sharpbs(max_n=4, games=1000):
     """LP core test = catalog core test (the sharp criterion), n = 2..max_n.
 
-    On `games` seeded games per n, plus a raised game for every fourth:
-    both routes give the same emptiness, payment and efficiency; every
-    certificate of both passes verdict_problem; every raised game has a
-    nonempty core.
+    Runs sharpbs_catalog on the direct catalog of each n.
     """
     if not 2 <= max_n <= max(TABLE1):
         raise ValueError("sharpbs needs 2 <= max_n <= %d, got %d" % (max(TABLE1), max_n))
@@ -210,32 +207,45 @@ def sharpbs(max_n=4, games=1000):
         raise ValueError("sharpbs needs games >= 1, got %d" % games)
     checks = []
     for n in range(2, max_n + 1):
-        catalog = enumerate_mbc(n)
-        total = nonempty = 0
-        first = {}
-        for label, raised, g in _sharpbs_games(n, games):
-            a = core_lp(g)
-            b = core_mbc(g, catalog)
-            total += 1
-            nonempty += a.nonempty
-            if (a.nonempty, a.payment, a.efficiency) != (b.nonempty, b.payment, b.efficiency):
-                first.setdefault("agreement", label)
-            for route, verdict in (("LP", a), ("catalog", b)):
-                problem = verdict_problem(g, verdict)
-                if problem:
-                    first.setdefault("certificates", "%s, %s route: %s" % (label, route, problem))
-            if raised and not (a.nonempty and b.nonempty):
-                first.setdefault("raised cores nonempty", label)
-        for name, detail in (
-            ("agreement", "%d games, %d nonempty" % (total, nonempty)),
-            ("certificates", "exact revalidation"),
-            ("raised cores nonempty", "v(N) = %d" % (n * 100)),
-        ):
-            checks.append((
-                "sharpbs n=%d %s" % (n, name),
-                name not in first,
-                "first failure: %s" % first[name] if name in first else detail,
-            ))
+        checks += sharpbs_catalog(enumerate_mbc(n), games)
+    return checks
+
+
+def sharpbs_catalog(catalog, games):
+    """The sharpbs checks on one catalog of minimal balanced collections.
+
+    On `games` seeded games on catalog.n players, plus a raised game for
+    every fourth: both routes give the same emptiness, payment and
+    efficiency; every certificate of both passes verdict_problem; every
+    raised game has a nonempty core.
+    """
+    n = catalog.n
+    total = nonempty = 0
+    first = {}
+    for label, raised, g in _sharpbs_games(n, games):
+        a = core_lp(g)
+        b = core_mbc(g, catalog)
+        total += 1
+        nonempty += a.nonempty
+        if (a.nonempty, a.payment, a.efficiency) != (b.nonempty, b.payment, b.efficiency):
+            first.setdefault("agreement", label)
+        for route, verdict in (("LP", a), ("catalog", b)):
+            problem = verdict_problem(g, verdict)
+            if problem:
+                first.setdefault("certificates", "%s, %s route: %s" % (label, route, problem))
+        if raised and not (a.nonempty and b.nonempty):
+            first.setdefault("raised cores nonempty", label)
+    checks = []
+    for name, detail in (
+        ("agreement", "%d games, %d nonempty" % (total, nonempty)),
+        ("certificates", "exact revalidation"),
+        ("raised cores nonempty", "v(N) = %d" % (n * 100)),
+    ):
+        checks.append((
+            "sharpbs n=%d %s" % (n, name),
+            name not in first,
+            "first failure: %s" % first[name] if name in first else detail,
+        ))
     return checks
 
 

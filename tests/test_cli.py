@@ -306,6 +306,7 @@ def test_game_core_json(tmp_path, capsys):
     assert blob["nonempty"] is False
     assert blob["payment"] is None
     assert blob["efficiency"] == 105
+    assert blob["pivots"] == 4
 
 
 def test_game_core_with_catalog(tmp_path, capsys):
@@ -316,6 +317,10 @@ def test_game_core_with_catalog(tmp_path, capsys):
     rc, out, _ = run(capsys, "game", "core", "--game", gpath, "--catalog", cpath)
     assert rc == 3
     assert out.splitlines()[0] == "core: empty"
+    # the catalog scan certifies the verdict without a simplex pivot
+    rc, out, _ = run(capsys, "game", "core", "--game", gpath, "--catalog", cpath, "--json")
+    assert rc == 3
+    assert json.loads(out)["pivots"] == 0
 
 
 def test_game_core_catalog_mismatch(tmp_path, capsys):

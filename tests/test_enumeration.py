@@ -32,6 +32,7 @@ from balanced_forge.enumeration import (
     save_catalog,
 )
 from balanced_forge.hypergraph import Hypergraph, is_minimally_regular, is_minimally_uniform
+from balanced_forge.verify import sharpbs_catalog
 
 
 def test_k_max_values():
@@ -373,10 +374,29 @@ def test_kernel_twins_agree(speedups):
 DIRECT6_SHA256 = "dacac381ac0c8bb6def344b051f94f837ea789eed50ea89dfacee566bd46f449"
 
 
-def test_compiled_n6_output_is_pinned(speedups):
-    raw = speedups.direct_search(6)
-    assert len(raw) == TABLE1[6]
-    assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT6_SHA256
+@pytest.fixture(scope="module")
+def direct6(speedups):
+    """The compiled kernel's n = 6 search, about 3 s, run once per module."""
+    return speedups.direct_search(6)
+
+
+def test_compiled_n6_output_is_pinned(direct6):
+    assert len(direct6) == TABLE1[6]
+    assert hashlib.sha256(repr(direct6).encode()).hexdigest() == DIRECT6_SHA256
+
+
+def test_sharpbs_lp_equals_catalog_at_n6(direct6):
+    # 40 seeded games and 10 raised ones; core_mbc's packed scan costs
+    # about 64 ms per game at n = 6, and building its index about 0.8 s
+    cols = [BalancedCollection._trusted(6, masks, nums, den) for masks, nums, den in direct6]
+    checks = sharpbs_catalog(MbcCatalog(6, "direct", cols), 40)
+    assert [name for name, _, _ in checks] == [
+        "sharpbs n=6 agreement",
+        "sharpbs n=6 certificates",
+        "sharpbs n=6 raised cores nonempty",
+    ]
+    assert all(ok for _, ok, _ in checks), checks
+    assert checks[0][2] == "50 games, 10 nonempty"
 
 
 @pytest.mark.parametrize("twin", ["pure", "compiled"])

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from balanced_forge.balanced import BalancedCollection, efficiency
-from balanced_forge.enumeration import enumerate_mbc
+from balanced_forge.core import to_common_denominator
+from balanced_forge.enumeration import MbcCatalog, enumerate_mbc
 from balanced_forge.games import (
+    HALF,
     CoreVerdict,
     Game,
     core_lp,
@@ -132,6 +135,7 @@ def test_core_empty_frozen_witness():
     assert not verdict.nonempty
     assert verdict.collection.to_text() == "n=3; [{1}:1, {2}:1, {3}:1]"
     assert verdict.efficiency == 102
+    assert verdict.pivots == 3
 
 
 def test_core_payment_is_always_in_core():
@@ -193,8 +197,10 @@ def test_core_mbc_matches_lp():
             via_lp = core_lp(g)
             via_cat = core_mbc(g, catalog)
             assert via_lp.nonempty == via_cat.nonempty
+            assert via_lp.pivots > 0
             if via_lp.nonempty:
                 assert via_cat.payment == via_lp.payment
+                assert via_cat.pivots == via_lp.pivots
             else:
                 for verdict in (via_lp, via_cat):
                     assert verdict_problem(g, verdict) is None, (n, seed)
@@ -237,12 +243,15 @@ def test_core_mbc_symmetric_ties_keep_first_in_catalog_order(n):
     assert checked >= 10 and ties >= 10
 
 
+def _fractional_game(seed):
+    base = random_game(4, seed)
+    return Game(4, {m: base.v[m] / (1 + (m + seed) % 7) - Fraction(1, 3) for m in range(1, 16)})
+
+
 def test_core_mbc_fractional_worths():
     catalog = enumerate_mbc(4)
     for seed in range(30):
-        base = random_game(4, seed)
-        g = Game(4, {m: base.v[m] / (1 + (m + seed) % 7) - Fraction(1, 3)
-                     for m in range(1, 16)})
+        g = _fractional_game(seed)
         via_lp = core_lp(g)
         via_cat = core_mbc(g, catalog)
         assert via_lp.nonempty == via_cat.nonempty
@@ -250,6 +259,90 @@ def test_core_mbc_fractional_worths():
             bc, top = _first_maximal(catalog, g)
             assert via_cat.collection is bc
             assert via_cat.efficiency == top == via_lp.efficiency
+
+
+def _assert_first_maximal(catalog, g):
+    """core_mbc against the reference scan; returns whether the core is empty."""
+    bc, top = _first_maximal(catalog, g)
+    verdict = core_mbc(g, catalog)
+    assert verdict.nonempty == (top <= g.v[-1])
+    if not verdict.nonempty:
+        assert verdict.collection is bc
+        assert verdict.efficiency == top
+        assert verdict.pivots == 0
+    return not verdict.nonempty
+
+
+@pytest.mark.parametrize("change", ["scaled by 2^40", "one worth Fraction(0.1)"])
+def test_core_mbc_scalar_path(change):
+    # worths too wide for 32-bit fields take the scalar loop
+    catalog = enumerate_mbc(4)
+    empty = 0
+    for seed in range(30):
+        base = _fractional_game(seed)
+        if change == "scaled by 2^40":
+            g = Game(4, {m: base.v[m] * (1 << 40) for m in range(1, 16)})
+        else:
+            g = Game(4, {m: Fraction(0.1) if m == 1 + seed % 14 else base.v[m]
+                         for m in range(1, 16)})
+        worth, _ = to_common_denominator(g.v)
+        assert max(map(abs, worth)) >= HALF
+        empty += _assert_first_maximal(catalog, g)
+        unscaled, verdict = core_mbc(base, catalog), core_mbc(g, catalog)
+        if change == "scaled by 2^40" and not verdict.nonempty:
+            assert verdict.collection is unscaled.collection
+            assert verdict.efficiency == unscaled.efficiency * (1 << 40)
+    assert empty >= 10
+
+
+def test_core_mbc_catalog_too_wide_for_packed_fields():
+    # balanced but not minimal: its numerators sum to about 2^41
+    eps = Fraction(1, 1 << 40)
+    wide = BalancedCollection(2, {1: 1 - eps, 2: 1 - eps, 3: eps})
+    g = Game(2, {1: 1, 2: 1, 3: 1})
+    verdict = core_mbc(g, MbcCatalog(2, "direct", [wide]))
+    assert verdict.collection is wide
+    assert verdict.efficiency == 2 - eps
+
+
+def test_core_mbc_ties_across_denominators_keep_first_in_catalog_order():
+    # with worths 0..4 about one draw in 250 ties its top efficiency across
+    # two denominators, with the larger one first in catalog order
+    catalog = enumerate_mbc(4)
+    found = 0
+    for seed in range(2100):
+        g = random_game(4, seed, magnitude=4)
+        v = [int(x) for x in g.v]
+        effs = [Fraction(sum(map(mul, b.numerators, map(v.__getitem__, b.coalitions))),
+                         b.denominator) for b in catalog]
+        top = max(effs)
+        tied = [b.denominator for b, e in zip(catalog, effs) if e == top]
+        if tied[0] > min(tied) and top > v[-1]:
+            assert _assert_first_maximal(catalog, g)
+            found += 1
+    assert found >= 5
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_core_mbc_negative_worths(n):
+    # every field of the packed scan falls below its bias
+    catalog = enumerate_mbc(n)
+    empty = 0
+    for seed in range(12):
+        base = random_game(n, seed)
+        g = Game(n, {m: -1 - base.v[m] for m in range(1, 1 << n)})
+        empty += _assert_first_maximal(catalog, g)
+    assert 0 < empty < 12
+
+
+def test_core_mbc_rebuilds_a_stale_index():
+    catalog = enumerate_mbc(5)
+    g = random_game(5, 3)
+    for _ in range(3):
+        verdict = core_mbc(g, catalog)
+        assert not verdict.nonempty
+        catalog.collections.remove(verdict.collection)
+        assert _assert_first_maximal(catalog, g)
 
 
 def test_core_mbc_rejects_catalog_mismatch():

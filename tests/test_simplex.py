@@ -35,6 +35,15 @@ def test_simplex_basic_feasible():
     assert res.objective == -4
 
 
+def test_simplex_counts_every_pivot():
+    A, b, c = [[1, 1, 1, 0], [1, 2, 0, 1]], [4, 6], [-1, -1, 0, 0]
+    # phase 1 pivots x, then y, in for the two artificials; phase 2 makes none
+    assert simplex_min(A, b, c).pivots == 2
+    # two pivots set up the slack basis, then x enters in place of s
+    res = simplex_min(A, b, c, basis=[2, 3])
+    assert (res.pivots, res.basis) == (3, [0, 3])
+
+
 def test_simplex_infeasible():
     # x + y = 1, x + y = 3 cannot both hold
     res = simplex_min([[1, 1], [1, 1]], [1, 3], [0, 0])
