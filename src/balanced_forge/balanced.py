@@ -24,7 +24,7 @@ from .core import (
     full_mask,
     parse_coalition,
     parse_weight,
-    split_top_level,
+    split_line,
     to_common_denominator,
 )
 from ._simplex import simplex_min, rank_of_masks
@@ -37,6 +37,8 @@ def _checked_masks(n, coalitions):
     masks = sorted(map(int, coalitions))
     if not masks:
         raise ValueError("collection must be nonempty")
+    if masks[0] == 0:
+        raise ValueError("the empty coalition {} does not belong in a collection")
     full = full_mask(n)
     for s in masks:
         if s <= 0 or s > full:
@@ -231,30 +233,17 @@ def parse_collection(text):
     """Parse `n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]`.
 
     The one parser of weighted collections, for catalog lines and
-    `mbc check`. Every malformed input raises ValueError, a coalition
-    given twice included; weights are whatever Fraction() accepts.
+    `mbc check`; split_line reads the header and body. Every malformed
+    input raises ValueError, a coalition given twice included; weights
+    are whatever Fraction() accepts.
     """
-    s = text.strip()
-    left, _, right = s.partition(";")
-    left = left.strip()
-    if not left.startswith("n="):
-        raise ValueError("collection line must start with n=: %r" % text)
-    n = int(left[2:])
-    right = right.strip()
-    if not (right.startswith("[") and right.endswith("]")):
-        raise ValueError("missing [...] body in %r" % text)
-    body = right[1:-1].strip()
-    if not body:
-        raise ValueError("empty collection in %r" % text)
+    n, items = split_line(text)
     pairs = []
-    for part in split_top_level(body):
+    for part in items:
         coal, sep, frac = part.rpartition(":")
         if not sep:
             raise ValueError("missing weight in %r" % part)
-        mask = parse_coalition(coal.strip(), n)
-        if mask == 0:
-            raise ValueError("empty coalition in %r" % text)
-        pairs.append((mask, parse_weight(frac.strip())))
+        pairs.append((parse_coalition(coal.strip(), n), parse_weight(frac.strip())))
     return BalancedCollection(n, pairs)
 
 

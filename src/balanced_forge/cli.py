@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import __version__
-from .core import format_coalition, json_number, parse_coalition, split_top_level
+from .core import format_coalition, json_number, parse_coalition, split_line
 from .counting import count_total, count_spanning, count_cumulative, count_graphs, egf_table
 from .hypergraph import parse_hypergraph, hypergraph_from_json
 from .balanced import (
@@ -95,14 +95,8 @@ def _cmd_mbc_check(args):
         n, masks = bc.n, bc.coalitions
     else:
         # weightless form n=3; [{1,2}, {1,3}]: decide balancedness here
-        head, _, body = text.partition(";")
-        if not head.replace(" ", "").startswith("n="):
-            raise ValueError("expected 'n=<players>; [...]'")
-        n = int(head.split("=", 1)[1])
-        body = body.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError("expected a bracketed coalition list")
-        masks = tuple(sorted(parse_coalition(tok, n) for tok in split_top_level(body[1:-1])))
+        n, items = split_line(text)
+        masks = tuple(sorted(parse_coalition(tok, n) for tok in items))
         weights = find_balancing_weights(n, masks)
         bc = None if weights is None else BalancedCollection(n, weights)
     balanced = bc is not None
@@ -140,11 +134,12 @@ def _cmd_hyper_count(args):
     elif args.table is not None:
         if args.degree is None or args.size is None:
             raise ValueError("--table needs --degree and --size")
-        table = egf_table(args.degree, args.size, args.table)
+        counts = egf_table(args.degree, args.size, args.table)
         if args.json:
-            print(table.to_json())
+            doc = {"k": args.degree, "p": args.size, "counts": counts}
+            print(json.dumps(doc, separators=(",", ":")))
         else:
-            sys.stdout.write(table.to_csv())
+            sys.stdout.write("n,count\n" + "".join("%d,%d\n" % nc for nc in enumerate(counts)))
         return EXIT_OK
     else:
         if args.nodes is None or args.degree is None or args.size is None:

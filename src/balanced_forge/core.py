@@ -187,3 +187,24 @@ def split_top_level(text: str) -> list:
             start = i + 1
     parts.append(text[start:])
     return parts
+
+
+def split_line(text: str, label: str = "") -> tuple:
+    """(n, items) of a one-line form `n=<k>; <label>[<items>]`.
+
+    The one reader of the header and the bracketed body, shared by the
+    weighted and weightless collection forms (label "") and the
+    hypergraph form (label "edges="). Blanks around `n`, `=`, `;` and the
+    body are free. n must be a player count; items are the body's
+    split_top_level pieces, which the caller parses by its own item rule.
+    """
+    head, _, body = text.partition(";")
+    name, eq, count = head.partition("=")
+    if not eq or name.strip() != "n":
+        raise ValueError("line must start with n=<players>;: %r" % text)
+    n = int(count)
+    check_players(n)
+    body = body.strip()
+    if not (body.startswith(label + "[") and body.endswith("]")):
+        raise ValueError("missing %s[...] in %r" % (label, text))
+    return n, split_top_level(body[len(label) + 1:-1])

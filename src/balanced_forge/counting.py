@@ -8,8 +8,6 @@ itself and are exactly the conventions the inversion identity
 
 needs, so nothing is special-cased.
 """
-import json
-
 from .core import binomial, multiset_coefficient
 
 MAX_TABLE_N = 30
@@ -44,37 +42,11 @@ def count_cumulative(n_max, k, p):
     return sum(count_spanning(n, k, p) for n in range(k, n_max + 1))
 
 
-class EgfTable:
-    """Spanning counts count_spanning(n,k,p) for n = 0..n_max."""
-
-    __slots__ = ("k", "p", "counts")
-
-    def __init__(self, k, p, counts):
-        self.k = k
-        self.p = p
-        self.counts = list(counts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EgfTable)
-            and (self.k, self.p, self.counts) == (other.k, other.p, other.counts)
-        )
-
-    def to_csv(self):
-        lines = ["n,count"]
-        lines.extend("%d,%d" % (n, c) for n, c in enumerate(self.counts))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self):
-        return json.dumps(
-            {"k": self.k, "p": self.p, "counts": self.counts}, separators=(",", ":")
-        )
-
-
 def egf_table(k, p, n_max):
+    """The spanning counts count_spanning(n, k, p) for n = 0..n_max, as a list."""
     if not 0 <= n_max <= MAX_TABLE_N:
         raise ValueError("n_max %r outside 0..%d" % (n_max, MAX_TABLE_N))
-    return EgfTable(k, p, [count_spanning(n, k, p) for n in range(n_max + 1)])
+    return [count_spanning(n, k, p) for n in range(n_max + 1)]
 
 
 def count_graphs(n):

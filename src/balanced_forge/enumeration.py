@@ -109,12 +109,6 @@ class MbcCatalog:
         """Frozen set of the coalition tuples, the route-comparison key."""
         return frozenset(b.coalitions for b in self.collections)
 
-    def __iter__(self):
-        return iter(self.collections)
-
-    def __len__(self):
-        return len(self.collections)
-
 
 def _direct_subtree(args):
     n, first = args
@@ -342,23 +336,18 @@ def save_catalog(catalog, path, fmt="text"):
 def load_catalog(path):
     """Read either catalog format back, validating every invariant.
 
-    Each collection goes through the validating constructor. A coalition
-    given twice in one collection, and a JSON collection whose coalitions
-    and weights lists differ in length, are rejected; every rejection
-    raises CatalogError naming the collection.
+    Each collection goes through the validating constructor. The loaders
+    check the file rules (header, count, canonical order), and MbcCatalog
+    checks player counts and duplicates. A coalition given twice in one
+    collection, and a JSON collection whose coalitions and weights lists
+    differ in length, are rejected; every rejection raises CatalogError
+    naming the collection.
     """
     with open(path) as fh:
         data = fh.read()
     if data.lstrip().startswith("{"):
         return _load_catalog_json(data)
     return _load_catalog_text(data)
-
-
-def _parse_collection_line(line, n):
-    bc = parse_collection(line)
-    if bc.n != n:
-        raise CatalogError("collection on %d players in an n=%d catalog" % (bc.n, n))
-    return bc
 
 
 def _load_catalog_text(data):
@@ -392,7 +381,7 @@ def _load_catalog_text(data):
                     tool = val
             continue
         try:
-            body.append(_parse_collection_line(ln, n))
+            body.append(parse_collection(ln))
         except ValueError as exc:
             raise CatalogError("collection %d: %s" % (len(body) + 1, exc)) from None
     return _checked_catalog(n, method, count, body, generated, tool)

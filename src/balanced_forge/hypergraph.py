@@ -8,14 +8,14 @@ hypergraphs must check is_proper themselves.
 
 Minimal uniformity is decided in one place, minimally_uniform_on, on
 bitmasks: is_minimally_uniform and the blocks of decomposition both
-call it. subhypergraph builds the induced object of the definition and
-is the reference the tests compare the predicate against.
+call it. The tests compare it against the definition, which builds each
+induced subhypergraph with its nodes relabeled.
 """
 import json
 from collections import Counter
 from itertools import product
 
-from .core import check_players, full_mask, format_coalition, parse_coalition, split_top_level
+from .core import check_players, full_mask, format_coalition, parse_coalition, split_line
 
 
 class Hypergraph:
@@ -100,29 +100,6 @@ class Hypergraph:
             stars.append(star)
         return Hypergraph(len(self.edges), stars)
 
-    def subhypergraph(self, nodes):
-        """Induced subhypergraph on a nonempty node subset.
-
-        Every edge is intersected with the subset and kept even when the
-        intersection is empty, so the size is preserved. Nodes are
-        relabeled to 1..|A| in ascending order; returns (hypergraph,
-        mapping) with mapping[old_id] = new_id.
-        """
-        ids = sorted(set(nodes))
-        if not ids:
-            raise ValueError("node subset must be nonempty")
-        if ids[0] < 1 or ids[-1] > self.n:
-            raise ValueError("node subset %r not within 1..%d" % (ids, self.n))
-        mapping = {x: i + 1 for i, x in enumerate(ids)}
-        out = []
-        for e in self.edges:
-            sub = 0
-            for x in ids:
-                if e >> (x - 1) & 1:
-                    sub |= 1 << (mapping[x] - 1)
-            out.append(sub)
-        return Hypergraph(len(ids), out), mapping
-
     def canonicalize(self):
         return Hypergraph(self.n, sorted(self.edges))
 
@@ -140,18 +117,9 @@ class Hypergraph:
 
 
 def parse_hypergraph(text):
-    """Parse the one-line text form `n=7; edges=[{1,2},{3}]`."""
-    s = text.strip()
-    left, _, right = s.partition(";")
-    left = left.strip()
-    if not left.startswith("n="):
-        raise ValueError("hypergraph line must start with n=: %r" % text)
-    n = int(left[2:])
-    right = right.strip()
-    if not right.startswith("edges=[") or not right.endswith("]"):
-        raise ValueError("missing edges=[...] in %r" % text)
-    body = right[len("edges=["):-1]
-    return Hypergraph(n, [parse_coalition(p, n) for p in split_top_level(body)])
+    """Parse the one-line text form `n=7; edges=[{1,2},{3}]`; `{}` edges are kept."""
+    n, items = split_line(text, "edges=")
+    return Hypergraph(n, [parse_coalition(p, n) for p in items])
 
 
 def hypergraph_from_json(text):

@@ -58,7 +58,7 @@ def test_criterion_02_direct_equals_bruteforce():
         direct = _direct(n)
         oracle = enumerate_mbc_oracle(n)
         assert direct.coalition_sets() == oracle.coalition_sets(), n
-        for a, b in zip(direct, oracle):
+        for a, b in zip(direct.collections, oracle.collections):
             assert a.weights == b.weights, (n, a.coalitions)
     _report(2, "direct route = brute force", "n=2..5 canonical set equality")
 

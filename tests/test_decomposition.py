@@ -10,6 +10,7 @@ from balanced_forge.decomposition import (
     decompose_all,
 )
 from balanced_forge.hypergraph import Hypergraph, is_minimally_uniform
+from test_hypergraph import subhypergraph
 
 TRIANGLE = Hypergraph(3, [0b011, 0b101, 0b110])
 FIG3 = Hypergraph(7, [0b0001111, 0b1110001, 0b0111100, 0b1101100])
@@ -192,6 +193,6 @@ def test_every_uniform_case_decomposes():
                     part = decompose(h)
                     for b, d in zip(part.blocks, part.degrees):
                         nodes = [x + 1 for x in range(n) if b >> x & 1]
-                        sub, _ = h.subhypergraph(nodes)
+                        sub, _ = subhypergraph(h, nodes)
                         assert is_minimally_uniform(sub)
                         assert sub.uniformity() == d

@@ -184,27 +184,14 @@ def test_kernel_output_revalidates_at_n6():
         assert is_minimal_balanced(6, b.coalitions)
 
 
-def test_direct_counts_match_known_table():
-    for n in range(2, 6):
-        assert enumerate_mbc(n).count == TABLE1[n]
-
-
-def test_direct_agrees_with_oracle():
-    for n in range(2, 5):
-        direct = enumerate_mbc(n)
-        oracle = enumerate_mbc_oracle(n)
-        assert direct.coalition_sets() == oracle.coalition_sets()
-        for a, b in zip(direct, oracle):
-            assert a.weights == b.weights
-
-
 def test_oracle_range():
     with pytest.raises(ValueError):
         enumerate_mbc_oracle(6)
 
 
 def test_duality_agrees_with_direct():
-    for n in range(2, 5):
+    # the default kmax = MAX_DET[n]; mbc_via_duality rejects no cover for n <= 5
+    for n in range(2, 6):
         dual = mbc_via_duality(n)
         assert dual.coalition_sets() == enumerate_mbc(n).coalition_sets()
         diag = dual.diagnostics
@@ -220,16 +207,15 @@ def test_duality_rejects_non_minimal_covers_at_n6():
     assert mbc_via_duality(6, kmax=2).diagnostics["rejected"] == 150
 
 
-def test_duality_rejection_counts_at_n6_k3_k4(speedups, monkeypatch):
+def test_duality_rejection_counts_at_n6_k3_k4(speedups, catalog6, monkeypatch):
     # the compiled covers at k = 3 (61,927) and k = 4 (63,886) take a few
     # seconds; rejection counts are cumulative over k, and every collection
     # kept is one the direct route finds
     monkeypatch.setattr(enumeration, "cover_search", speedups.cover_search)
-    monkeypatch.setattr(enumeration, "direct_search", speedups.direct_search)
     assert mbc_via_duality(6, kmax=3).diagnostics["rejected"] == 5670
     dual = mbc_via_duality(6, kmax=4)
     assert (dual.count, dual.diagnostics["rejected"]) == (127938, 8370)
-    assert dual.coalition_sets() <= enumerate_mbc(6, threads=1).coalition_sets()
+    assert dual.coalition_sets() <= catalog6.coalition_sets()
 
 
 def test_threads_must_be_positive(monkeypatch):
@@ -274,14 +260,16 @@ def test_partial_kmax_misses_collections():
     assert mbc_via_duality(3).count == 6
 
 
-def test_parallel_split_is_deterministic(speedups, monkeypatch):
-    # the pure n=6 search takes minutes; forked workers inherit the patch
+def test_parallel_split_is_deterministic(speedups, catalog6, monkeypatch):
+    # the pure n=6 search takes minutes; forked workers inherit the patch.
+    # catalog6 is the one-process search, built as enumerate_mbc builds it
     monkeypatch.setattr(enumeration, "direct_search", speedups.direct_search)
-    serial = enumerate_mbc(6, threads=1)
     parallel = enumerate_mbc(6, threads=2)
-    assert serial.count == TABLE1[6]
-    assert serial.coalition_sets() == parallel.coalition_sets()
-    assert [b.coalitions for b in serial] == [b.coalitions for b in parallel]
+    assert catalog6.count == TABLE1[6]
+    assert catalog6.coalition_sets() == parallel.coalition_sets()
+    assert [b.coalitions for b in catalog6.collections] == [
+        b.coalitions for b in parallel.collections
+    ]
 
 
 def test_pure_kernel_override():
@@ -380,16 +368,22 @@ def direct6(speedups):
     return speedups.direct_search(6)
 
 
+@pytest.fixture(scope="module")
+def catalog6(direct6):
+    """The n = 6 catalog of the compiled search, as enumerate_mbc(6, threads=1) builds it."""
+    cols = [BalancedCollection._trusted(6, masks, nums, den) for masks, nums, den in direct6]
+    return MbcCatalog(6, "direct", cols)
+
+
 def test_compiled_n6_output_is_pinned(direct6):
     assert len(direct6) == TABLE1[6]
     assert hashlib.sha256(repr(direct6).encode()).hexdigest() == DIRECT6_SHA256
 
 
-def test_sharpbs_lp_equals_catalog_at_n6(direct6):
+def test_sharpbs_lp_equals_catalog_at_n6(catalog6):
     # 40 seeded games and 10 raised ones; core_mbc's packed scan costs
     # about 64 ms per game at n = 6, and building its index about 0.8 s
-    cols = [BalancedCollection._trusted(6, masks, nums, den) for masks, nums, den in direct6]
-    checks = sharpbs_catalog(MbcCatalog(6, "direct", cols), 40)
+    checks = sharpbs_catalog(catalog6, 40)
     assert [name for name, _, _ in checks] == [
         "sharpbs n=6 agreement",
         "sharpbs n=6 certificates",
@@ -449,13 +443,13 @@ def test_catalog_rejects_bad_method():
 
 
 def test_catalog_rejects_wrong_player_count():
-    cols = list(enumerate_mbc(2))
+    cols = enumerate_mbc(2).collections
     with pytest.raises(ValueError):
         MbcCatalog(3, "direct", cols)
 
 
 def test_catalog_rejects_duplicates():
-    cols = list(enumerate_mbc(2))
+    cols = enumerate_mbc(2).collections
     with pytest.raises(ValueError):
         MbcCatalog(2, "direct", cols + [cols[0]])
 
@@ -638,7 +632,8 @@ def test_load_rejects_disorder(tmp_path):
 def test_load_rejects_foreign_players(tmp_path):
     path = tmp_path / "bad"
     path.write_text("mbc-catalog v1 n=2 method=direct count=1\nn=3; [{1,2,3}:1]\n")
-    with pytest.raises(CatalogError):
+    # MbcCatalog checks the player count; the loader only reads the line
+    with pytest.raises(CatalogError, match=re.escape("n=3; [{1,2,3}:1] does not live on 2 players")):
         load_catalog(path)
 
 

@@ -209,7 +209,7 @@ def test_core_mbc_matches_lp():
 def _first_maximal(catalog, game):
     """Reference scan in Fraction arithmetic: the first largest efficiency."""
     best = None
-    for bc in catalog:
+    for bc in catalog.collections:
         e = efficiency(bc, game)
         if best is None or e > best[1]:
             best = (bc, e)
@@ -238,7 +238,7 @@ def test_core_mbc_symmetric_ties_keep_first_in_catalog_order(n):
             continue
         assert verdict.collection is bc
         assert verdict.efficiency == top
-        ties += sum(1 for other in catalog if efficiency(other, g) == top) > 1
+        ties += sum(1 for other in catalog.collections if efficiency(other, g) == top) > 1
         checked += 1
     assert checked >= 10 and ties >= 10
 
@@ -314,9 +314,9 @@ def test_core_mbc_ties_across_denominators_keep_first_in_catalog_order():
         g = random_game(4, seed, magnitude=4)
         v = [int(x) for x in g.v]
         effs = [Fraction(sum(map(mul, b.numerators, map(v.__getitem__, b.coalitions))),
-                         b.denominator) for b in catalog]
+                         b.denominator) for b in catalog.collections]
         top = max(effs)
-        tied = [b.denominator for b, e in zip(catalog, effs) if e == top]
+        tied = [b.denominator for b, e in zip(catalog.collections, effs) if e == top]
         if tied[0] > min(tied) and top > v[-1]:
             assert _assert_first_maximal(catalog, g)
             found += 1

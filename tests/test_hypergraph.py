@@ -16,6 +16,30 @@ TRIANGLE = Hypergraph(3, [0b011, 0b101, 0b110])
 FIG3 = Hypergraph(7, [0b0001111, 0b1110001, 0b0111100, 0b1101100])
 
 
+def subhypergraph(h, nodes):
+    """The induced subhypergraph of the definition, on a nonempty node subset.
+
+    Every edge is intersected with the subset and kept even when the
+    intersection is empty, so the size is preserved. Nodes are relabeled
+    to 1..|A| in ascending order; returns (hypergraph, mapping) with
+    mapping[old_id] = new_id.
+    """
+    ids = sorted(set(nodes))
+    if not ids:
+        raise ValueError("node subset must be nonempty")
+    if ids[0] < 1 or ids[-1] > h.n:
+        raise ValueError("node subset %r not within 1..%d" % (ids, h.n))
+    mapping = {x: i + 1 for i, x in enumerate(ids)}
+    out = []
+    for e in h.edges:
+        sub = 0
+        for x in ids:
+            if e >> (x - 1) & 1:
+                sub |= 1 << (mapping[x] - 1)
+        out.append(sub)
+    return Hypergraph(len(ids), out), mapping
+
+
 def test_construction_and_validation():
     h = Hypergraph(2, [3, 3, 3])
     assert h.n == 2
@@ -91,29 +115,29 @@ def test_dual_involution_small():
 
 
 def test_subhypergraph_keeps_empty_intersections():
-    sub, mapping = FIG3.subhypergraph([2, 6])
+    sub, mapping = subhypergraph(FIG3, [2, 6])
     assert sub.n == 2
     assert sub.edges == (0b01, 0b10, 0b10, 0b10)
     assert mapping == {2: 1, 6: 2}
-    sub, mapping = FIG3.subhypergraph([1, 3, 6])
+    sub, mapping = subhypergraph(FIG3, [1, 3, 6])
     assert sub.edges == (0b011, 0b101, 0b110, 0b110)
-    full, mapping = TRIANGLE.subhypergraph([1, 2, 3])
+    full, mapping = subhypergraph(TRIANGLE, [1, 2, 3])
     assert full == TRIANGLE
     assert mapping == {1: 1, 2: 2, 3: 3}
-    sub, _ = Hypergraph(3, [3, 5]).subhypergraph([3])
+    sub, _ = subhypergraph(Hypergraph(3, [3, 5]), [3])
     assert sub.edges == (0, 1)
     with pytest.raises(ValueError):
-        FIG3.subhypergraph([])
+        subhypergraph(FIG3, [])
     with pytest.raises(ValueError):
-        FIG3.subhypergraph([8])
+        subhypergraph(FIG3, [8])
 
 
 def test_is_minimally_uniform():
     assert is_minimally_uniform(TRIANGLE)
     assert not is_minimally_uniform(Hypergraph(2, [3, 3, 3]))
-    block, _ = FIG3.subhypergraph([2, 6])
+    block, _ = subhypergraph(FIG3, [2, 6])
     assert is_minimally_uniform(block)
-    block, _ = FIG3.subhypergraph([1, 3, 6])
+    block, _ = subhypergraph(FIG3, [1, 3, 6])
     assert is_minimally_uniform(block)
     assert not is_minimally_uniform(Hypergraph(2, [1, 3]))
 
@@ -124,7 +148,7 @@ def test_is_minimally_uniform_matches_the_definition():
     for n in range(1, 5):
         for h in enumerate_proper(n, 4):
             literal = all(
-                (h.subhypergraph([x + 1 for x in range(n) if a >> x & 1])[0].uniformity()
+                (subhypergraph(h, [x + 1 for x in range(n) if a >> x & 1])[0].uniformity()
                  is not None) == (a == (1 << n) - 1)
                 for a in range(1, 1 << n)
             )
@@ -134,7 +158,7 @@ def test_is_minimally_uniform_matches_the_definition():
 def test_is_minimally_regular():
     assert is_minimally_regular(TRIANGLE)
     assert not is_minimally_regular(Hypergraph(1, [1, 1]))
-    block, _ = FIG3.subhypergraph([1, 3, 6])
+    block, _ = subhypergraph(FIG3, [1, 3, 6])
     assert is_minimally_regular(block.dual())
     assert not is_minimally_regular(Hypergraph(2, [1, 3]))
 
