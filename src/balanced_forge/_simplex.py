@@ -2,7 +2,10 @@
 
 The tableau holds Python ints only (fraction-free pivoting: Edmonds 1967,
 Bareiss 1968). Each input row of A|b, and the cost vector, is first scaled
-to integers by the lcm of its denominators. The integer tableau M then
+to integers by the lcm of its denominators; a row of plain ints is taken
+as it is, with scale 1, so callers with integer data (core_lp on an
+integral game, the balancedness LP) pay no conversion per entry. The
+integer tableau M then
 stands for the rational tableau T = M / d, with one common denominator
 d > 0 shared by every row, the reduced-cost row included.
 

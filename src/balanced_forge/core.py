@@ -26,15 +26,25 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+_INT = {int}
+_EXACT = {int, Fraction}
+
+
 def to_common_denominator(values):
     """(numerators, d): the rationals as ints over their least common denominator.
 
-    Each value is numerators[i] / d exactly; d >= 1. Values may be ints,
-    Fractions, or anything Fraction() accepts.
+    Each value is numerators[i] / d exactly; d >= 1. values is a sequence
+    of ints, Fractions, or anything Fraction() accepts. A list of plain
+    ints comes back as a fresh list with d = 1 after one look at the set
+    of types, so integer LP rows are rescaled almost for free.
     """
-    ratios = [
-        (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values
-    ]
+    kinds = set(map(type, values))
+    if kinds == _INT:
+        return list(values), 1
+    if kinds <= _EXACT:
+        ratios = [v.as_integer_ratio() for v in values]
+    else:
+        ratios = [Fraction(v).as_integer_ratio() for v in values]
     d = lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
 
@@ -138,13 +148,27 @@ def json_number(f):
     return int(f) if f.denominator == 1 else str(f)
 
 
+def check_json_object(obj, what, keys) -> None:
+    """Raise ValueError unless obj, parsed from a `what` JSON document, is
+    an object holding every key; the message names the first key missing."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s JSON must be an object, got %r" % (what, obj))
+    for key in keys:
+        if key not in obj:
+            raise ValueError("%s JSON has no %r key" % (what, key))
+
+
 def parse_weight(value) -> Fraction:
     """Fraction(value), with every malformed value raising ValueError.
 
     Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
-    None. Catalogs repeat a few dozen weight texts, so the last 4096
-    distinct values used are kept converted.
+    None, and takes a bool (a JSON true or false) as 1 or 0; a bool is
+    rejected here, before the cache, where True and 1 share a key.
+    Catalogs repeat a few dozen weight texts, so the last 4096 distinct
+    values used are kept converted.
     """
+    if isinstance(value, bool):
+        raise ValueError("bad weight %r: a boolean is not a number" % (value,))
     try:
         return _parse_weight(value)
     except ZeroDivisionError:

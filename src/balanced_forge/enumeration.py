@@ -18,6 +18,7 @@ from math import isqrt
 
 from . import __version__
 from .core import (
+    check_json_object,
     check_players,
     coalitions_of,
     format_coalition,
@@ -408,11 +409,12 @@ def _load_catalog_json(data):
         raise CatalogError("not a catalog document")
     if obj.get("version") != 1:
         raise CatalogError("unsupported catalog version %r" % obj.get("version"))
-    n = obj["n"]
     try:
-        check_players(n)
+        check_json_object(obj, "catalog", ("n", "method", "count", "collections"))
+        check_players(obj["n"])
     except ValueError as exc:
         raise CatalogError(str(exc))
+    n = obj["n"]
     items = obj["collections"]
     if not isinstance(items, list):
         raise CatalogError("collections must be a list")

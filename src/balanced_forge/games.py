@@ -11,9 +11,11 @@ import json
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .core import (
+    check_json_object,
     check_players,
     format_coalition,
     full_mask,
@@ -95,8 +97,7 @@ class Game:
 
 def game_from_json(text):
     obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("game JSON must be an object, got %r" % (obj,))
+    check_json_object(obj, "game", ("n", "v"))
     n = obj["n"]
     check_players(n)
     worths = obj["v"]
@@ -164,6 +165,12 @@ def core_lp(game):
     share of the surplus v(N) - z* per player lies in the core. When
     z* > v(N) the optimal dual vertex is a maximally violating minimal
     balanced collection; both certificates fall out of one solve.
+
+    The dual's 0/1 rows are built once per n. The worths are read once
+    through to_common_denominator: an integral game hands simplex_min and
+    solve_square plain ints, any other game its Fractions, so the LP
+    rescales nothing and pivots as before. The violating collection's
+    weights are read from the basis alone, the other entries of x being 0.
     """
     n = game.n
     if n > 12:
@@ -171,26 +178,37 @@ def core_lp(game):
     vN = game.v[full_mask(n)]
     if n == 1:
         return CoreVerdict(True, payment=(vN,))
-    proper = list(range(1, full_mask(n)))
-    # dual of the payment LP: max sum v(S) y_S over balanced weights y
-    a_rows = [[1 if s >> i & 1 else 0 for s in proper] for i in range(n)]
-    b_vec = [1] * n
-    cost = [-game.v[s] for s in proper]
+    rows, members = _dual_incidence(n)
+    worth, den = to_common_denominator(game.v)
+    if den != 1:
+        worth = game.v
+    # dual of the payment LP: max sum v(S) y_S over balanced weights y,
+    # column j standing for coalition j + 1
+    cost = [-v for v in worth[1:-1]]
     singleton_basis = [(1 << i) - 1 for i in range(n)]
-    res = simplex_min(a_rows, b_vec, cost, basis=singleton_basis)
+    res = simplex_min(rows, [1] * n, cost, basis=singleton_basis)
     if res.status != "optimal":
         raise RuntimeError("dual core LP failed: %s" % res.status)
     zstar = -res.objective
     if zstar > vN:
-        weights = {proper[j]: res.x[j] for j in range(len(proper)) if res.x[j] > 0}
+        weights = [(j + 1, res.x[j]) for j in res.basis if res.x[j] > 0]
         bc = BalancedCollection(n, weights)
         return CoreVerdict(False, collection=bc, eff=zstar, pivots=res.pivots)
-    rows = [[1 if proper[j] >> i & 1 else 0 for i in range(n)] for j in res.basis]
-    rhs = [game.v[proper[j]] for j in res.basis]
-    x = solve_square(rows, rhs)
+    x = solve_square([members[j] for j in res.basis], [worth[j + 1] for j in res.basis])
     surplus = (vN - zstar) / n
     payment = tuple(xi + surplus for xi in x)
     return CoreVerdict(True, payment=payment, pivots=res.pivots)
+
+
+@lru_cache(maxsize=None)
+def _dual_incidence(n):
+    """(rows, members) of core_lp's dual at n players, over the proper
+    coalitions 1..2^n - 2: rows[i] is player i's 0/1 row, members[j] the
+    0/1 vector of coalition j + 1. Kept for each n = 2..12 once built."""
+    proper = range(1, full_mask(n))
+    rows = tuple(tuple(s >> i & 1 for s in proper) for i in range(n))
+    members = tuple(tuple(s >> i & 1 for i in range(n)) for s in proper)
+    return rows, members
 
 
 def core_mbc(game, catalog):

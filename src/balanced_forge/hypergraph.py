@@ -15,7 +15,14 @@ import json
 from collections import Counter
 from itertools import product
 
-from .core import check_players, full_mask, format_coalition, parse_coalition, split_line
+from .core import (
+    check_json_object,
+    check_players,
+    format_coalition,
+    full_mask,
+    parse_coalition,
+    split_line,
+)
 
 
 class Hypergraph:
@@ -125,8 +132,7 @@ def parse_hypergraph(text):
 def hypergraph_from_json(text):
     """Parse `{"n": 3, "edges": [[1, 2], [3]]}`: a list of lists of node ids."""
     obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("hypergraph JSON must be an object, got %r" % (obj,))
+    check_json_object(obj, "hypergraph", ("n", "edges"))
     n = obj["n"]
     check_players(n)
     lists = obj["edges"]

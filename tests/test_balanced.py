@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from balanced_forge.balanced import (
     from_regular_hypergraph,
     efficiency,
 )
+from balanced_forge.enumeration import enumerate_mbc
 from balanced_forge.hypergraph import Hypergraph
 from balanced_forge.games import Game
 from test_hypergraph import subhypergraph
@@ -202,3 +204,14 @@ def test_efficiency():
     add = Game(3, {m: sum(w[i] for i in range(3) if m >> i & 1) for m in range(1, 8)})
     part = BalancedCollection(3, {1: F(1), 6: F(1)})
     assert efficiency(part, add) == 8
+    # against sum(weight * worth) in Fractions, on integral, fractional
+    # and negative worths
+    rng = random.Random(4)
+    catalog = enumerate_mbc(4).collections
+    for trial in range(30):
+        den = 1 if trial % 3 == 0 else rng.randint(2, 40)
+        g = Game(4, {m: F(rng.randint(-60, 60), den) for m in range(1, 16)})
+        for bc in catalog:
+            want = sum(bc.weights[s] * g.v[s] for s in bc.coalitions)
+            got = efficiency(bc, g)
+            assert got == want and type(got) is F

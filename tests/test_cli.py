@@ -405,6 +405,11 @@ BAD_CATALOGS = {
         {"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct", "count": 1,
          "collections": [{"coalitions": [3], "weights": ["1"]}]}
     ),
+    # Fraction(True) is 1, which would make this a valid catalog
+    "boolean weight": json.dumps(
+        {"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct", "count": 1,
+         "collections": [{"coalitions": ["{1,2}"], "weights": [True]}]}
+    ),
 }
 
 
@@ -439,6 +444,7 @@ BAD_GAMES = {
     "v not an object": '{"n": 3, "v": []}',
     "null worth": '{"n": 1, "v": {"{1}": null}}',
     "list worth": '{"n": 1, "v": {"{1}": [1]}}',
+    "boolean worth": '{"n": 1, "v": {"{1}": true}}',
 }
 
 
@@ -449,6 +455,31 @@ def test_game_core_rejects_malformed_game(tmp_path, capsys, case):
     rc, out, err = run(capsys, "game", "core", "--game", str(path))
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+MISSING_KEYS = {
+    "game": ("game core --game", {"n": 2}, "v"),
+    "catalog": (
+        "game core --game GAME --catalog",
+        {"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct",
+         "collections": [{"coalitions": ["{1,2}"], "weights": ["1"]}]},
+        "count",
+    ),
+    "hypergraph": ("hyper dual --in", {"n": 2}, "edges"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISSING_KEYS))
+def test_missing_json_key_is_named(tmp_path, capsys, kind):
+    command, doc, key = MISSING_KEYS[kind]
+    gpath = str(tmp_path / "g.json")
+    run(capsys, "game", "random", "--players", "2", "--seed", "1", "--out", gpath)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = command.replace("GAME", gpath).split() + [str(path)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s JSON has no %r key\n" % (kind, key)
 
 
 def test_missing_file_is_usage_error(capsys):

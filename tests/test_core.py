@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -91,6 +93,11 @@ def test_parse_weight():
     assert parse_weight(3) == 3
     with pytest.raises(ValueError, match="zero denominator"):
         parse_weight("1/0")
+    # True and 1 share a cache key, so the bool is turned away first
+    assert parse_weight(1) == 1 and parse_weight(0) == 0
+    for value in (True, False):
+        with pytest.raises(ValueError, match="boolean"):
+            parse_weight(value)
     for value in ("x", "", None, [1], float("inf"), float("nan")):
         with pytest.raises(ValueError):
             parse_weight(value)
@@ -137,3 +144,29 @@ def test_to_common_denominator():
     assert to_common_denominator([1, Fraction(1, 2), "2/3", -Fraction(3, 4)]) == ([12, 6, 8, -9], 12)
     assert to_common_denominator([0, 5]) == ([0, 5], 1)
     assert to_common_denominator([]) == ([], 1)
+    # a list of ints comes back equal, as a new list
+    values = [3, -1, 0, 7]
+    nums, den = to_common_denominator(values)
+    assert (nums, den) == (values, 1) and nums is not values
+
+
+def test_to_common_denominator_matches_the_per_value_reference():
+    """Every list against Fraction(v).as_integer_ratio() over the lcm."""
+    rng = random.Random(1013)
+    makers = (
+        lambda: rng.randint(-50, 50),
+        lambda: rng.random() < 0.5,
+        lambda: -Fraction(rng.randint(0, 40), rng.randint(1, 12)),
+        lambda: "%d/%d" % (rng.randint(-30, 30), rng.randint(1, 9)),
+        lambda: rng.randint(-64, 64) / 8,
+        lambda: rng.random(),
+    )
+    for trial in range(600):
+        # one list in three holds ints only
+        kinds = makers[:1] if trial % 3 == 0 else rng.sample(makers, rng.randint(1, 6))
+        values = [rng.choice(kinds)() for _ in range(rng.randint(0, 12))]
+        ratios = [Fraction(v).as_integer_ratio() for v in values]
+        d = lcm(*[q for _, q in ratios])
+        nums, den = to_common_denominator(values)
+        assert (nums, den) == ([p * (d // q) for p, q in ratios], d), values
+        assert all(type(p) is int for p in nums), values

@@ -3,6 +3,8 @@ from operator import mul
 
 import pytest
 
+from balanced_forge import games
+from balanced_forge._simplex import simplex_min, solve_square
 from balanced_forge.balanced import BalancedCollection, efficiency
 from balanced_forge.core import to_common_denominator
 from balanced_forge.enumeration import MbcCatalog, enumerate_mbc
@@ -183,6 +185,41 @@ def test_verdict_problem_rejects_bad_certificates(case, message):
     assert verdict_problem(game, verdict) == message
 
 
+def test_core_lp_hands_the_lp_only_ints_for_integral_games(monkeypatch):
+    """An integral game reaches simplex_min and solve_square as plain ints."""
+    entries = []
+    calls = {"lp": 0, "square": 0}
+
+    def record_lp(A, b, c, basis=None):
+        calls["lp"] += 1
+        entries.extend(v for row in A for v in row)
+        entries.extend(b)
+        entries.extend(c)
+        return simplex_min(A, b, c, basis)
+
+    def record_square(M, rhs):
+        calls["square"] += 1
+        entries.extend(v for row in M for v in row)
+        entries.extend(rhs)
+        return solve_square(M, rhs)
+
+    monkeypatch.setattr(games, "simplex_min", record_lp)
+    monkeypatch.setattr(games, "solve_square", record_square)
+    for n in range(3, 7):
+        for seed in range(6):
+            g = random_game(n, seed)
+            if seed % 2:
+                # v(N) = n * 100 gives a nonempty core, so solve_square runs
+                worths = {m: g.v[m] for m in range(1, 1 << n)}
+                worths[(1 << n) - 1] = n * 100
+                g = Game(n, worths)
+            verdict = core_lp(g)
+            assert verdict.nonempty == bool(seed % 2), (n, seed)
+            assert verdict_problem(g, verdict) is None, (n, seed)
+    assert calls == {"lp": 24, "square": 12}
+    assert {type(v) for v in entries} == {int}
+
+
 def test_core_lp_cap():
     g = Game(13, {m: 0 for m in range(1, 1 << 13)})
     with pytest.raises(ValueError):
@@ -207,7 +244,7 @@ def test_core_mbc_matches_lp():
 
 
 def _first_maximal(catalog, game):
-    """Reference scan in Fraction arithmetic: the first largest efficiency."""
+    """Reference scan, one efficiency() at a time: the first largest efficiency."""
     best = None
     for bc in catalog.collections:
         e = efficiency(bc, game)
