@@ -1,16 +1,15 @@
 """Exact-arithmetic toolkit for minimal balanced collections, TU-game core
 tests, and uniform/regular hypergraph combinatorics.
 
-Coalitions are plain ints: bit i-1 set means player i belongs. Worths are
-Fractions, weights integer numerators over one denominator; no floating
-point enters any decision.
+Coalitions are plain ints: bit i-1 set means player i belongs. A game's
+worths and a collection's weights are each integer numerators over one
+denominator; no floating point enters any decision.
 """
 
 __version__ = "0.1.0"
 
 from .core import (
     binomial,
-    rising_factorial,
     multiset_coefficient,
     coalitions_of,
     parse_coalition,

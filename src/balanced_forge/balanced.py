@@ -264,12 +264,11 @@ def from_regular_hypergraph(h):
 def efficiency(b, game):
     """Weighted sum of worths, sum(lambda(S) * v(S)), as one Fraction.
 
-    game is anything with a worth(mask) method over the same players. The
-    member worths are scaled to ints V(S) = D * v(S) by their common
-    denominator D, so the sum runs in ints and one Fraction is built:
+    The sum runs in the game's int worths V over its denominator D and
+    the collection's numerators, and one Fraction is built:
     sum(num(S) * V(S)) / (denominator * D).
     """
-    if getattr(game, "n", b.n) != b.n:
+    if game.n != b.n:
         raise ValueError("collection on %d players, game on %d" % (b.n, game.n))
-    worths, d = to_common_denominator(list(map(game.worth, b.coalitions)))
-    return Fraction(sum(map(mul, b.numerators, worths)), b.denominator * d)
+    worths = map(game.worths.__getitem__, b.coalitions)
+    return Fraction(sum(map(mul, b.numerators, worths)), b.denominator * game.den)

@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import __version__
-from .core import format_coalition, json_number, parse_coalition, split_line
+from .core import format_coalition, full_mask, json_number, parse_coalition, split_line
 from .counting import count_total, count_spanning, count_cumulative, count_graphs, egf_table
 from .hypergraph import parse_hypergraph, hypergraph_from_json
 from .balanced import (
@@ -56,6 +56,9 @@ def _load_hypergraph(path):
 
 def _cmd_mbc_enum(args):
     n = args.players
+    for option, value, method in (("--k-max", args.k_max, "duality"), ("--threads", args.threads, "direct")):
+        if value is not None and args.method != method:
+            raise ValueError("%s applies only to --method %s" % (option, method))
     if args.method == "direct":
         catalog = enumerate_mbc(n, threads=args.threads)
     elif args.method == "oracle":
@@ -218,40 +221,25 @@ def _cmd_hyper_decompose(args):
 
 def _cmd_game_core(args):
     g = game_from_json(_read(args.game))
-    if args.catalog:
-        catalog = load_catalog(args.catalog)
-        verdict = core_mbc(g, catalog)
-    else:
-        verdict = core_lp(g)
+    verdict = core_mbc(g, load_catalog(args.catalog)) if args.catalog else core_lp(g)
+    ok = verdict.nonempty
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "nonempty": verdict.nonempty,
-                    "payment": [json_number(x) for x in verdict.payment]
-                    if verdict.nonempty
-                    else None,
-                    "collection": None
-                    if verdict.nonempty
-                    else verdict.collection.to_text(),
-                    "efficiency": None
-                    if verdict.nonempty
-                    else json_number(verdict.efficiency),
-                    "pivots": verdict.pivots,
-                }
-            )
-        )
-    elif verdict.nonempty:
+        doc = {
+            "nonempty": ok,
+            "payment": [json_number(x) for x in verdict.payment] if ok else None,
+            "collection": None if ok else verdict.collection.to_text(),
+            "efficiency": None if ok else json_number(verdict.efficiency),
+            "pivots": verdict.pivots,
+        }
+        print(json.dumps(doc))
+    elif ok:
         print("core: nonempty")
         print("x = (%s)" % ", ".join(str(x) for x in verdict.payment))
     else:
         print("core: empty")
         print("collection: %s" % verdict.collection.to_text())
-        print(
-            "efficiency: %s > v(N) = %s"
-            % (verdict.efficiency, g.worth((1 << g.n) - 1))
-        )
-    return EXIT_OK if verdict.nonempty else EXIT_NEGATIVE
+        print("efficiency: %s > v(N) = %s" % (verdict.efficiency, g.v[full_mask(g.n)]))
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_game_random(args):
@@ -348,10 +336,11 @@ def _build_parser():
     hc.add_argument("--nodes", type=int)
     hc.add_argument("--degree", type=int, help="edge cardinality k")
     hc.add_argument("--size", type=int, help="edge count p")
-    hc.add_argument("--cumulative", action="store_true", help="spanning counts summed over node counts up to --nodes")
-    hc.add_argument("--total", action="store_true", help="spanning not required")
-    hc.add_argument("--graphs", action="store_true", help="simple graphs on --nodes labeled nodes")
-    hc.add_argument("--table", type=int, metavar="N_MAX", help="CSV table of spanning counts for n=0..N_MAX")
+    mode = hc.add_mutually_exclusive_group()
+    mode.add_argument("--cumulative", action="store_true", help="spanning counts summed over node counts up to --nodes")
+    mode.add_argument("--total", action="store_true", help="spanning not required")
+    mode.add_argument("--graphs", action="store_true", help="simple graphs on --nodes labeled nodes")
+    mode.add_argument("--table", type=int, metavar="N_MAX", help="CSV table of spanning counts for n=0..N_MAX")
     hc.add_argument("--json", action="store_true")
     hc.set_defaults(func=_cmd_hyper_count)
 

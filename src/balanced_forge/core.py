@@ -2,9 +2,9 @@
 
 A coalition over players 1..n is an int bitmask with bit i-1 standing for
 player i, so the canonical order of coalitions is plain numeric order and
-player 1 is the least significant bit. Worths elsewhere are Fractions;
-the weights of a balanced collection are integer numerators over their
-least common denominator, as to_common_denominator gives them.
+player 1 is the least significant bit. The worths of a game and the
+weights of a balanced collection are each kept as ints over their least
+common denominator, as to_common_denominator gives them.
 """
 import re
 from fractions import Fraction
@@ -54,19 +54,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def rising_factorial(n: int, p: int) -> int:
-    """n(n+1)...(n+p-1), exactly p factors; 1 when p = 0.
-
-    The inline convention in the source text has p+1 factors, but its own
-    worked numbers (3*4*5/3! = 10 from a 3-element ground set) force p
-    factors; this is the convention used throughout counting.
-    """
-    out = 1
-    for i in range(p):
-        out *= n + i
-    return out
 
 
 def multiset_coefficient(m: int, p: int) -> int:

@@ -13,8 +13,15 @@ from .core import binomial, multiset_coefficient
 MAX_TABLE_N = 30
 
 
+def _check_sizes(n, k, p):
+    for name, value in (("n", n), ("k", k), ("p", p)):
+        if value < 0:
+            raise ValueError("%s must be >= 0, got %d" % (name, value))
+
+
 def count_total(n, k, p):
     """Multisets of p edges from the k-subsets of an n-set (no spanning)."""
+    _check_sizes(n, k, p)
     return multiset_coefficient(binomial(n, k), p)
 
 
@@ -22,9 +29,13 @@ def count_spanning(n, k, p):
     """Labeled spanning k-uniform multihypergraphs of size p on n nodes.
 
     Alternating sum over sub-node-sets: sum (-1)^(n-i) C(n,i) times the
-    total count on i nodes; the rising-factorial-over-p! term equals
-    multiset_coefficient(C(i,k), p).
+    total count on i nodes, the rising factorial m(m+1)...(m+p-1) over p!
+    for m = C(i,k), which is multiset_coefficient(m, p). That factorial
+    has p factors: the source text's inline convention has p+1, but its
+    worked numbers (3*4*5/3! = 10 from a 3-element ground set) force p.
+    A negative n, k or p raises ValueError.
     """
+    _check_sizes(n, k, p)
     total = 0
     for i in range(n + 1):
         term = binomial(n, i) * multiset_coefficient(binomial(i, k), p)
@@ -39,6 +50,7 @@ def count_cumulative(n_max, k, p):
     for k=2, p=3, n_max=3); it sums coefficients, not C(n_max,n)-weighted
     counts on sub-node-sets of a fixed ground set.
     """
+    _check_sizes(n_max, k, p)
     return sum(count_spanning(n, k, p) for n in range(k, n_max + 1))
 
 

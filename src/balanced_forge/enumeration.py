@@ -118,7 +118,12 @@ def _direct_subtree(args):
 
 def _threads_default():
     raw = os.environ.get("BALANCED_FORGE_THREADS", "")
-    return int(raw) if raw.strip() else os.cpu_count() or 1
+    if raw.strip():
+        return int(raw)
+    # the CPUs this process may run on, where the platform can tell
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def enumerate_mbc(n, threads=None):

@@ -52,13 +52,14 @@ def splitmix64(seed):
 
 
 class Game:
-    """Worth table over all 2^n coalitions, v(empty) = 0, exact rationals."""
+    """A TU game as ints: v(S) = worths[S] / den for each coalition mask S,
+    den being the worths' least common denominator, computed once when built."""
 
-    __slots__ = ("n", "v")
+    __slots__ = ("n", "worths", "den", "_v")
 
     def __init__(self, n, worths):
         check_players(n)
-        table = [Fraction(0)] * (1 << n)
+        table = [0] * (1 << n)
         items = dict(worths)
         empty = items.pop(0, None)
         if empty not in (None, 0) and Fraction(empty) != 0:
@@ -72,15 +73,23 @@ class Game:
             m = int(mask)
             if not 1 <= m <= full_mask(n):
                 raise ValueError("coalition %r outside players 1..%d" % (mask, n))
-            table[m] = Fraction(val)
+            table[m] = val
+        nums, self.den = to_common_denominator(table)
         self.n = n
-        self.v = table
+        self.worths = tuple(nums)
 
-    def worth(self, mask):
-        return self.v[mask]
+    @property
+    def v(self):
+        """[Fraction] indexed by mask, built on first read; every read returns that list."""
+        try:
+            return self._v
+        except AttributeError:
+            self._v = [Fraction(w, self.den) for w in self.worths]
+            return self._v
 
     def __eq__(self, other):
-        return isinstance(other, Game) and self.n == other.n and self.v == other.v
+        # len(worths) = 2^n, so equal worths mean equal n
+        return isinstance(other, Game) and (self.worths, self.den) == (other.worths, other.den)
 
     def to_json(self):
         return json.dumps(
@@ -166,22 +175,20 @@ def core_lp(game):
     z* > v(N) the optimal dual vertex is a maximally violating minimal
     balanced collection; both certificates fall out of one solve.
 
-    The dual's 0/1 rows are built once per n. The worths are read once
-    through to_common_denominator: an integral game hands simplex_min and
-    solve_square plain ints, any other game its Fractions, so the LP
-    rescales nothing and pivots as before. The violating collection's
-    weights are read from the basis alone, the other entries of x being 0.
+    The dual's 0/1 rows are built once per n. An integral game (den 1)
+    hands simplex_min and solve_square its int worths, any other game
+    its Fractions v, so the LP rescales nothing and pivots as before.
+    The violating collection's weights are read from the basis alone,
+    the other entries of x being 0.
     """
     n = game.n
     if n > 12:
         raise ValueError("core_lp capped at n <= 12, got %d" % n)
-    vN = game.v[full_mask(n)]
     if n == 1:
-        return CoreVerdict(True, payment=(vN,))
+        return CoreVerdict(True, payment=(game.v[1],))
+    worth = game.worths if game.den == 1 else game.v
+    vN = worth[full_mask(n)]
     rows, members = _dual_incidence(n)
-    worth, den = to_common_denominator(game.v)
-    if den != 1:
-        worth = game.v
     # dual of the payment LP: max sum v(S) y_S over balanced weights y,
     # column j standing for coalition j + 1
     cost = [-v for v in worth[1:-1]]
@@ -218,12 +225,11 @@ def core_mbc(game, catalog):
     maximally violating collection certifies emptiness, and witness
     construction for the nonempty case is delegated to core_lp.
 
-    The scan runs in the collections' integer weights: with the worths
-    scaled by their common denominator D to V, a collection with weights
-    num/den has efficiency t / (den * D) for t = sum(num * V(S)), and it
-    violates iff t > den * V(N). Among collections of equal efficiency
-    the first in catalog (canonical) order is kept. The reported
-    efficiency is efficiency().
+    The scan runs in integers: with V = game.worths over D = game.den, a
+    collection with weights num/den has efficiency t / (den * D) for
+    t = sum(num * V(S)), and it violates iff t > den * V(N). Among
+    collections of equal efficiency the first in catalog (canonical)
+    order is kept. The reported efficiency is efficiency().
 
     The first call on a catalog builds an index, catalog._scan, and a
     later call rebuilds it when catalog.collections has changed. It
@@ -243,7 +249,7 @@ def core_mbc(game, catalog):
         raise ValueError(
             "catalog for n=%d used on a game with n=%d" % (catalog.n, game.n)
         )
-    worth, _ = to_common_denominator(game.v)
+    worth = game.worths
     vN = worth[full_mask(game.n)]
     worth_of = worth.__getitem__
     worst = None

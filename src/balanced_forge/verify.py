@@ -156,14 +156,14 @@ def verdict_problem(game, verdict):
     every player and be minimal balanced, and its efficiency, recomputed
     here, must equal the reported one and exceed v(N).
     """
-    n = game.n
-    vn = game.worth(full_mask(n))
+    n, v = game.n, game.v
+    vn = v[full_mask(n)]
     if verdict.nonempty:
         x = verdict.payment
         if sum(x) != vn:
             return "payment sums to %s, v(N) = %s" % (sum(x), vn)
         for s in range(1, 1 << n):
-            if sum(x[i] for i in range(n) if s >> i & 1) < game.worth(s):
+            if sum(x[i] for i in range(n) if s >> i & 1) < v[s]:
                 return "payment leaves %s below its worth" % format_coalition(s)
         return None
     bc = verdict.collection
@@ -173,7 +173,7 @@ def verdict_problem(game, verdict):
             return "weights of player %d in %s do not sum to 1" % (i + 1, bc.to_text())
     if not is_minimal_balanced(n, bc.coalitions):
         return "%s is not minimal balanced" % bc.to_text()
-    eff = sum(w[s] * game.worth(s) for s in bc.coalitions)
+    eff = sum(w[s] * v[s] for s in bc.coalitions)
     if eff != verdict.efficiency:
         return "efficiency is %s, reported %s" % (eff, verdict.efficiency)
     if not eff > vn:

@@ -205,6 +205,21 @@ def test_mbc_enum_rejects_zero_threads(capsys):
     assert "threads" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("--method", "oracle", "--k-max", "2"), "--k-max"),
+        (("--method", "direct", "--k-max", "2"), "--k-max"),
+        (("--method", "oracle", "--threads", "4"), "--threads"),
+        (("--method", "duality", "--threads", "1"), "--threads"),
+    ],
+)
+def test_mbc_enum_rejects_options_the_method_does_not_take(capsys, argv, option):
+    rc, out, err = run(capsys, "mbc", "enum", "--players", "3", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: %s applies only to" % option)
+
+
 def test_mbc_check_needs_input(capsys):
     rc, _, err = run(capsys, "mbc", "check")
     assert rc == 2
@@ -248,6 +263,42 @@ def test_hyper_count_missing_args(capsys):
     rc, _, err = run(capsys, "hyper", "count", "--nodes", "3")
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ("--cumulative", "--total"),
+        ("--graphs", "--table", "3"),
+        ("--total", "--graphs"),
+        ("--cumulative", "--table", "3"),
+    ],
+)
+def test_hyper_count_modes_exclude_each_other(capsys, modes):
+    argv = ["hyper", "count", "--nodes", "3", "--degree", "2", "--size", "3", *modes]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, option, name",
+    [
+        ((), "--nodes", "n"),
+        ((), "--degree", "k"),
+        ((), "--size", "p"),
+        (("--total",), "--nodes", "n"),
+        (("--total",), "--size", "p"),
+        (("--cumulative",), "--degree", "k"),
+    ],
+)
+def test_hyper_count_rejects_negative_sizes(capsys, mode, option, name):
+    sizes = {"--nodes": "3", "--degree": "2", "--size": "3", option: "-1"}
+    argv = ["hyper", "count", *mode] + [t for kv in sizes.items() for t in kv]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s must be >= 0, got -1\n" % name
 
 
 def test_hyper_enum_text(capsys):

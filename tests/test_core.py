@@ -7,7 +7,6 @@ import pytest
 
 from balanced_forge.core import (
     binomial,
-    rising_factorial,
     multiset_coefficient,
     coalitions_of,
     players_of,
@@ -28,15 +27,6 @@ def test_binomial():
     assert binomial(5, 6) == 0
     assert binomial(5, -1) == 0
     assert binomial(0, 0) == 1
-
-
-def test_rising_factorial_uses_p_factors():
-    # n(n+1)...(n+p-1)
-    assert rising_factorial(3, 3) == 3 * 4 * 5
-    assert rising_factorial(1, 4) == 24
-    assert rising_factorial(7, 1) == 7
-    assert rising_factorial(5, 0) == 1
-    assert rising_factorial(0, 3) == 0
 
 
 def test_multiset_coefficient():

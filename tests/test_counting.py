@@ -38,6 +38,15 @@ def test_count_spanning_boundaries():
     assert count_spanning(2, 1, 1) == 0      # one singleton cannot span two nodes
 
 
+@pytest.mark.parametrize("count", [count_spanning, count_total, count_cumulative])
+def test_negative_sizes_are_named(count):
+    for args, name in (((-1, 2, 3), "n"), ((3, -2, 3), "k"), ((3, 2, -3), "p")):
+        with pytest.raises(ValueError, match="^%s must be >= 0" % name):
+            count(*args)
+    # zero stays valid: the boundary values rely on it
+    assert count(0, 0, 0) == 1
+
+
 def test_count_cumulative():
     assert count_cumulative(3, 2, 3) == 8
     assert count_cumulative(2, 2, 3) == 1

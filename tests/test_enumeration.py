@@ -226,6 +226,17 @@ def test_threads_must_be_positive(monkeypatch):
         enumerate_mbc(3)
 
 
+def test_threads_default_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("BALANCED_FORGE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert enumeration._threads_default() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert enumeration._threads_default() == 64
+    monkeypatch.setenv("BALANCED_FORGE_THREADS", "3")
+    assert enumeration._threads_default() == 3
+
+
 def test_duality_range_checks():
     with pytest.raises(ValueError):
         mbc_via_duality(7)

@@ -3,7 +3,7 @@ from operator import mul
 
 import pytest
 
-from balanced_forge import games
+from balanced_forge import balanced, games
 from balanced_forge._simplex import simplex_min, solve_square
 from balanced_forge.balanced import BalancedCollection, efficiency
 from balanced_forge.core import to_common_denominator
@@ -57,9 +57,57 @@ def test_game_rejects_foreign_coalition():
 
 def test_game_worths_become_fractions():
     g = Game(2, {1: "1/3", 2: 0.5, 3: 2})
-    assert g.worth(1) == Fraction(1, 3)
-    assert g.worth(2) == Fraction(1, 2)
+    assert g.v[1] == Fraction(1, 3)
+    assert g.v[2] == Fraction(1, 2)
     assert g.v[0] == 0
+
+
+def test_game_is_its_integer_worth_vector():
+    g = Game(2, {1: "1/3", 2: 0.5, 3: 2})
+    assert (g.worths, g.den) == ((0, 2, 3, 12), 6)
+    assert all(type(w) is int for w in g.worths)
+    assert g.v is g.v
+    assert g.v == [Fraction(w, 6) for w in g.worths]
+    ints = Game(3, {m: m * m - 7 for m in range(1, 8)})
+    assert (ints.den, ints.worths[1:]) == (1, tuple(m * m - 7 for m in range(1, 8)))
+    assert ints == Game(3, {m: Fraction(m * m - 7) for m in range(1, 8)})
+    assert ints == Game(3, {m: Fraction(2 * m * m - 14, 2) for m in range(1, 8)})
+    assert ints != Game(3, {m: Fraction(m * m - 7, 2) for m in range(1, 8)})
+    assert Game(1, {1: Fraction(1, 2)}) != Game(1, {1: 1})
+
+
+def test_core_tests_convert_no_worths(monkeypatch):
+    # the worths go over their denominator once, when a game is built
+    cases = []
+    for n in (4, 5):
+        catalog = enumerate_mbc(n)
+        for seed in range(4):
+            g = random_game(n, seed)
+            worths = {m: g.v[m] for m in range(1, 1 << n)}
+            worths[(1 << n) - 1] = n * 100
+            raised = Game(n, worths)
+            halved = Game(n, {m: Fraction(w, 2) for m, w in worths.items()})
+            cases += [(catalog, g), (catalog, raised), (catalog, halved)]
+
+    def outcome(catalog, g):
+        verdict = core_mbc(g, catalog)
+        effs = [efficiency(b, g) for b in catalog.collections[:50]]
+        return verdict.nonempty, verdict.efficiency, verdict.payment, effs
+
+    want = [outcome(*case) for case in cases]
+    assert {nonempty for nonempty, *_ in want} == {False, True}
+
+    def refuse(values):
+        raise AssertionError("worths converted again")
+
+    monkeypatch.setattr(games, "to_common_denominator", refuse)
+    monkeypatch.setattr(balanced, "to_common_denominator", refuse)
+    for (catalog, g), expected in zip(cases, want):
+        assert outcome(catalog, g) == expected
+        # an empty core_lp verdict builds its collection from weights,
+        # which BalancedCollection puts over their own denominator
+        if expected[0]:
+            assert core_lp(g).payment == expected[2]
 
 
 def test_game_json_exact_form():
@@ -104,6 +152,7 @@ def test_core_single_player():
     verdict = core_lp(Game(1, {1: 5}))
     assert verdict.nonempty
     assert verdict.payment == (5,)
+    assert type(verdict.payment[0]) is Fraction
 
 
 def test_core_unanimity_split():
