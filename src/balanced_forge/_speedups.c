@@ -17,19 +17,26 @@
  * the rows reduced on entering each depth take (n + 1) * 2^n entries on the
  * heap: 147 KB at n = 7.
  *
- * A node that is not solved is then tested by the Farkas rule that
- * _mbc_pure.py derives. A is the chosen masks plus the node's later
- * candidates, before they are reduced. If every member of A holding player j
- * also holds player i, y = e_i - e_j shows that any member holding i but not
- * j has weight 0 in every balanced subcollection of A, so the node is cut
- * when some player is in no member of A or a chosen mask holds such an i but
- * not j, and otherwise every later candidate holding such an i but not j is
- * dropped before it is reduced. Only subtrees that emit nothing are removed,
- * and no entry of a kept node changes, so the output and the bound below
- * stand. Player pairs (j, i) are bits j * n + i of a uint64_t (n * n <= 49):
- * split[m] has (j, i) when m holds j but not i, and (j, j) when m holds j;
- * lone[m] has (j, i) when m holds i but not j. A suffix OR of split per
- * depth gives A's pairs in one OR per child; a candidate costs one AND.
+ * Each child is first tested by the Farkas rule that _mbc_pure.py derives.
+ * Its chosen masks are the node's and its own; A is those plus the node's
+ * later candidates, before they are reduced. If every member of A holding
+ * player j also holds player i, y = e_i - e_j shows that any member holding
+ * i but not j has weight 0 in every balanced subcollection of A, so the child
+ * is skipped, before its row is copied or its residual reduced, when some
+ * player is in no member of A or a chosen mask holds such an i but not j.
+ * A child that passes is solved when row[p] * rho[i] == rho[p] * row[i] for
+ * every i < n, p its pivot, which is the reduced residual's incidence part
+ * vanishing, tested before the full reduction. A solved child can emit only
+ * its chosen masks, so it is tested again with A equal to them and skipped
+ * if it fails; only then is its residual reduced and its weights checked. A
+ * child that is not solved has its residual reduced, and every later
+ * candidate holding such an i but not j is dropped before it is reduced.
+ * Only children that emit nothing are removed, and no entry of a kept child
+ * changes, so the output and the bound below stand. Player pairs (j, i) are
+ * bits j * n + i of a uint64_t (n * n <= 49): split[m] has (j, i) when m
+ * holds j but not i, and (j, j) when m holds j; lone[m] has (j, i) when m
+ * holds i but not j. A suffix OR of split per depth gives A's pairs in one
+ * OR per child; a candidate costs one AND.
  *
  * cover_search branches, like its twin, on the uncovered player with the
  * fewest usable masks, which _mbc_pure.py shows is always the lowest-numbered
@@ -55,7 +62,10 @@
  *   at most the largest |minor| of a 0/1 matrix of order j + 1 <= n + 1 <= 8,
  *   which Hadamard's inequality bounds by 8^(8/2) = 4096.
  * - A combination a * x - b * y of two such rows is then at most
- *   2 * 4096^2 = 2^25 in absolute value, far inside int64.
+ *   2 * 4096^2 = 2^25 in absolute value, far inside int64, and each side of
+ *   the solved test, a product of two entries, at most 2^24.
+ * - The Farkas tests only skip children, so every row that is reduced is one
+ *   the search without them reduces too, with the same entries.
  * norm() checks the bound on every row it returns, and direct_search raises
  * OverflowError if it ever fails.
  */
@@ -203,8 +213,22 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
     for (int c = ncand - 1; c > lo; c--)
         suf[c] = suf[c + 1] | d->split[cands[c].mask];
     for (int c = lo; c < hi; c++) {
-        int i, p = cands[c].pivot, nkids = 0;
-        memcpy(row, cands[c].row, width * sizeof *row);
+        int i, p = cands[c].pivot, nkids = 0, solved = 0;
+        const int64_t *src = cands[c].row;
+        uint64_t sc = split_chosen | d->split[cands[c].mask];
+        uint64_t lc = lone_chosen | d->lone[cands[c].mask];
+        uint64_t every = sc | suf[c + 1];
+        uint64_t tied = d->off & ~every;  /* (j, i): every member of A with j has i */
+        if ((every & d->diag) != d->diag || (lc & tied))
+            continue;  /* no positive weights below: cut */
+        if (rho[p]) {  /* solved: the reduced residual's incidence part vanishes */
+            for (i = 0; i < n && src[p] * rho[i] == rho[p] * src[i]; i++)
+                ;
+            solved = i == n;
+        }
+        if (solved && (lc & d->off & ~sc))
+            continue;  /* the chosen masks alone need a zero weight */
+        memcpy(row, src, width * sizeof *row);
         row[slot] = row[own];  /* the candidate's own coefficient moves */
         row[own] = 0;          /* into this depth's slot once chosen */
         if (rho[p]) {
@@ -218,19 +242,11 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
             memcpy(r2, rho, width * sizeof *r2);
         }
         d->chosen[depth] = cands[c].mask;
-        for (i = 0; i < n && !r2[i]; i++)
-            ;
-        if (i == n) {
+        if (solved) {
             if (direct_emit(d, depth + 1, r2) < 0)
                 return -1;
             continue;
         }
-        uint64_t sc = split_chosen | d->split[cands[c].mask];
-        uint64_t lc = lone_chosen | d->lone[cands[c].mask];
-        uint64_t every = sc | suf[c + 1];
-        uint64_t tied = d->off & ~every;  /* (j, i): every member of A with j has i */
-        if ((every & d->diag) != d->diag || (lc & tied))
-            continue;  /* no positive weights below: cut */
         for (int j = c + 1; j < ncand; j++) {
             const int64_t *r = cands[j].row;
             int q = cands[j].pivot;

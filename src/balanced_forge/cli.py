@@ -130,11 +130,16 @@ def _cmd_mbc_check(args):
 
 def _cmd_hyper_count(args):
     if args.graphs:
+        for option, value in (("--degree", args.degree), ("--size", args.size)):
+            if value is not None:
+                raise ValueError("%s does not apply to --graphs" % option)
         if args.nodes is None:
             raise ValueError("--graphs needs --nodes")
         value = count_graphs(args.nodes)
         label = "graphs"
     elif args.table is not None:
+        if args.nodes is not None:
+            raise ValueError("--nodes does not apply to --table")
         if args.degree is None or args.size is None:
             raise ValueError("--table needs --degree and --size")
         counts = egf_table(args.degree, args.size, args.table)

@@ -283,6 +283,20 @@ def test_hyper_count_modes_exclude_each_other(capsys, modes):
 
 
 @pytest.mark.parametrize(
+    "argv, option, mode",
+    [
+        (("--graphs", "--nodes", "3", "--degree", "2"), "--degree", "--graphs"),
+        (("--graphs", "--nodes", "3", "--size", "9"), "--size", "--graphs"),
+        (("--table", "3", "--nodes", "9", "--degree", "2", "--size", "3"), "--nodes", "--table"),
+    ],
+)
+def test_hyper_count_rejects_options_the_mode_does_not_take(capsys, argv, option, mode):
+    rc, out, err = run(capsys, "hyper", "count", *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s does not apply to %s\n" % (option, mode)
+
+
+@pytest.mark.parametrize(
     "mode, option, name",
     [
         ((), "--nodes", "n"),
