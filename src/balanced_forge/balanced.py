@@ -1,6 +1,11 @@
 """Balanced collections of coalitions and their weight systems.
 
-Balancedness of a collection B is decided exactly by the LP
+Balancedness of a collection B is decided exactly, in two steps. First
+the pair rule: if every member holding player j also holds player i,
+and some member holds i but not j, the two players' weight sums of 1
+force weight 0 on that member, so B is not balanced; y = e_i - e_j is
+the Farkas certificate. Only a collection that covers every player and
+has no such pair reaches the LP
 
     maximize t  subject to  sum(S in B, S containing i) lambda(S) = 1,
                             lambda(S) >= t,
@@ -54,7 +59,15 @@ def find_balancing_weights(n, coalitions):
 
     None covers both failure modes: the per-player equations have no
     nonnegative solution at all, or every solution puts weight 0 on some
-    coalition (optimum t* <= 0).
+    coalition (optimum t* <= 0). A collection that leaves a player
+    uncovered, or that the pair rule rejects, returns None without an
+    LP. The pair rule: for a player j, let A be the players that every
+    member holding j also holds. A member holding a player i of A but
+    not j gets weight 0 in every solution, since the members holding j
+    already sum to 1 for i. So y = e_i - e_j, with y.e_S >= 0 on every
+    member, > 0 on that one, and y.1 = 0, is the Farkas certificate that
+    no strictly positive weights exist. The rule fires only where the LP
+    returns None, so every result, weights included, is the LP's.
     """
     masks = _checked_masks(n, coalitions)
     cover = 0
@@ -62,6 +75,22 @@ def find_balancing_weights(n, coalitions):
         cover |= s
     if cover != full_mask(n):
         return None
+    for j in range(n):
+        bit = 1 << j
+        tied = cover
+        for s in masks:
+            if s & bit:
+                tied &= s
+        tied ^= bit
+        if tied:
+            for s in masks:
+                if s & tied and not s & bit:
+                    return None
+    return _balancing_lp(n, masks)
+
+
+def _balancing_lp(n, masks):
+    """The max-min-weight LP on sorted masks that cover every player."""
     m = len(masks)
     # variables: mu_S per coalition, then t+ and t-; lambda = mu + t
     a_rows = []

@@ -17,7 +17,6 @@ from .balanced import (
     BalancedCollection,
     parse_collection,
     find_balancing_weights,
-    is_minimal_balanced,
 )
 from .enumeration import (
     enumerate_mbc,
@@ -29,6 +28,7 @@ from .enumeration import (
     load_catalog,
     CatalogError,
 )
+from ._simplex import rank_of_masks
 from .games import game_from_json, random_game, core_lp, core_mbc
 from .decomposition import decompose, decompose_all, IncompleteDecomposition
 from .verify import SUITES
@@ -103,7 +103,9 @@ def _cmd_mbc_check(args):
         weights = find_balancing_weights(n, masks)
         bc = None if weights is None else BalancedCollection(n, weights)
     balanced = bc is not None
-    minimal = balanced and is_minimal_balanced(n, masks)
+    # balanced is settled above (checked weights or one LP), so minimality
+    # is independence alone, as in mbc_via_duality
+    minimal = balanced and rank_of_masks(masks, n) == len(masks)
     if args.json:
         print(
             json.dumps(

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
+from balanced_forge import balanced
 from balanced_forge.balanced import (
     BalancedCollection,
+    _balancing_lp,
     find_balancing_weights,
     is_balanced,
     is_minimal_balanced,
@@ -80,6 +84,53 @@ def test_minimal_balanced_matches_oracle_exhaustive_small():
                 if size > n + 1:
                     continue
                 assert is_minimal_balanced(n, sub) == is_minimal_balanced_oracle(n, sub), sub
+
+
+def _pair_rule_sweep(monkeypatch, n, max_size):
+    """find_balancing_weights on every subcollection of size <= max_size,
+    with the LP stubbed out.
+
+    Returns the number that leave a player uncovered, the covering ones
+    the pair rule rejects (None with no LP), and the ones that reach the
+    LP.
+    """
+    reached = []
+    monkeypatch.setattr(balanced, "_balancing_lp", lambda n, masks: reached.append(masks))
+    full = (1 << n) - 1
+    uncovered = 0
+    rejected = []
+    for size in range(1, max_size + 1):
+        for combo in combinations(range(1, full + 1), size):
+            before = len(reached)
+            find_balancing_weights(n, combo)
+            if len(reached) == before:
+                if reduce(or_, combo) == full:
+                    rejected.append(combo)
+                else:
+                    uncovered += 1
+    return uncovered, rejected, reached
+
+
+def test_pair_rule_rejects_only_what_the_lp_rejects(monkeypatch):
+    # every subcollection of every size at n <= 4
+    rejected = []
+    for n in range(1, 5):
+        _, pair_rejected, _ = _pair_rule_sweep(monkeypatch, n, (1 << n) - 1)
+        for masks in pair_rejected:
+            assert _balancing_lp(n, masks) is None, (n, masks)
+        rejected.append(len(pair_rejected))
+    assert rejected == [0, 2, 66, 13046]
+
+
+@pytest.mark.parametrize(
+    "n, uncovered, rejected, to_lp, balanced_count",
+    [(4, 354, 1468, 118, 118), (5, 23590, 176420, 6357, 5337)],
+)
+def test_pair_rule_counts_at_sizes_up_to_n(monkeypatch, n, uncovered, rejected, to_lp, balanced_count):
+    # sizes <= n are the ones the oracle route tests
+    got_uncovered, got_rejected, reached = _pair_rule_sweep(monkeypatch, n, n)
+    assert (got_uncovered, len(got_rejected), len(reached)) == (uncovered, rejected, to_lp)
+    assert sum(_balancing_lp(n, masks) is not None for masks in reached) == balanced_count
 
 
 def test_known_mbcs_n3():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from balanced_forge import balanced
 from balanced_forge._kernel import KERNEL
+from balanced_forge._simplex import simplex_min
 from balanced_forge.cli import main
 from balanced_forge.enumeration import enumerate_mbc, load_catalog, save_catalog
 
@@ -93,6 +95,30 @@ def test_mbc_check_weightless_form(capsys):
     rc, out, _ = run(capsys, "mbc", "check", "--collection", "n=3; [{1,2}, {1,3}, {2,3}]")
     assert rc == 0
     assert out.splitlines()[1] == "n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]"
+
+
+@pytest.mark.parametrize(
+    "collection, rc, lps",
+    [
+        ("n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]", 0, 0),
+        ("n=3; [{1,2}, {1,3}, {2,3}]", 0, 1),
+        ("n=2; [{1}:1/2, {2}:1/2, {1,2}:1/2]", 3, 0),
+        ("n=2; [{1}, {2}, {1,2}]", 3, 1),
+    ],
+)
+def test_mbc_check_runs_at_most_one_lp(monkeypatch, capsys, collection, rc, lps):
+    # weights given are checked, not solved for; a weightless input is
+    # solved once, and the rank test alone then decides minimality
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simplex_min(*args, **kwargs)
+
+    monkeypatch.setattr(balanced, "_balanced_cache", {})
+    monkeypatch.setattr(balanced, "simplex_min", counting)
+    assert run(capsys, "mbc", "check", "--collection", collection)[0] == rc
+    assert len(calls) == lps
 
 
 MIXED_TEXT = "n=5; [{1}:1, {2,3}:1/3, {2,4}:1/3, {2,5}:1/3, {3,4,5}:2/3]"
