@@ -16,6 +16,12 @@ solution) reached by Bland's rule, so outputs are deterministic.
 Minimality has a fast route (balanced + linearly independent incidence
 vectors, hence unique weights) and a literal oracle (no proper
 subcollection balanced) kept around to guard the equivalence.
+
+find_balancing_weights is the one decision, and the only reader and
+writer of the process-wide _balanced_cache: the key is (n, sorted masks),
+the value the weights dict or None, each caller gets a fresh copy of the
+dict, and the cache is unbounded. is_balanced is that decision's `is not
+None`, so the oracle validates and solves each distinct collection once.
 """
 from collections import Counter
 from fractions import Fraction
@@ -39,7 +45,11 @@ _balanced_cache = {}
 
 def _checked_masks(n, coalitions):
     check_players(n)
-    masks = sorted(map(int, coalitions))
+    masks = list(coalitions)
+    for s in masks:
+        if type(s) is not int:
+            raise ValueError("coalition %r is not an int bitmask" % (s,))
+    masks.sort()
     if not masks:
         raise ValueError("collection must be nonempty")
     if masks[0] == 0:
@@ -68,8 +78,22 @@ def find_balancing_weights(n, coalitions):
     member, > 0 on that one, and y.1 = 0, is the Farkas certificate that
     no strictly positive weights exist. The rule fires only where the LP
     returns None, so every result, weights included, is the LP's.
+
+    Validates once, then looks (n, sorted masks) up in _balanced_cache,
+    which holds the weights or None; a miss decides the collection and
+    stores the result. A returned dict is a fresh copy, so a caller may
+    mutate it. The cache is unbounded.
     """
     masks = _checked_masks(n, coalitions)
+    key = (n, masks)
+    if key not in _balanced_cache:
+        _balanced_cache[key] = _decide(n, masks)
+    weights = _balanced_cache[key]
+    return None if weights is None else dict(weights)
+
+
+def _decide(n, masks):
+    """Cover check, pair rule, then the LP, on checked sorted masks."""
     cover = 0
     for s in masks:
         cover |= s
@@ -113,13 +137,10 @@ def _balancing_lp(n, masks):
 
 
 def is_balanced(n, coalitions):
-    masks = _checked_masks(n, coalitions)
-    key = (n, masks)
-    hit = _balanced_cache.get(key)
-    if hit is None:
-        hit = find_balancing_weights(n, masks) is not None
-        _balanced_cache[key] = hit
-    return hit
+    """Whether the collection has strictly positive balancing weights:
+    find_balancing_weights is not None, decided once per collection and
+    cached there."""
+    return find_balancing_weights(n, coalitions) is not None
 
 
 def is_minimal_balanced(n, coalitions):
@@ -145,9 +166,12 @@ def is_minimal_balanced_oracle(n, coalitions):
     """
     if n > 5:
         raise ValueError("oracle limited to n <= 5, got n=%d" % n)
-    masks = _checked_masks(n, coalitions)
-    if not is_balanced(n, masks):
+    coalitions = tuple(coalitions)
+    # read twice, so held as a tuple; is_balanced validates it, after
+    # which sorting cannot meet a non-int
+    if not is_balanced(n, coalitions):
         return False
+    masks = sorted(coalitions)
     for size in range(1, len(masks)):
         for sub in combinations(masks, size):
             if is_balanced(n, sub):

@@ -18,7 +18,8 @@ from balanced_forge.balanced import (
     from_regular_hypergraph,
     efficiency,
 )
-from balanced_forge.enumeration import enumerate_mbc
+from balanced_forge._simplex import simplex_min
+from balanced_forge.enumeration import enumerate_mbc, enumerate_mbc_oracle
 from balanced_forge.hypergraph import Hypergraph
 from balanced_forge.games import Game
 from test_hypergraph import subhypergraph
@@ -92,9 +93,11 @@ def _pair_rule_sweep(monkeypatch, n, max_size):
 
     Returns the number that leave a player uncovered, the covering ones
     the pair rule rejects (None with no LP), and the ones that reach the
-    LP.
+    LP. The stub's None would be cached as every reached collection's
+    result, so the sweep runs on a cache of its own.
     """
     reached = []
+    monkeypatch.setattr(balanced, "_balanced_cache", {})
     monkeypatch.setattr(balanced, "_balancing_lp", lambda n, masks: reached.append(masks))
     full = (1 << n) - 1
     uncovered = 0
@@ -133,6 +136,39 @@ def test_pair_rule_counts_at_sizes_up_to_n(monkeypatch, n, uncovered, rejected, 
     assert sum(_balancing_lp(n, masks) is not None for masks in reached) == balanced_count
 
 
+def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
+    # one LP per distinct collection that reaches it (the to_lp pin of
+    # test_pair_rule_counts_at_sizes_up_to_n), and one validation per
+    # find_balancing_weights call plus one per kept BalancedCollection
+    lps, checks = [], []
+
+    def counting_lp(*args, **kwargs):
+        lps.append(args)
+        return simplex_min(*args, **kwargs)
+
+    def counting_check(n, coalitions):
+        checks.append(coalitions)
+        return checked_masks(n, coalitions)
+
+    checked_masks = balanced._checked_masks
+    monkeypatch.setattr(balanced, "_balanced_cache", {})
+    monkeypatch.setattr(balanced, "simplex_min", counting_lp)
+    monkeypatch.setattr(balanced, "_checked_masks", counting_check)
+    assert enumerate_mbc_oracle(4).count == 42
+    assert (len(lps), len(checks)) == (118, 2898)
+    assert len(balanced._balanced_cache) == 1940
+
+
+def test_cached_weights_are_handed_out_as_fresh_dicts(monkeypatch):
+    monkeypatch.setattr(balanced, "_balanced_cache", {})
+    w = find_balancing_weights(3, [3, 5, 6])
+    w[3] = F(7)
+    del w[5]
+    assert find_balancing_weights(3, (6, 5, 3)) == {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)}
+    assert find_balancing_weights(3, [3, 5, 6]) is not find_balancing_weights(3, [3, 5, 6])
+    assert list(balanced._balanced_cache) == [(3, (3, 5, 6))]
+
+
 def test_known_mbcs_n3():
     mbcs = [(7,), (1, 2, 4), (1, 6), (2, 5), (4, 3), (3, 5, 6)]
     for masks in mbcs:
@@ -155,6 +191,16 @@ def test_collection_validation():
         BalancedCollection(3, {0: F(1)})
     with pytest.raises(ValueError):
         BalancedCollection(2, {5: F(1)})
+    # a coalition is an int bitmask: no float, string or bool is coerced
+    for bad in ([1.9, 2, 4], ["1", 2, 4], [True, 2, 4], [1, 2, 4.0]):
+        with pytest.raises(ValueError, match="is not an int bitmask"):
+            find_balancing_weights(3, bad)
+        with pytest.raises(ValueError, match="is not an int bitmask"):
+            is_balanced(3, bad)
+    with pytest.raises(ValueError, match="is not an int bitmask"):
+        BalancedCollection(2, {1.5: 1, 2: 1})
+    with pytest.raises(ValueError, match="is not an int bitmask"):
+        BalancedCollection(1, {True: 1})
     # the first nonpositive weight is reported before any player sum
     with pytest.raises(ValueError, match=r"weight of \{1,3\} must be positive, got -1/2"):
         BalancedCollection(3, {3: F(1, 2), 5: F(-1, 2), 6: F(1, 2), 7: F(1)})

@@ -626,6 +626,7 @@ def test_verify_sharpbs_small(capsys):
     "argv",
     [
         ("sharpbs", "--max-n", "1"),
+        ("sharpbs", "--max-n", "7"),
         ("table1", "--max-n", "1"),
         ("prop1", "--max-nodes", "0"),
         ("sharpbs", "--max-n", "2", "--games", "0"),
