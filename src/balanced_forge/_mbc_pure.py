@@ -14,17 +14,51 @@ unique candidate weights can be read off; the subtree below such a node
 is pruned either way, because any extension keeps the all-ones vector in
 the span and forces weight zero on every later member.
 
-Each node holds its candidates, the later coalitions, as (mask, row
-reduced against the chosen rows, pivot). Entering a child reduces each
-candidate once, against the one newly chosen row and only where that
-row's pivot entry is nonzero; a candidate whose incidence part vanishes
-is dependent on the chosen rows and is dropped for the whole subtree.
-Unreduced rows are shared between parent and child. A row is n incidence
-entries, the all-ones coefficient, one coefficient slot per depth, and a
-last slot holding the candidate's own coefficient until it is chosen at
-depth d, when it moves to slot n + 1 + d. So every row, residual and gcd
-normalisation equals that of re-reducing each candidate against all
-chosen rows at every node, at one elimination per candidate and level.
+Each node holds its candidates, the later coalitions, as (mask, row,
+pivot, divisor). Entering a child reduces each candidate once, against
+the one newly chosen row and only where that row's pivot entry is
+nonzero; a candidate whose incidence part vanishes is dependent on the
+chosen rows and is dropped for the whole subtree. Unreduced rows are
+shared between parent and child. A row is n incidence entries, the
+all-ones coefficient, one coefficient slot per depth, and a last slot
+holding the candidate's own coefficient until it is chosen at depth d,
+when it moves to slot n + 1 + d. The row is one Python int, its entry i
+the signed FIELD-bit field at bit FIELD * i, so the int is the sum of
+entry[i] << FIELD * i: scaling and adding rows scales and adds every
+field at once, as long as each stays inside +-2^(FIELD - 1). The
+incidence part vanishes when the low n fields are zero, the pivot is the
+field of the lowest set bit, and an entry is read by a shift after a
+bias of 2^(FIELD - 1) is added to every field.
+
+Elimination is fraction-free with exact division (Bareiss, Math. Comp.
+22, 1968). Let D_0 = 1 and D_k be the pivot entry of the k-th chosen
+row. By Sylvester's identity a row reduced at depth k holds, in each
+column, the minor of the chosen rows and itself on their k pivot columns
+and that column, and D_k is the k x k minor of the chosen rows on their
+pivot columns. Reducing a row r of level k against the newly chosen row
+R, with a and b their entries at R's pivot, gives (a * r - b * R) / D_k,
+and its level is then k + 1. A row whose entry at a new pivot is 0 would
+become r * D_{k+1} / D_k, so it is kept as it is, with the divisor D_j
+of the level j it was stored at; reducing it later against R is
+(a * r - b * R) / D_j on the stored entries, as the factor D_k / D_j of
+both r and b cancels. A chosen row is first rescaled to its node's level
+by row * D_k / D_j; its own coefficient is then D_k, the minor whose own
+column has a single 1, so moving it to its depth slot adds D_k times a
+constant. The residual is a row of the all-ones vector, kept with its
+divisor in the same way. Every division is exact: the quotient's entries
+are minors, hence integers, and when a divisor divides every field it
+divides the packed int, field by field.
+
+The minors are those of a 0/1 matrix of order j + 1 <= n + 1 <= 8 (a
+coefficient column has a single 1, so it only lowers the order), so by
+the argument of ENTRY_MAX in _speedups.c every entry is at most 4096 in
+absolute value, and a product or combination the search forms, a * r -
+b * R or a row times D_k, stays below 2 * 4096^2 = 2^25, inside a signed
+32-bit field. No gcd is taken during the search: the weights of a
+solved child that passes the sign check are divided by their gcd only
+when its triple is emitted. _speedups.c divides each row by its gcd
+instead, so its rows are these rows divided by their gcd up to sign, and
+the twins emit the same triples in the same order.
 
 Each child of a node is first tested by a Farkas rule. The child's
 chosen coalitions are the node's and the child's own mask; let A be
@@ -41,8 +75,9 @@ chosen coalition holds such an i but not j.
 
 A child that passes is solved when its reduced residual's incidence part
 vanishes: with a and b the entries of its row and of the node's residual
-at its pivot, a * rho[i] == b * row[i] for every i < n, which is tested
-before the full reduction of 2n + 2 entries (if b is 0 the child keeps
+at its pivot, the low n fields of a * rho - b * row are zero. Scaling
+either row changes nothing there, so the stored rows are tested, before
+the row is rescaled and the residual reduced (if b is 0 the child keeps
 the node's residual, which is not solved). A solved child can emit
 only the chosen coalitions themselves, so it is tested again with A
 equal to them, and skipped if a chosen coalition holds an i but not a j
@@ -107,6 +142,9 @@ slot last. MbcCatalog puts collections in canonical order.
 from math import gcd
 
 MAX_STATES = 1 << 28
+FIELD = 32  # bits per packed row entry
+_HALF = 1 << FIELD - 1
+_MASK = (1 << FIELD) - 1
 
 
 def _check_players(kernel, n):
@@ -114,11 +152,9 @@ def _check_players(kernel, n):
         raise ValueError("%s kernel supports 1 <= n <= 7, got %d" % (kernel, n))
 
 
-def _normalize(row):
-    g = gcd(*row)
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+def _reduce(a, r, b, row, d):
+    """(a * r - b * row) / d on packed rows; d divides every field."""
+    return (a * r - b * row) // d
 
 
 def _pair_tables(n):
@@ -152,75 +188,79 @@ def direct_search(n, first=0):
     nmasks = 1 << n
     if not 0 <= first < nmasks:
         raise ValueError("first must be in 0..%d, got %d" % (nmasks - 1, first))
-    own = 2 * n + 1
+    own = FIELD * (2 * n + 1)
     split, lone = _pair_tables(n)
     diag = sum(1 << (j * n + j) for j in range(n))
     off = (1 << n * n) - 1 - diag
+    low = (1 << FIELD * n) - 1  # the incidence fields
+    bias = sum(_HALF << FIELD * i for i in range(2 * n + 2))
     out = []
     chosen = []
 
-    def rec(cands, lo, hi, rho, depth, split_chosen, lone_chosen):
-        slot = n + 1 + depth
+    def rec(cands, lo, hi, rho, drho, dnode, depth, split_chosen, lone_chosen):
+        # dnode is D_depth; rho and each candidate row come with the
+        # divisor of the level they were stored at
+        move = (1 << FIELD * (n + 1 + depth)) - (1 << own)  # own slot -> depth slot
         suf = [0] * (len(cands) + 1)  # split pairs of cands[c:]
         for c in range(len(cands) - 1, lo, -1):
             suf[c] = suf[c + 1] | split[cands[c][0]]
-        inc = rho[:n]
+        biased = rho + bias
         for c in range(lo, hi):
-            m, row, p = cands[c]
+            m, row, p, drow = cands[c]
             sc = split_chosen | split[m]
             lc = lone_chosen | lone[m]
             every = sc | suf[c + 1]
             tied = off & ~every  # (j, i): every member of A with j has i
             if every & diag != diag or lc & tied:
                 continue  # no positive weights below: cut
-            a, b = row[p], rho[p]
+            s = FIELD * p
+            a = ((row >> s) + _HALF & _MASK) - _HALF  # fields below p are 0
+            b = (biased >> s & _MASK) - _HALF
             # solved: the reduced residual's incidence part vanishes
-            solved = b and [a * x for x in inc] == [b * y for y in row[:n]]
+            solved = b and not (a * rho - b * row) & low
             if solved and lc & off & ~sc:
                 continue  # the chosen masks alone need a zero weight
-            r2 = rho
+            if drow != dnode:
+                row = row * dnode // drow
+                a = a * dnode // drow
+            row += dnode * move
+            r2, d2 = rho, drho
             if b:
-                r2 = _normalize([a * x - b * y for x, y in zip(rho, row)])
-                r2[slot] = r2[own]
-                r2[own] = 0
+                r2, d2 = _reduce(a, rho, b, row, drho), a
             chosen.append(m)
             if solved:
-                s = r2[n]
-                cs = r2[n + 1 : n + 2 + depth]
-                if s < 0:
-                    s = -s
-                    cs = [-c for c in cs]
-                if max(cs) < 0:
-                    out.append((tuple(chosen), tuple(-c for c in cs), s))
+                t = r2 + bias
+                w = [(t >> FIELD * i & _MASK) - _HALF for i in range(n, n + 2 + depth)]
+                if w[0] < 0:
+                    w = [-x for x in w]
+                if max(w[1:]) < 0:
+                    g = gcd(*w)
+                    out.append((tuple(chosen), tuple(-x // g for x in w[1:]), w[0] // g))
             else:
-                row = list(row)
-                row[slot] = row[own]
-                row[own] = 0
                 kids = []
-                for m2, r, q in cands[c + 1 :]:
+                for m2, r, q, dr in cands[c + 1 :]:
                     if lone[m2] & tied:
                         continue  # would need weight zero
-                    b = r[p]
+                    b = ((r + bias) >> s & _MASK) - _HALF
                     if b:
-                        r = _normalize([a * x - b * y for x, y in zip(r, row)])
-                        for q in range(n):
-                            if r[q]:
-                                break
-                        else:
+                        r = _reduce(a, r, b, row, dr)
+                        if not r & low:
                             continue  # dependent on the chosen rows
-                    kids.append((m2, r, q))
-                rec(kids, 0, len(kids), r2, depth + 1, sc, lc)
+                        q = ((r & -r).bit_length() - 1) // FIELD
+                        dr = a
+                    kids.append((m2, r, q, dr))
+                rec(kids, 0, len(kids), r2, d2, a, depth + 1, sc, lc)
             chosen.pop()
 
     cands = []
     for m in range(1, nmasks):
-        row = [(m >> i) & 1 for i in range(n)] + [0] * (n + 1) + [1]
-        cands.append((m, row, (m & -m).bit_length() - 1))
-    rho0 = [1] * (n + 1) + [0] * (n + 1)
+        row = sum(1 << FIELD * i for i in range(n) if m >> i & 1) + (1 << own)
+        cands.append((m, row, (m & -m).bit_length() - 1, 1))
+    rho0 = sum(1 << FIELD * i for i in range(n + 1))
     if first:
-        rec(cands, first - 1, first, rho0, 0, 0, 0)
+        rec(cands, first - 1, first, rho0, 1, 1, 0, 0, 0)
     else:
-        rec(cands, 0, nmasks - 1, rho0, 0, 0, 0)
+        rec(cands, 0, nmasks - 1, rho0, 1, 1, 0, 0, 0)
     return out
 
 

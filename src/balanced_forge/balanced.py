@@ -17,11 +17,14 @@ Minimality has a fast route (balanced + linearly independent incidence
 vectors, hence unique weights) and a literal oracle (no proper
 subcollection balanced) kept around to guard the equivalence.
 
-find_balancing_weights is the one decision, and the only reader and
-writer of the process-wide _balanced_cache: the key is (n, sorted masks),
-the value the weights dict or None, each caller gets a fresh copy of the
-dict, and the cache is unbounded. is_balanced is that decision's `is not
-None`, so the oracle validates and solves each distinct collection once.
+find_balancing_weights is the one decision: it validates the masks once
+and hands them to _cached_weights, the only reader and writer of the
+process-wide _balanced_cache. The key is (n, sorted masks), the value
+the weights dict or None, each caller gets a fresh copy of the dict, and
+the cache is unbounded. is_balanced is that decision's `is not None`, so
+the oracle validates and solves each distinct collection once, and
+is_minimal_balanced, which checks its masks itself, calls _cached_weights
+directly.
 """
 from collections import Counter
 from fractions import Fraction
@@ -84,7 +87,11 @@ def find_balancing_weights(n, coalitions):
     stores the result. A returned dict is a fresh copy, so a caller may
     mutate it. The cache is unbounded.
     """
-    masks = _checked_masks(n, coalitions)
+    return _cached_weights(n, _checked_masks(n, coalitions))
+
+
+def _cached_weights(n, masks):
+    """find_balancing_weights on masks that _checked_masks returned."""
     key = (n, masks)
     if key not in _balanced_cache:
         _balanced_cache[key] = _decide(n, masks)
@@ -154,7 +161,7 @@ def is_minimal_balanced(n, coalitions):
     masks = _checked_masks(n, coalitions)
     if rank_of_masks(masks, n) != len(masks):
         return False
-    return is_balanced(n, masks)
+    return _cached_weights(n, masks) is not None
 
 
 def is_minimal_balanced_oracle(n, coalitions):

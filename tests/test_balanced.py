@@ -159,6 +159,24 @@ def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
     assert len(balanced._balanced_cache) == 1940
 
 
+def test_minimality_test_validates_each_collection_once(monkeypatch):
+    # is_minimal_balanced checks its masks itself and then reads the cached
+    # decision directly, not through a second validation
+    collections = [bc.coalitions for bc in enumerate_mbc(4).collections]
+    checks = []
+
+    def counting_check(n, coalitions):
+        checks.append(coalitions)
+        return checked_masks(n, coalitions)
+
+    checked_masks = balanced._checked_masks
+    monkeypatch.setattr(balanced, "_balanced_cache", {})
+    monkeypatch.setattr(balanced, "_checked_masks", counting_check)
+    assert all(is_minimal_balanced(4, masks) for masks in collections)
+    assert (len(collections), len(checks)) == (42, 42)
+    assert len(balanced._balanced_cache) == 42
+
+
 def test_cached_weights_are_handed_out_as_fresh_dicts(monkeypatch):
     monkeypatch.setattr(balanced, "_balanced_cache", {})
     w = find_balancing_weights(3, [3, 5, 6])

@@ -628,6 +628,7 @@ def test_verify_sharpbs_small(capsys):
         ("sharpbs", "--max-n", "1"),
         ("sharpbs", "--max-n", "7"),
         ("table1", "--max-n", "1"),
+        ("table1", "--max-n", "7"),
         ("prop1", "--max-nodes", "0"),
         ("sharpbs", "--max-n", "2", "--games", "0"),
     ],

@@ -141,18 +141,29 @@ def test_cover_search_output_is_pinned():
 def test_farkas_filter_drops_candidates_before_reduction(monkeypatch):
     # a candidate the Farkas rule drops is never reduced against the chosen
     # row, and a child that fails the pair test has no residual reduced, so
-    # the number of _normalize calls shows both at work: the same output
+    # the number of _reduce calls shows both at work: the same output
     # takes 37,192 calls with the candidate filter off, and 77,457 with the
-    # pair test run after the child's residual is reduced
+    # pair test run after the child's residual is reduced; every division
+    # is exact and every entry stays within ENTRY_MAX
     calls = 0
-    normalize = _mbc_pure._normalize
+    reduce = _mbc_pure._reduce
+    width, half, mask = _mbc_pure.FIELD, _mbc_pure._HALF, _mbc_pure._MASK
+    bias = sum(half << width * i for i in range(12))
 
-    def counted(row):
+    def counted(a, r, b, row, d):
         nonlocal calls
         calls += 1
-        return normalize(row)
+        q, rem = divmod(a * r - b * row, d)
+        assert rem == 0
+        # the 2n + 2 = 12 fields hold all of q, each within the bound
+        fields = [((q + bias) >> width * i & mask) - half for i in range(12)]
+        assert sum(f << width * i for i, f in enumerate(fields)) == q
+        assert max(map(abs, fields)) <= 4096
+        got = reduce(a, r, b, row, d)
+        assert got == q
+        return got
 
-    monkeypatch.setattr(_mbc_pure, "_normalize", counted)
+    monkeypatch.setattr(_mbc_pure, "_reduce", counted)
     assert len(_mbc_pure.direct_search(5)) == TABLE1[5]
     assert calls == 37148
 
