@@ -49,16 +49,21 @@ divisor in the same way. Every division is exact: the quotient's entries
 are minors, hence integers, and when a divisor divides every field it
 divides the packed int, field by field.
 
-The minors are those of a 0/1 matrix of order j + 1 <= n + 1 <= 8 (a
-coefficient column has a single 1, so it only lowers the order), so by
-the argument of ENTRY_MAX in _speedups.c every entry is at most 4096 in
-absolute value, and a product or combination the search forms, a * r -
-b * R or a row times D_k, stays below 2 * 4096^2 = 2^25, inside a signed
-32-bit field. No gcd is taken during the search: the weights of a
-solved child that passes the sign check are divided by their gcd only
-when its triple is emitted. _speedups.c divides each row by its gcd
-instead, so its rows are these rows divided by their gcd up to sign, and
-the twins emit the same triples in the same order.
+Every entry is bounded by ENTRY_MAX = 4096, in both twins. A row
+reduced at depth k combines the k chosen masks and its own, 0/1 rows
+(the residual: the chosen masks and the all-ones row), and each of its
+entries is a minor of order k + 1 of the 0/1 matrix they form with one
+more column, incidence or coefficient. A coefficient column has a
+single 1, so it only lowers the order, and k + 1 <= n + 1 <= 8. By
+Hadamard's inequality a matrix of order 8 with entries in [-1, 1] has
+determinant at most 8^(8/2) = 4096 in absolute value. So a product or
+combination the search forms, a * r - b * R or a row times D_k, stays
+below 2 * 4096^2 = 2^25, inside a signed 32-bit field here and far
+inside int64 in _speedups.c, which checks the bound on every row it
+stores. No gcd is taken during the search: the weights of a solved child
+that passes the sign check are divided by their gcd only when its triple
+is emitted. _speedups.c runs the same elimination, so the twins hold the
+same rows at every node and emit the same triples in the same order.
 
 Each child of a node is first tested by a Farkas rule. The child's
 chosen coalitions are the node's and the child's own mask; let A be
@@ -92,10 +97,10 @@ dropped before it is reduced.
 
 The rule removes only children that emit nothing, and it changes no
 row, residual or pivot of a child it keeps, so the DFS order, every
-emitted triple, and the bound on the elimination entries (ENTRY_MAX in
-_speedups.c) are as without it. Player pairs are bits j * n + i of an
-int: a suffix OR over the candidate list gives A's pairs with one OR per
-child, and each candidate is tested with one AND. Repeating the
+emitted triple, and the bound on the elimination entries (ENTRY_MAX)
+are as without it. Player pairs are bits j * n + i of an int: a suffix
+OR over the candidate list gives A's pairs with one OR per child, and
+each candidate is tested with one AND. Repeating the
 candidate filter until nothing more drops visits the same nodes at n = 5
 and in the n = 6 subtrees first = 8 and 24, so it is not done.
 

@@ -6,16 +6,20 @@
  * searches and stays the reference.
  *
  * direct_search keeps, per depth, the node's candidate list: each later mask
- * with its row already reduced against the chosen rows, and its pivot.
- * Entering a child reduces every candidate once, against the newly chosen
- * row and only where its entry at that row's pivot is nonzero; a candidate
- * whose incidence part vanishes is dropped for the whole subtree, and an
- * unreduced row is shared by pointer. A candidate's own coefficient sits in
- * the last column (2n + 1) and moves to column n + 1 + depth when it is
- * chosen, so every entry equals that of re-reducing each mask against all
- * chosen rows at every node, and the bound below still holds. The lists and
- * the rows reduced on entering each depth take (n + 1) * 2^n entries on the
- * heap: 147 KB at n = 7.
+ * with its row already reduced against the chosen rows, its pivot, and the
+ * divisor D_j of the level j the row was stored at. Entering a child reduces
+ * every candidate once, against the newly chosen row R and only where its
+ * entry b at R's pivot is nonzero, to (a * r - b * R) / D_j with a R's pivot
+ * entry; a candidate whose incidence part vanishes is dropped for the whole
+ * subtree, and an unreduced row is shared by pointer with its divisor. A
+ * chosen row is first rescaled to its node's level, row * D_depth / D_j, and
+ * the all-ones residual keeps its divisor in the same way. A candidate's own
+ * coefficient sits in the last column (2n + 1) and moves to column
+ * n + 1 + depth when it is chosen. This is the fraction-free elimination with
+ * exact division that _mbc_pure.py derives, so both twins hold the same row
+ * values at every node, and a gcd is taken only when a triple is emitted. The
+ * lists and the rows reduced on entering each depth take (n + 1) * 2^n
+ * entries on the heap: 147 KB at n = 7.
  *
  * Each child is first tested by the Farkas rule that _mbc_pure.py derives.
  * Its chosen masks are the node's and its own; A is those plus the node's
@@ -50,23 +54,11 @@
  * is appended to the result list when the search finds it, masks in the
  * order chosen, which is the pure twin's order.
  *
- * Bound on the elimination entries of direct_search (ENTRY_MAX):
- * - A reduced row, or the residual of the all-ones vector, combines j + 1
- *   rows of 0/1 entries (the chosen masks, plus the all-ones row for the
- *   residual) so that it vanishes at j pivot columns, and the pivot block of
- *   the rows that own them is nonsingular.
- * - By Cramer's rule its coefficients are then proportional to the j x j
- *   minors of that (j + 1) x j 0/1 matrix, and each incidence entry, the
- *   coefficients times one more 0/1 column, to a (j + 1) x (j + 1) minor.
- * - norm() divides by the gcd of the whole row, so every entry it returns is
- *   at most the largest |minor| of a 0/1 matrix of order j + 1 <= n + 1 <= 8,
- *   which Hadamard's inequality bounds by 8^(8/2) = 4096.
- * - A combination a * x - b * y of two such rows is then at most
- *   2 * 4096^2 = 2^25 in absolute value, far inside int64, and each side of
- *   the solved test, a product of two entries, at most 2^24.
- * - The Farkas tests only skip children, so every row that is reduced is one
- *   the search without them reduces too, with the same entries.
- * norm() checks the bound on every row it returns, and direct_search raises
+ * Every entry of direct_search's rows is at most ENTRY_MAX = 4096 in absolute
+ * value, by the argument in _mbc_pure.py. In int64 that leaves wide margins:
+ * a numerator a * r - b * R before its division is at most 2 * 4096^2 = 2^25,
+ * and a rescale row * D_depth or a side of the solved test at most 2^24.
+ * reduce() checks the bound on every row it stores, and direct_search raises
  * OverflowError if it ever fails.
  */
 #define PY_SSIZE_T_CLEAN
@@ -76,7 +68,7 @@
 
 #define MAXN 7
 #define WIDTH 16                   /* row stride: 2n + 2 <= 16 columns */
-#define ENTRY_MAX 4096             /* see the bound above */
+#define ENTRY_MAX 4096             /* see the bound in _mbc_pure.py */
 #define MAX_STATES (1LL << 28)     /* cover bitset positions */
 
 /* A tuple of sign * v[i] as Python ints, or NULL with an exception set. */
@@ -122,6 +114,7 @@ append_result(PyObject *out, const int64_t *a, const int64_t *b, int size,
 /* A later coalition of a node: its row, reduced against the chosen rows. */
 typedef struct {
     int mask, pivot;
+    int64_t div;         /* D_j of the level j the row was stored at */
     const int64_t *row;  /* shared with the parent's list while unchanged */
 } Cand;
 
@@ -149,28 +142,20 @@ gcd(int64_t a, int64_t b)
     return a;
 }
 
-/* Divide row by the gcd of its entries; -1 if an entry exceeds ENTRY_MAX. */
+/* out = (a * r - b * row) / div, which divides exactly; -1 if an entry
+   exceeds ENTRY_MAX. */
 static int
-norm(int64_t *row, int width)
+reduce(int64_t *out, int64_t a, const int64_t *r, int64_t b,
+       const int64_t *row, int64_t div, int width)
 {
-    int64_t g = 0, top = 0;
     for (int i = 0; i < width; i++) {
-        int64_t x = row[i] < 0 ? -row[i] : row[i];
-        if (x) {
-            g = gcd(g, x);
-            if (x > top)
-                top = x;
+        int64_t x = (a * r[i] - b * row[i]) / div;
+        if (x > ENTRY_MAX || x < -ENTRY_MAX) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "direct kernel: elimination entry exceeds its bound");
+            return -1;
         }
-    }
-    if (g > 1) {
-        for (int i = 0; i < width; i++)
-            row[i] /= g;
-        top /= g;
-    }
-    if (top > ENTRY_MAX) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "direct kernel: elimination entry exceeds its bound");
-        return -1;
+        out[i] = x;
     }
     return 0;
 }
@@ -179,7 +164,7 @@ norm(int64_t *row, int width)
 static int
 direct_emit(Direct *d, int size, int64_t *r2)
 {
-    int64_t den = r2[d->n], *c = r2 + d->n + 1;
+    int64_t den = r2[d->n], *c = r2 + d->n + 1, g;
     if (den < 0) {
         den = -den;
         for (int j = 0; j < size; j++)
@@ -188,15 +173,21 @@ direct_emit(Direct *d, int size, int64_t *r2)
     for (int j = 0; j < size; j++)
         if (c[j] >= 0)
             return 0;
-    return append_result(d->out, d->chosen, c, size, -1, den);
+    g = den;
+    for (int j = 0; j < size; j++)
+        g = gcd(g, -c[j]);
+    for (int j = 0; j < size; j++)
+        c[j] /= g;
+    return append_result(d->out, d->chosen, c, size, -1, den / g);
 }
 
 /* Choose each of the node's candidates lo..hi-1 in turn, then search the
    candidates after it, each reduced once against the newly chosen row.
-   split_chosen and lone_chosen are the player pairs of the chosen masks. */
+   split_chosen and lone_chosen are the player pairs of the chosen masks;
+   dnode is D_depth and drho the divisor the residual was stored with. */
 static int
 direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
-           uint64_t split_chosen, uint64_t lone_chosen)
+           uint64_t split_chosen, uint64_t lone_chosen, int64_t drho, int64_t dnode)
 {
     int n = d->n, width = d->width, own = width - 1, slot = n + 1 + depth;
     const Cand *cands = d->cands + (size_t)depth * d->nmasks;
@@ -214,6 +205,7 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
         suf[c] = suf[c + 1] | d->split[cands[c].mask];
     for (int c = lo; c < hi; c++) {
         int i, p = cands[c].pivot, nkids = 0, solved = 0;
+        int64_t a;
         const int64_t *src = cands[c].row;
         uint64_t sc = split_chosen | d->split[cands[c].mask];
         uint64_t lc = lone_chosen | d->lone[cands[c].mask];
@@ -228,14 +220,16 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
         }
         if (solved && (lc & d->off & ~sc))
             continue;  /* the chosen masks alone need a zero weight */
-        memcpy(row, src, width * sizeof *row);
-        row[slot] = row[own];  /* the candidate's own coefficient moves */
-        row[own] = 0;          /* into this depth's slot once chosen */
+        /* the chosen row at this node's level: src * D_depth / D_j */
+        if (cands[c].div == dnode)
+            memcpy(row, src, width * sizeof *row);
+        else if (reduce(row, dnode, src, 0, src, cands[c].div, width) < 0)
+            return -1;
+        a = row[p];
+        row[slot] = row[own];  /* the candidate's own coefficient, D_depth, */
+        row[own] = 0;          /* moves into this depth's slot once chosen */
         if (rho[p]) {
-            int64_t a = row[p], b = rho[p];
-            for (i = 0; i < width; i++)
-                r2[i] = a * rho[i] - b * row[i];
-            if (norm(r2, width) < 0)
+            if (reduce(r2, a, rho, rho[p], row, drho, width) < 0)
                 return -1;
         }
         else {
@@ -250,26 +244,27 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
         for (int j = c + 1; j < ncand; j++) {
             const int64_t *r = cands[j].row;
             int q = cands[j].pivot;
+            int64_t div = cands[j].div;
             if (d->lone[cands[j].mask] & tied)
                 continue;  /* would need weight zero */
             if (r[p]) {
-                int64_t a = row[p], b = r[p], *r3 = store + nkids * WIDTH;
-                for (i = 0; i < width; i++)
-                    r3[i] = a * r[i] - b * row[i];
-                if (norm(r3, width) < 0)
+                int64_t *r3 = store + nkids * WIDTH;
+                if (reduce(r3, a, r, r[p], row, div, width) < 0)
                     return -1;
                 for (q = 0; q < n && !r3[q]; q++)
                     ;
                 if (q == n)
                     continue;  /* dependent: dropped for the whole subtree */
                 r = r3;
+                div = a;
             }
             kids[nkids].mask = cands[j].mask;
             kids[nkids].pivot = q;
+            kids[nkids].div = div;
             kids[nkids].row = r;
             nkids++;
         }
-        if (direct_rec(d, depth + 1, nkids, 0, nkids, sc, lc) < 0)
+        if (direct_rec(d, depth + 1, nkids, 0, nkids, sc, lc, rho[p] ? a : drho, a) < 0)
             return -1;
     }
     return 0;
@@ -314,6 +309,7 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
         row[d.width - 1] = 1;
         d.cands[m - 1].mask = m;
         d.cands[m - 1].pivot = p;
+        d.cands[m - 1].div = 1;
         d.cands[m - 1].row = row;
         for (int j = 0; j < n; j++)
             for (int i = 0; i < n; i++) {
@@ -332,7 +328,7 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
     d.out = PyList_New(0);
     if (d.out != NULL
         && direct_rec(&d, 0, d.nmasks - 1, first ? first - 1 : 0,
-                      first ? first : d.nmasks - 1, 0, 0) < 0)
+                      first ? first : d.nmasks - 1, 0, 0, 1, 1) < 0)
         Py_CLEAR(d.out);
 done:
     PyMem_Free(d.cands);

@@ -178,26 +178,15 @@ def split_top_level(text: str) -> list:
 
     '{1,2}:1/2, {3}:1' gives ['{1,2}:1/2', ' {3}:1']. A blank text gives
     []; empty items are kept, so that the caller's item parser rejects
-    them.
+    them. Nested or unbalanced braces raise ValueError.
     """
     if not text.strip():
         return []
-    if _UNNESTED.fullmatch(text):
-        # with balanced, unnested braces, a comma is outside them iff the
-        # next brace after it is not a closing one
-        return _TOP_COMMA.split(text)
-    parts = []
-    depth = start = 0
-    for i, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+    if not _UNNESTED.fullmatch(text):
+        raise ValueError("nested or unbalanced braces in %r" % text)
+    # with balanced, unnested braces, a comma is outside them iff the next
+    # brace after it is not a closing one
+    return _TOP_COMMA.split(text)
 
 
 def split_line(text: str, label: str = "") -> tuple:

@@ -117,9 +117,6 @@ def _direct_subtree(args):
 
 
 def _threads_default():
-    raw = os.environ.get("BALANCED_FORGE_THREADS", "")
-    if raw.strip():
-        return int(raw)
     # the CPUs this process may run on, where the platform can tell
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -130,9 +127,9 @@ def enumerate_mbc(n, threads=None):
     """All minimal balanced collections on n players, 2 <= n <= 7.
 
     Subtrees of the search split by the first chosen coalition and run on
-    a process pool for n >= 6 (BALANCED_FORGE_THREADS or the thread
-    argument caps workers); results are merged and sorted, so the catalog
-    is identical however the work was scheduled.
+    a process pool for n >= 6 (the threads argument caps workers; by
+    default one per CPU this process may run on); results are merged and
+    sorted, so the catalog is identical however the work was scheduled.
 
     Diagnostics on the returned catalog name the kernel ("compiled" or
     "pure") and give the wall time of the search and of building and
@@ -144,9 +141,7 @@ def enumerate_mbc(n, threads=None):
     if threads is None:
         threads = _threads_default()
     if threads < 1:
-        raise ValueError(
-            "threads (argument or BALANCED_FORGE_THREADS) must be >= 1, got %r" % (threads,)
-        )
+        raise ValueError("threads must be >= 1, got %r" % (threads,))
     start = time.perf_counter()
     if n >= 6 and threads > 1:
         tasks = [(n, first) for first in range(1, 1 << n)]

@@ -61,6 +61,9 @@ class Game:
         check_players(n)
         table = [0] * (1 << n)
         items = dict(worths)
+        for mask in items:
+            if type(mask) is not int:
+                raise ValueError("coalition %r is not an int bitmask" % (mask,))
         empty = items.pop(0, None)
         if empty not in (None, 0) and Fraction(empty) != 0:
             raise ValueError("v(empty) must be 0, got %r" % (empty,))
@@ -70,10 +73,9 @@ class Game:
                 % ((1 << n) - 1, len(items))
             )
         for mask, val in items.items():
-            m = int(mask)
-            if not 1 <= m <= full_mask(n):
+            if not 1 <= mask <= full_mask(n):
                 raise ValueError("coalition %r outside players 1..%d" % (mask, n))
-            table[m] = val
+            table[mask] = val
         nums, self.den = to_common_denominator(table)
         self.n = n
         self.worths = tuple(nums)

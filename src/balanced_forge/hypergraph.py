@@ -31,8 +31,10 @@ class Hypergraph:
     def __init__(self, n, edges):
         check_players(n)
         full = full_mask(n)
-        edges = tuple(int(e) for e in edges)
+        edges = tuple(edges)
         for e in edges:
+            if type(e) is not int:
+                raise ValueError("edge %r is not an int bitmask" % (e,))
             if e < 0 or e > full:
                 raise ValueError("edge %r outside node range 1..%d" % (e, n))
         self.n = n

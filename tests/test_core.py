@@ -111,14 +111,29 @@ def _split_by_characters(text):
     return parts
 
 
+def _unnested(text):
+    """Whether text's braces are balanced and never nested."""
+    depth = 0
+    for ch in text:
+        depth += {"{": 1, "}": -1}.get(ch, 0)
+        if depth not in (0, 1):
+            return False
+    return depth == 0
+
+
 def test_split_top_level_matches_character_scan():
     assert split_top_level("{1,2}:1/2, {3}:1") == ["{1,2}:1/2", " {3}:1"]
-    # every text of up to 7 characters over braces, comma, space and a digit,
-    # unbalanced braces included
+    # every text of up to 7 characters over braces, comma, space and a digit:
+    # the scan's pieces where braces are balanced and unnested, ValueError
+    # for any other text that is not blank
     for size in range(8):
         for chars in product("{}, 1", repeat=size):
             text = "".join(chars)
-            assert split_top_level(text) == _split_by_characters(text), text
+            if _unnested(text) or not text.strip():
+                assert split_top_level(text) == _split_by_characters(text), text
+            else:
+                with pytest.raises(ValueError):
+                    split_top_level(text)
 
 
 def test_check_players_bounds():

@@ -231,23 +231,17 @@ def test_duality_rejection_counts_at_n6_k3_k4(speedups, catalog6, monkeypatch):
     assert dual.coalition_sets() <= catalog6.coalition_sets()
 
 
-def test_threads_must_be_positive(monkeypatch):
+def test_threads_must_be_positive():
     with pytest.raises(ValueError):
         enumerate_mbc(3, threads=0)
-    monkeypatch.setenv("BALANCED_FORGE_THREADS", "0")
-    with pytest.raises(ValueError):
-        enumerate_mbc(3)
 
 
 def test_threads_default_counts_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.delenv("BALANCED_FORGE_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     assert enumeration._threads_default() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     assert enumeration._threads_default() == 64
-    monkeypatch.setenv("BALANCED_FORGE_THREADS", "3")
-    assert enumeration._threads_default() == 3
 
 
 def test_duality_range_checks():
@@ -403,6 +397,20 @@ def catalog6(direct6):
 def test_compiled_n6_output_is_pinned(direct6):
     assert len(direct6) == TABLE1[6]
     assert hashlib.sha256(repr(direct6).encode()).hexdigest() == DIRECT6_SHA256
+
+
+# sha256 of repr(direct_search(7, 56)), recorded from the compiled kernel
+# when it still divided each row by its gcd
+DIRECT7_56_SHA256 = "fd10cd2a58af741e8e0afaa02ed3db81fbc6ff97d290044113a2a8f68befa6e9"
+
+
+def test_compiled_n7_subtree_is_pinned(speedups):
+    # a nonempty n = 7 subtree, about 0.2 s: rows of 16 entries and minors
+    # of order 8, which no n <= 6 search reaches
+    raw = speedups.direct_search(7, 56)
+    assert len(raw) == 26618
+    assert max(den for _, _, den in raw) == 15
+    assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT7_56_SHA256
 
 
 def test_sharpbs_lp_equals_catalog_at_n6(catalog6):

@@ -53,6 +53,17 @@ def test_game_requires_full_table():
 def test_game_rejects_foreign_coalition():
     with pytest.raises(ValueError):
         Game(2, {1: 0, 2: 0, 3: 1, 4: 0})
+    # a coalition is an int bitmask: 2.5 is not coerced to {2}, which would
+    # leave {1,2} silently at 0
+    with pytest.raises(ValueError, match="not an int bitmask"):
+        Game(2, {1: 1, 2: 1, 2.5: 3})
+    for key in ("3", 3.0, True):
+        with pytest.raises(ValueError, match="not an int bitmask"):
+            Game(1, {key: 1})
+    # nor is the empty coalition's key coerced
+    for key in (0.0, False):
+        with pytest.raises(ValueError, match="not an int bitmask"):
+            Game(1, {key: 0, 1: 1})
 
 
 def test_game_worths_become_fractions():

@@ -49,6 +49,10 @@ def test_construction_and_validation():
         Hypergraph(2, [4])
     with pytest.raises(ValueError):
         Hypergraph(0, [])
+    # an edge is an int bitmask, never coerced
+    for edge in (1.9, "6", True):
+        with pytest.raises(ValueError, match="not an int bitmask"):
+            Hypergraph(3, [1, edge])
 
 
 def test_size_counts_multiplicity():
