@@ -26,6 +26,10 @@ a row by a positive number changes neither the signs of reduced costs nor
 any ratio, so the pivot path is the one the rational tableau walks, and
 identical inputs always land on the same optimal basis. Rationals are
 built only for the returned solution, as rhs / d.
+
+One elimination, _eliminate, brings a list of columns into the rows one
+at a time with _pivot: simplex_min's start from a given basis and
+solve_square both run it.
 """
 from fractions import Fraction
 from math import lcm
@@ -66,6 +70,26 @@ def _pivot(tab, d, r, c):
     return p
 
 
+def _eliminate(rows, cols):
+    """Fraction-free Gauss-Jordan from d = 1, column cols[i] into row i.
+
+    Each step swaps up the first row at or below i that is nonzero in
+    cols[i] and pivots there. Returns the final d, or None when some
+    column has no such row (cols dependent, or more cols than rows).
+    """
+    d = 1
+    m = len(rows)
+    for i, col in enumerate(cols):
+        for r in range(i, m):
+            if rows[r][col]:
+                break
+        else:
+            return None
+        rows[i], rows[r] = rows[r], rows[i]
+        d = _pivot(rows, d, i, col)
+    return d
+
+
 def _iterate(tab, basis, d, allowed):
     """Bland pivots until optimal or unbounded; returns (status, d, pivots).
 
@@ -103,7 +127,8 @@ def simplex_min(A, b, c, basis=None):
     """Minimize c.x subject to A x = b, x >= 0 (equality-form simplex).
 
     basis, when given, must list one column per row already forming a
-    feasible basis (ValueError when its columns are singular); otherwise
+    feasible basis (ValueError when its columns are singular or not one
+    per row); otherwise
     a phase-1 with artificial variables runs first. Returns
     LpResult(status, objective, x, basis, pivots) with status one of
     optimal, infeasible, unbounded.
@@ -118,8 +143,6 @@ def simplex_min(A, b, c, basis=None):
             row = [-v for v in row]
         rows.append(row)
         scales.append(scale)
-    d = 1
-    pivots = 0
 
     if basis is None:
         # Phase 1 minimizes the sum of one artificial per input row. In the
@@ -134,39 +157,30 @@ def simplex_min(A, b, c, basis=None):
             cost = [z - w * a for z, a in zip(cost, row)]
         basis = [ncols + i for i in range(m)]
         tab = rows + [cost]
-        status, d, pivots = _iterate(tab, basis, d, ncols)
+        status, d, pivots = _iterate(tab, basis, 1, ncols)
         if status != "optimal" or tab[-1][-1] != 0:
             return LpResult("infeasible", pivots=pivots)
         # pivot lingering artificials out; drop rows that are redundant
         keep = []
         for i in range(m):
             if basis[i] >= ncols:
-                enter = -1
                 for j in range(ncols):
                     if tab[i][j]:
-                        enter = j
                         break
-                if enter < 0:
+                else:
                     continue  # all-zero constraint, drop
-                d = _pivot(tab, d, i, enter)
-                basis[i] = enter
+                d = _pivot(tab, d, i, j)
+                basis[i] = j
                 pivots += 1
             keep.append(i)
         rows = [tab[i] for i in keep]
         basis = [basis[i] for i in keep]
     else:
         basis = list(basis)
-        for i in range(m):
-            col = basis[i]
-            if rows[i][col] == 0:
-                for r in range(i + 1, m):
-                    if rows[r][col]:
-                        rows[i], rows[r] = rows[r], rows[i]
-                        break
-                else:
-                    raise ValueError("basis columns are linearly dependent")
-            d = _pivot(rows, d, i, col)
-            pivots += 1
+        d = _eliminate(rows, basis) if len(basis) == m else None
+        if d is None:
+            raise ValueError("basis must name %d linearly independent columns" % m)
+        pivots = m
         for row in rows:
             if row[-1] < 0:
                 return LpResult("infeasible", pivots=pivots)
@@ -194,17 +208,9 @@ def solve_square(M, rhs):
     """Exact solution of a square system, or None when singular."""
     n = len(M)
     rows = [to_common_denominator(list(M[i]) + [rhs[i]])[0] for i in range(n)]
-    d = 1
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        d = _pivot(rows, d, col, col)
+    d = _eliminate(rows, range(n))
+    if d is None:
+        return None
     return [Fraction(row[-1], d) for row in rows]
 
 

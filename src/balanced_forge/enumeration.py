@@ -124,7 +124,10 @@ def _threads_default():
 
 
 def enumerate_mbc(n, threads=None):
-    """All minimal balanced collections on n players, 2 <= n <= 7.
+    """All minimal balanced collections on n players, 2 <= n <= 6.
+
+    n = 7 is refused: its 132,422,036 collections need about 33 GB in
+    memory. The kernels' direct_search(7, first) searches one subtree.
 
     Subtrees of the search split by the first chosen coalition and run on
     a process pool for n >= 6 (the threads argument caps workers; by
@@ -136,8 +139,12 @@ def enumerate_mbc(n, threads=None):
     sorting the collections, in seconds (search_s, build_s).
     """
     check_players(n)
-    if not 2 <= n <= 7:
-        raise ValueError("enumerate_mbc supports 2 <= n <= 7, got %d" % n)
+    if not 2 <= n <= 6:
+        raise ValueError(
+            "enumerate_mbc supports 2 <= n <= 6, got %d; the n=7 catalog holds "
+            "132,422,036 collections, about 33 GB in memory, so search n=7 one "
+            "subtree at a time with _kernel.direct_search(7, first)" % n
+        )
     if threads is None:
         threads = _threads_default()
     if threads < 1:

@@ -235,17 +235,18 @@ def core_mbc(game, catalog):
 
     The first call on a catalog builds an index, catalog._scan, and a
     later call rebuilds it when catalog.collections has changed. It
-    groups the collections by den, and for each group and coalition S
-    holds one int whose 32-bit fields are the numerators of S, one field
-    per collection in catalog order. Then bias + sum(V(S) * column(S)),
-    with HALF = 2^31 in every field of bias, holds HALF + t in each
-    field, with no carry between fields while |t| < HALF. That holds
-    whenever max|V| times the largest numerator sum (9 at n=5, 17 at
-    n=6) is below HALF. A group's best collection is then the first
-    field holding the group's largest value, and the group bests are
-    compared by cross-multiplication, ties going to the lower catalog
-    position. Larger worths, such as Fraction(0.1) with its denominator
-    2^55, take the scalar loop over the collections.
+    groups the collections by den. A group whose largest numerator sum,
+    its width, is below HALF = 2^31 also holds, for each coalition S, one
+    int whose 32-bit fields are the numerators of S, one field per
+    collection in catalog order. Then bias + sum(V(S) * column(S)), with
+    HALF in every field of bias, holds HALF + t in each field, with no
+    carry between fields while |t| < HALF, which holds whenever max|V|
+    times the width is below HALF (the widths are 9 at most at n=5 and
+    17 at n=6). Any other group, for larger worths such as
+    Fraction(0.1) with its denominator 2^55, sums t collection by
+    collection. Either way a group's best collection is the first one
+    holding the group's largest t, and the group bests are compared by
+    cross-multiplication, ties going to the lower catalog position.
     """
     if catalog.n != game.n:
         raise ValueError(
@@ -254,54 +255,53 @@ def core_mbc(game, catalog):
     worth = game.worths
     vN = worth[full_mask(game.n)]
     worth_of = worth.__getitem__
-    worst = None
     cols = catalog.collections
     # comparing the lists checks identity first: about a microsecond per
     # thousand collections
     if catalog._scan is None or catalog._scan[0] != cols:
         catalog._scan = _build_scan(cols)
-    _, width, groups = catalog._scan
-    if groups is not None and max(map(abs, worth)) * width < HALF:
-        best_pos = -1
-        best_t = best_den = 0
-        for den, positions, bias, masks, columns in groups:
+    limit = max(map(abs, worth))
+    best_pos = -1
+    best_t = best_den = 0
+    for den, positions, width, bias, masks, columns in catalog._scan[1]:
+        if bias is not None and limit * width < HALF:
             x = bias + sum(map(mul, map(worth_of, masks), columns))
-            fields = array("I", x.to_bytes(4 * len(positions), sys.byteorder))
-            top = max(fields)
-            t, pos = top - HALF, positions[fields.index(top)]
-            lhs, rhs = t * best_den, best_t * den
-            if best_pos < 0 or lhs > rhs or (lhs == rhs and pos < best_pos):
-                best_pos, best_t, best_den = pos, t, den
-        if best_pos >= 0 and best_t > best_den * vN:
-            worst = cols[best_pos]
-    else:
-        worst_t = worst_den = 0
-        for b in cols:
-            t = sum(map(mul, b.numerators, map(worth_of, b.coalitions)))
-            if t > b.denominator * vN and (worst is None or t * worst_den > worst_t * b.denominator):
-                worst, worst_t, worst_den = b, t, b.denominator
-    if worst is not None:
+            ts = array("I", x.to_bytes(4 * len(positions), sys.byteorder))
+            shift = HALF
+        else:
+            ts = [sum(map(mul, cols[pos].numerators, map(worth_of, cols[pos].coalitions)))
+                  for pos in positions]
+            shift = 0
+        top = max(ts)
+        t, pos = top - shift, positions[ts.index(top)]
+        lhs, rhs = t * best_den, best_t * den
+        if best_pos < 0 or lhs > rhs or (lhs == rhs and pos < best_pos):
+            best_pos, best_t, best_den = pos, t, den
+    if best_pos >= 0 and best_t > best_den * vN:
+        worst = cols[best_pos]
         return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
     return core_lp(game)
 
 
 def _build_scan(cols):
-    """(copy of cols, largest numerator sum, groups) for core_mbc.
+    """(copy of cols, groups) for core_mbc, one group per denominator.
 
-    A group is (den, positions, bias, masks, columns): the positions in
-    cols of the collections with denominator den, and for each coalition
-    in masks the int packing its numerators in those collections, one
-    32-bit field each, 0 where it is no member. groups is None when a
-    numerator sum alone reaches HALF, so that no game can use them.
+    A group is (den, positions, width, bias, masks, columns): the
+    positions in cols of the collections with denominator den, in
+    ascending order, and their largest numerator sum. When width is
+    below HALF, masks lists the coalitions that are members there and
+    columns holds, for each, the int packing its numerators in those
+    collections, one 32-bit field each, 0 where it is no member; bias,
+    masks and columns are None when no game could use them.
     """
-    width = max((sum(b.numerators) for b in cols), default=0)
-    groups = None
-    if width < HALF:
-        by_den = {}
-        for pos, b in enumerate(cols):
-            by_den.setdefault(b.denominator, []).append(pos)
-        groups = []
-        for den, positions in sorted(by_den.items()):
+    by_den = {}
+    for pos, b in enumerate(cols):
+        by_den.setdefault(b.denominator, []).append(pos)
+    groups = []
+    for den, positions in sorted(by_den.items()):
+        width = max(sum(cols[pos].numerators) for pos in positions)
+        bias = masks = columns = None
+        if width < HALF:
             size = len(positions)
             fields = {}
             for j, pos in enumerate(positions):
@@ -315,5 +315,5 @@ def _build_scan(cols):
             masks = sorted(fields)
             columns = [int.from_bytes(fields.pop(s), sys.byteorder) for s in masks]
             bias = int.from_bytes(array("I", [HALF]) * size, sys.byteorder)
-            groups.append((den, positions, bias, masks, columns))
-    return list(cols), width, groups
+        groups.append((den, positions, width, bias, masks, columns))
+    return list(cols), groups

@@ -290,24 +290,6 @@ def test_parallel_split_is_deterministic(speedups, catalog6, monkeypatch):
     ]
 
 
-def test_pure_kernel_override():
-    # the child imports this checkout's package, as pytest's pythonpath does
-    env = dict(os.environ, BALANCED_FORGE_PURE="1", PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from balanced_forge._kernel import KERNEL, direct_search;"
-            "print(KERNEL); print(len(direct_search(3)))",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["pure", "6"]
-
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -335,8 +317,7 @@ def speedups(tmp_path_factory):
     if shutil.which(cc.split()[0]) is None or not os.path.exists(headers):
         pytest.skip("no C compiler or Python headers to build the extension")
     out = tmp_path_factory.mktemp("speedups")
-    env = {k: v for k, v in os.environ.items() if k != "BALANCED_FORGE_NO_EXT"}
-    proc = _build_ext(ROOT, env, "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp"))
+    proc = _build_ext(ROOT, os.environ, "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp"))
     built = glob.glob(str(out / "lib" / "balanced_forge" / "_speedups*"))
     if proc.returncode != 0 or not built:
         pytest.fail("building balanced_forge._speedups failed:\n" + proc.stdout)
@@ -454,7 +435,6 @@ def test_build_without_compiler_falls_back(tmp_path):
         ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd", "*.egg-info"),
     )
     env = dict(os.environ, CC=os.path.join(str(tmp_path), "no-such-cc"))
-    env.pop("BALANCED_FORGE_NO_EXT", None)
     proc = _build_ext(tmp_path, env, "--inplace")
     assert proc.returncode == 0, proc.stdout
     assert glob.glob(str(tmp_path / "src" / "balanced_forge" / "_speedups*")) == [

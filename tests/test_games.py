@@ -402,6 +402,26 @@ def test_core_mbc_catalog_too_wide_for_packed_fields():
     assert verdict.efficiency == 2 - eps
 
 
+def test_core_mbc_packs_every_group_but_one_too_wide():
+    # balanced but not minimal: denominator 2^40, numerators summing to
+    # about 2^42, so only its own group is summed collection by collection
+    eps = Fraction(1, 1 << 40)
+    wide = BalancedCollection(4, {1: 1 - eps, 2: 1 - eps, 4: 1 - eps, 8: 1 - eps, 15: eps})
+    kept = [b for b in enumerate_mbc(4).collections if b.coalitions not in ((1, 2, 4, 8), (15,))]
+    catalog = MbcCatalog(4, "direct", kept + [wide])
+    singletons = Game(4, {m: 100 if m.bit_count() == 1 else 0 for m in range(1, 16)})
+    assert _assert_first_maximal(catalog, singletons)
+    assert core_mbc(singletons, catalog).collection is wide
+    assert [group[3] is None for group in catalog._scan[1]] == [False] * 3 + [True]
+    # the wide collection certifies 11 of these 30 empty cores
+    wins = 0
+    for seed in range(30):
+        g = random_game(4, seed)
+        assert _assert_first_maximal(catalog, g)
+        wins += core_mbc(g, catalog).collection is wide
+    assert 0 < wins < 30
+
+
 def test_core_mbc_ties_across_denominators_keep_first_in_catalog_order():
     # with worths 0..4 about one draw in 250 ties its top efficiency across
     # two denominators, with the larger one first in catalog order

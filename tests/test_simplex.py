@@ -26,6 +26,17 @@ def test_solve_square():
     assert solve_square([[3]], [2]) == [F(2, 3)]
 
 
+def test_elimination_swaps_up_a_row_nonzero_in_the_column():
+    # column 0 is zero in row 0, so row 1 is swapped up before the pivot
+    res = simplex_min([[0, 1, 1], [1, 1, 0]], [1, 1], [1, 2, 1], basis=[0, 1])
+    assert res.status == "optimal"
+    assert res.objective == 2
+    assert res.x == [F(0), F(1), F(0)]
+    assert res.basis == [0, 1]
+    assert res.pivots == 2
+    assert solve_square([[0, 1], [1, 0]], [3, 5]) == [F(5), F(3)]
+
+
 def test_simplex_basic_feasible():
     # min -x - y  s.t.  x + y + s = 4, x + 2y + t = 6
     res = simplex_min(
@@ -122,6 +133,8 @@ def test_given_basis_negative_pivot():
 def test_given_basis_singular_is_rejected():
     with pytest.raises(ValueError):
         simplex_min([[1, 1], [2, 2]], [1, 2], [0, 0], basis=[0, 1])
+    with pytest.raises(ValueError):
+        simplex_min([[1, 0], [0, 1]], [1, 1], [0, 0], basis=[0])
 
 
 def test_redundant_zero_row_dropped_after_phase_one():
