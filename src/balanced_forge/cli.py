@@ -26,7 +26,6 @@ from .enumeration import (
     mbc_via_duality,
     save_catalog,
     load_catalog,
-    CatalogError,
 )
 from ._simplex import rank_of_masks
 from .games import game_from_json, random_game, core_lp, core_mbc
@@ -402,7 +401,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CatalogError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except IncompleteDecomposition as exc:

@@ -6,7 +6,9 @@ player 1 is the least significant bit. The worths of a game and the
 weights of a balanced collection are each kept as ints over their least
 common denominator, as to_common_denominator gives them.
 """
+import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -135,14 +137,34 @@ def json_number(f):
     return int(f) if f.denominator == 1 else str(f)
 
 
-def check_json_object(obj, what, keys) -> None:
-    """Raise ValueError unless obj, parsed from a `what` JSON document, is
-    an object holding every key; the message names the first key missing."""
+def _reject_constant(name):
+    raise ValueError("JSON constant %s is not a number" % name)
+
+
+_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_reject_constant)
+
+
+def read_json(text: str, what: str, keys: tuple) -> dict:
+    """The object of a `what` JSON document holding "n" and every key in keys.
+
+    The one place where JSON input becomes Python values. An integer is
+    read as an int and any other number as a Decimal holding exactly the
+    digits written, so parse_weight turns 0.1 into 1/10, as it does the
+    string "0.1", and 1e400 into 10^400, never into the binary double
+    nearest to them. NaN, Infinity and -Infinity raise ValueError naming
+    the constant.
+    Malformed JSON (json.JSONDecodeError), a document that is not an
+    object, a missing key (named, "n" first) and an n that check_players
+    rejects raise ValueError too.
+    """
+    obj = _DECODER.decode(text)
     if not isinstance(obj, dict):
         raise ValueError("%s JSON must be an object, got %r" % (what, obj))
-    for key in keys:
+    for key in ("n", *keys):
         if key not in obj:
             raise ValueError("%s JSON has no %r key" % (what, key))
+    check_players(obj["n"])
+    return obj
 
 
 def parse_weight(value) -> Fraction:
@@ -150,7 +172,8 @@ def parse_weight(value) -> Fraction:
 
     Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
     None, and takes a bool (a JSON true or false) as 1 or 0; a bool is
-    rejected here, before the cache, where True and 1 share a key.
+    rejected here, before the cache, where True and 1 share a key. JSON
+    numbers reach it as read_json reads them.
     Catalogs repeat a few dozen weight texts, so the last 4096 distinct
     values used are kept converted.
     """

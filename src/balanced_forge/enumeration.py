@@ -18,13 +18,13 @@ from math import isqrt
 
 from . import __version__
 from .core import (
-    check_json_object,
     check_players,
     coalitions_of,
     format_coalition,
     full_mask,
     parse_coalition,
     parse_weight,
+    read_json,
 )
 from .hypergraph import Hypergraph, is_minimally_uniform
 from .balanced import (
@@ -409,18 +409,13 @@ def _checked_catalog(n, method, count, body, generated, tool):
 
 def _load_catalog_json(data):
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CatalogError("bad JSON: %s" % exc)
+        obj = read_json(data, "catalog", ("method", "count", "collections"))
+    except ValueError as exc:
+        raise CatalogError(str(exc)) from None
     if obj.get("format") != HEADER_PREFIX:
         raise CatalogError("not a catalog document")
     if obj.get("version") != 1:
         raise CatalogError("unsupported catalog version %r" % obj.get("version"))
-    try:
-        check_json_object(obj, "catalog", ("n", "method", "count", "collections"))
-        check_players(obj["n"])
-    except ValueError as exc:
-        raise CatalogError(str(exc))
     n = obj["n"]
     items = obj["collections"]
     if not isinstance(items, list):

@@ -15,13 +15,13 @@ from functools import lru_cache
 from operator import mul
 
 from .core import (
-    check_json_object,
     check_players,
     format_coalition,
     full_mask,
     json_number,
     parse_coalition,
     parse_weight,
+    read_json,
     to_common_denominator,
 )
 from .balanced import BalancedCollection, efficiency
@@ -107,10 +107,13 @@ class Game:
 
 
 def game_from_json(text):
-    obj = json.loads(text)
-    check_json_object(obj, "game", ("n", "v"))
+    """Parse a game as to_json writes it, `{"n": 2, "v": {"{1}": 0, "{2}": "1/3", "{1,2}": 1}}`.
+
+    v gives each nonempty coalition once. A worth is an integer, a decimal
+    or a rational string, read exactly (see read_json and parse_weight).
+    """
+    obj = read_json(text, "game", ("v",))
     n = obj["n"]
-    check_players(n)
     worths = obj["v"]
     if not isinstance(worths, dict):
         raise ValueError("v must map coalitions to worths, got %r" % (worths,))

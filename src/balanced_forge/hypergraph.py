@@ -16,11 +16,11 @@ from collections import Counter
 from itertools import product
 
 from .core import (
-    check_json_object,
     check_players,
     format_coalition,
     full_mask,
     parse_coalition,
+    read_json,
     split_line,
 )
 
@@ -133,10 +133,8 @@ def parse_hypergraph(text):
 
 def hypergraph_from_json(text):
     """Parse `{"n": 3, "edges": [[1, 2], [3]]}`: a list of lists of node ids."""
-    obj = json.loads(text)
-    check_json_object(obj, "hypergraph", ("n", "edges"))
+    obj = read_json(text, "hypergraph", ("edges",))
     n = obj["n"]
-    check_players(n)
     lists = obj["edges"]
     if not isinstance(lists, list) or not all(isinstance(lst, list) for lst in lists):
         raise ValueError("edges must be a list of lists of node ids, got %r" % (lists,))

@@ -550,6 +550,37 @@ def test_game_core_rejects_malformed_game(tmp_path, capsys, case):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, literal",
+    [('{"n": 3, "edges": [[1.0, 2], [3]]}', "1.0"), ('{"n": 3.0, "edges": [[1, 2], [3]]}', "3.0")],
+)
+def test_hyper_dual_rejects_decimal_ids_with_their_literal(tmp_path, capsys, text, literal):
+    # 1.0 is not read as the id 1, and the error quotes it as written
+    path = tmp_path / "h.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "hyper", "dual", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and literal in err and err.count("\n") == 1
+
+
+def test_game_core_reads_decimal_worths_exactly(tmp_path, capsys):
+    # 0.1 read as a binary double would give {1},{2} efficiency above 1/10
+    path = tmp_path / "g.json"
+    path.write_text('{"n":2,"v":{"{1}":0.1,"{2}":0,"{1,2}":"1/10"}}')
+    rc, out, _ = run(capsys, "game", "core", "--game", str(path), "--json")
+    assert rc == 0
+    assert json.loads(out)["payment"] == ["1/10", 0]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_game_core_rejects_nonfinite_worths(tmp_path, capsys, constant):
+    path = tmp_path / "g.json"
+    path.write_text('{"n":1,"v":{"{1}":%s}}' % constant)
+    rc, out, err = run(capsys, "game", "core", "--game", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: JSON constant %s is not a number\n" % constant
+
+
 MISSING_KEYS = {
     "game": ("game core --game", {"n": 2}, "v"),
     "catalog": (

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -13,6 +14,7 @@ from balanced_forge.core import (
     format_coalition,
     parse_coalition,
     parse_weight,
+    read_json,
     split_top_level,
     check_players,
     full_mask,
@@ -175,3 +177,10 @@ def test_to_common_denominator_matches_the_per_value_reference():
         nums, den = to_common_denominator(values)
         assert (nums, den) == ([p * (d // q) for p, q in ratios], d), values
         assert all(type(p) is int for p in nums), values
+
+
+def test_read_json_keeps_numbers_as_written():
+    obj = read_json('{"n": 2, "w": [0.1, 1e400, -2.50, 3]}', "test", ("w",))
+    assert obj["w"] == [Decimal("0.1"), Decimal("1e400"), Decimal("-2.50"), 3]
+    assert type(obj["w"][3]) is int
+    assert [parse_weight(w) for w in obj["w"]] == [Fraction(1, 10), 10**400, Fraction(-5, 2), 3]

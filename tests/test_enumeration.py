@@ -9,13 +9,14 @@ import subprocess
 import sys
 import sysconfig
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from balanced_forge import _mbc_pure, enumeration
 from balanced_forge._kernel import cover_search, direct_search
 from balanced_forge.balanced import BalancedCollection, from_regular_hypergraph, is_minimal_balanced
-from balanced_forge.core import format_coalition
+from balanced_forge.core import format_coalition, parse_coalition
 from balanced_forge.enumeration import (
     MAX_DET,
     TABLE1,
@@ -31,6 +32,7 @@ from balanced_forge.enumeration import (
     mbc_via_duality,
     save_catalog,
 )
+from balanced_forge.games import core_mbc, random_game
 from balanced_forge.hypergraph import Hypergraph, is_minimally_regular, is_minimally_uniform
 from balanced_forge.verify import sharpbs_catalog
 
@@ -375,6 +377,16 @@ def catalog6(direct6):
     return MbcCatalog(6, "direct", cols)
 
 
+def test_core_mbc_scan_groups_at_n6(catalog6):
+    # (size, width) of each denominator group, d = 1..9
+    core_mbc(random_game(6, 0), catalog6)
+    groups = catalog6._scan[1]
+    assert [group[0] for group in groups] == list(range(1, 10))
+    sizes = [203, 10142, 56407, 61186, 38731, 19920, 9065, 3300, 1260]
+    assert [len(group[1]) for group in groups] == sizes
+    assert [group[2] for group in groups] == [6, 9, 11, 13, 14, 15, 16, 17, 17]
+
+
 def test_compiled_n6_output_is_pinned(direct6):
     assert len(direct6) == TABLE1[6]
     assert hashlib.sha256(repr(direct6).encode()).hexdigest() == DIRECT6_SHA256
@@ -543,6 +555,16 @@ def test_hand_written_catalog_loads(tmp_path):
         _write_one_collection(path, fmt, ["{1}", "{2}", "{1,2}"], ["1/2", "1/2", "1/2"])
         (b,) = load_catalog(path).collections
         assert b.to_text() == "n=2; [{1}:1/2, {2}:1/2, {1,2}:1/2]"
+
+
+def test_json_catalog_reads_decimal_weights_exactly(tmp_path):
+    # the 15 pairs of 6 players at 1/5 each; as binary doubles the five
+    # weights of a player sum to 18014398509481985/18014398509481984
+    path = tmp_path / "pairs.json"
+    pairs = ["{%d,%d}" % pair for pair in combinations(range(1, 7), 2)]
+    _write_one_collection(path, "json", pairs, [0.2] * 15, n=6)
+    (b,) = load_catalog(path).collections
+    assert b.weights == {parse_coalition(c): Fraction(1, 5) for c in pairs}
 
 
 # one bad collection per case, with a fragment of the error it must raise

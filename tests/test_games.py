@@ -143,6 +143,14 @@ def test_game_json_rejects_duplicate_coalition():
         game_from_json('{"n":2,"v":{"{1}":0,"{2}":0,"{1,2}":1,"{2,1}":1}}')
 
 
+def test_game_json_reads_decimal_worths_exactly():
+    # 0.1 as a binary double exceeds 1/10, which would empty this core
+    text = '{"n":2,"v":{"{1}":0.1,"{2}":0,"{1,2}":"1/10"}}'
+    g = game_from_json(text)
+    assert g == game_from_json(text.replace("0.1", '"1/10"'))
+    assert g.v[1] == Fraction(1, 10)
+
+
 def test_random_game_frozen_worths():
     g = random_game(3, 42)
     assert [int(g.v[m]) for m in range(1, 8)] == [23, 63, 43, 5, 42, 59, 93]
@@ -460,6 +468,16 @@ def test_core_mbc_rebuilds_a_stale_index():
         assert not verdict.nonempty
         catalog.collections.remove(verdict.collection)
         assert _assert_first_maximal(catalog, g)
+
+
+def test_core_mbc_scan_groups_at_n5():
+    # (size, width) of each denominator group, d = 1..5
+    catalog = enumerate_mbc(5)
+    core_mbc(random_game(5, 0), catalog)
+    groups = catalog._scan[1]
+    assert [group[0] for group in groups] == [1, 2, 3, 4, 5]
+    assert [len(group[1]) for group in groups] == [52, 447, 517, 216, 60]
+    assert [group[2] for group in groups] == [5, 7, 8, 9, 9]
 
 
 def test_core_mbc_rejects_catalog_mismatch():
