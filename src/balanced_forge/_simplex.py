@@ -1,13 +1,9 @@
 """Exact simplex on an integer-preserving tableau, and small elimination helpers.
 
-The tableau holds Python ints only (fraction-free pivoting: Edmonds 1967,
-Bareiss 1968). Each input row of A|b, and the cost vector, is first scaled
-to integers by the lcm of its denominators; a row of plain ints is taken
-as it is, with scale 1, so callers with integer data (core_lp on an
-integral game, the balancedness LP) pay no conversion per entry. The
-integer tableau M then
-stands for the rational tableau T = M / d, with one common denominator
-d > 0 shared by every row, the reduced-cost row included.
+A, b and c hold Python ints (a caller scales rational data first), and so
+does the tableau: fraction-free pivoting (Edmonds 1967, Bareiss 1968).
+The integer tableau M stands for the rational tableau T = M / d, with one
+common denominator d > 0 shared by every row, the reduced-cost row included.
 
 A pivot on p = M[r][c] keeps the pivot row and replaces every other row
 by (p*a - f*b) // d, where f is that row's entry in column c and b the
@@ -22,19 +18,15 @@ Everything here is deterministic: Bland's anti-cycling rule picks the
 lowest-index column whose reduced cost is negative, which, as d > 0, is
 the sign of its integer entry, and the ratio test compares rhs_i / a_i by
 cross-multiplication, breaking ties on the lowest basis variable. Scaling
-a row by a positive number changes neither the signs of reduced costs nor
-any ratio, so the pivot path is the one the rational tableau walks, and
-identical inputs always land on the same optimal basis. Rationals are
-built only for the returned solution, as rhs / d.
+c, or all of A|b, by a positive number changes no reduced-cost sign and
+no ratio, hence no pivot. Rationals are built only for the returned
+solution, as rhs / d.
 
 One elimination, _eliminate, brings a list of columns into the rows one
 at a time with _pivot: simplex_min's start from a given basis and
 solve_square both run it.
 """
 from fractions import Fraction
-from math import lcm
-
-from .core import to_common_denominator
 
 ZERO = Fraction(0)
 
@@ -135,26 +127,15 @@ def simplex_min(A, b, c, basis=None):
     """
     m = len(A)
     ncols = len(c)
-    rows = []
-    scales = []
-    for i in range(m):
-        row, scale = to_common_denominator(list(A[i]) + [b[i]])
-        if row[-1] < 0:
-            row = [-v for v in row]
-        rows.append(row)
-        scales.append(scale)
+    # the rows of A|b, each negated where its b is negative
+    rows = [[*r, v] if v >= 0 else [-a for a in (*r, v)] for r, v in zip(A, b)]
 
     if basis is None:
-        # Phase 1 minimizes the sum of one artificial per input row. In the
-        # row scaled by L_i that artificial stands for L_i times the
-        # unscaled one, so it costs 1/L_i; the cost row below is that
-        # reduced-cost row times s = lcm(L_i). Artificial columns never
-        # enter and are dropped afterwards, so they are not stored.
-        s = lcm(*scales)
-        cost = [0] * (ncols + 1)
-        for row, scale in zip(rows, scales):
-            w = s // scale
-            cost = [z - w * a for z, a in zip(cost, row)]
+        # Phase 1 minimizes the sum of one artificial per input row: its
+        # reduced-cost row is minus the column sums of the rows. Artificial
+        # columns never enter and are dropped afterwards, so they are not
+        # stored.
+        cost = [-sum(row[j] for row in rows) for j in range(ncols + 1)]
         basis = [ncols + i for i in range(m)]
         tab = rows + [cost]
         status, d, pivots = _iterate(tab, basis, 1, ncols)
@@ -185,11 +166,10 @@ def simplex_min(A, b, c, basis=None):
             if row[-1] < 0:
                 return LpResult("infeasible", pivots=pivots)
 
-    # phase 2: the reduced costs of c scaled by its lcm, times d
-    scaled_c, cscale = to_common_denominator(c)
-    cost = [d * v for v in scaled_c] + [0]
+    # phase 2: the reduced costs of c, times d
+    cost = [d * v for v in c] + [0]
     for row, bi in zip(rows, basis):
-        f = scaled_c[bi]
+        f = c[bi]
         if f:
             cost = [z - f * a for z, a in zip(cost, row)]
     tab = rows + [cost]
@@ -200,15 +180,14 @@ def simplex_min(A, b, c, basis=None):
     x = [ZERO] * ncols
     for i, bi in enumerate(basis):
         x[bi] = Fraction(tab[i][-1], d)
-    objective = Fraction(-tab[-1][-1], d * cscale)
+    objective = Fraction(-tab[-1][-1], d)
     return LpResult("optimal", objective, x, list(basis), pivots)
 
 
 def solve_square(M, rhs):
-    """Exact solution of a square system, or None when singular."""
-    n = len(M)
-    rows = [to_common_denominator(list(M[i]) + [rhs[i]])[0] for i in range(n)]
-    d = _eliminate(rows, range(n))
+    """Exact solution of a square integer system, or None when singular."""
+    rows = [[*r, v] for r, v in zip(M, rhs)]
+    d = _eliminate(rows, range(len(rows)))
     if d is None:
         return None
     return [Fraction(row[-1], d) for row in rows]

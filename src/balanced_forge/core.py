@@ -8,7 +8,7 @@ common denominator, as to_common_denominator gives them.
 """
 import json
 import re
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -38,7 +38,7 @@ def to_common_denominator(values):
     Each value is numerators[i] / d exactly; d >= 1. values is a sequence
     of ints, Fractions, or anything Fraction() accepts. A list of plain
     ints comes back as a fresh list with d = 1 after one look at the set
-    of types, so integer LP rows are rescaled almost for free.
+    of types, so an integral game's worths are stored almost for free.
     """
     kinds = set(map(type, values))
     if kinds == _INT:
@@ -152,12 +152,15 @@ def read_json(text: str, what: str, keys: tuple) -> dict:
     digits written, so parse_weight turns 0.1 into 1/10, as it does the
     string "0.1", and 1e400 into 10^400, never into the binary double
     nearest to them. NaN, Infinity and -Infinity raise ValueError naming
-    the constant.
+    the constant, and so does a number whose exponent Decimal cannot hold.
     Malformed JSON (json.JSONDecodeError), a document that is not an
     object, a missing key (named, "n" first) and an n that check_players
     rejects raise ValueError too.
     """
-    obj = _DECODER.decode(text)
+    try:
+        obj = _DECODER.decode(text)
+    except InvalidOperation:  # an exponent beyond +-10^18
+        raise ValueError("%s JSON holds a number out of range" % what) from None
     if not isinstance(obj, dict):
         raise ValueError("%s JSON must be an object, got %r" % (what, obj))
     for key in ("n", *keys):
@@ -173,7 +176,9 @@ def parse_weight(value) -> Fraction:
     Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
     None, and takes a bool (a JSON true or false) as 1 or 0; a bool is
     rejected here, before the cache, where True and 1 share a key. JSON
-    numbers reach it as read_json reads them.
+    numbers reach it as read_json reads them. A weight with a numerator or
+    denominator of more than MAX_DIGITS digits is refused, a decimal before
+    10^|exponent| is built.
     Catalogs repeat a few dozen weight texts, so the last 4096 distinct
     values used are kept converted.
     """
@@ -187,9 +192,35 @@ def parse_weight(value) -> Fraction:
         raise ValueError("bad weight %r: %s" % (value, exc)) from None
 
 
+# Python's default int-string limit: no longer numerator or denominator prints
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+# a decimal in Fraction()'s syntax: sign, digits, fraction digits, exponent
+_DECIMAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                      r"(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+
+
 @lru_cache(maxsize=4096)
 def _parse_weight(value):
-    return Fraction(value)
+    match = isinstance(value, (str, Decimal)) and _DECIMAL.fullmatch(str(value))
+    f = _decimal_fraction(*match.groups()) if match else Fraction(value)
+    if f is None or max(abs(f.numerator), f.denominator) >= _TOO_LONG:
+        raise ValueError("weight %r has more than %d digits in its numerator or "
+                         "denominator" % (value, MAX_DIGITS))
+    return f
+
+
+def _decimal_fraction(sign, whole, part, exp):
+    """The decimal's Fraction, or None when it is too long by the lengths alone:
+    as kept * 10^e, kept free of leading and trailing zeros, its numerator has
+    at least len(kept) + e digits and its denominator those of 2^-e > 10^(-3e/10)."""
+    whole, part, exp = (g.replace("_", "") if g else "" for g in (whole, part, exp))
+    digits = (whole + part).lstrip("0")
+    kept = digits.rstrip("0") or "0"
+    e = int(exp or 0) - len(part) + len(digits) - len(kept) if digits else 0
+    if len(kept) + e <= MAX_DIGITS and -3 * e <= 10 * MAX_DIGITS:
+        return Fraction(int(sign + kept) * 10 ** max(e, 0), 10 ** max(-e, 0))
+    return None
 
 
 _UNNESTED = re.compile(r"[^{}]*(?:\{[^{}]*\}[^{}]*)*")

@@ -180,18 +180,17 @@ def core_lp(game):
     z* > v(N) the optimal dual vertex is a maximally violating minimal
     balanced collection; both certificates fall out of one solve.
 
-    The dual's 0/1 rows are built once per n. An integral game (den 1)
-    hands simplex_min and solve_square its int worths, any other game
-    its Fractions v, so the LP rescales nothing and pivots as before.
-    The violating collection's weights are read from the basis alone,
-    the other entries of x being 0.
+    The dual's 0/1 rows are built once per n. The LP and the payment system
+    take the int worths, v scaled by den > 0, which changes no pivot; z*
+    and the payment are divided by den once. The violating collection's
+    weights are read from the basis alone, the other entries of x being 0.
     """
     n = game.n
     if n > 12:
         raise ValueError("core_lp capped at n <= 12, got %d" % n)
     if n == 1:
         return CoreVerdict(True, payment=(game.v[1],))
-    worth = game.worths if game.den == 1 else game.v
+    worth, den = game.worths, game.den
     vN = worth[full_mask(n)]
     rows, members = _dual_incidence(n)
     # dual of the payment LP: max sum v(S) y_S over balanced weights y,
@@ -201,14 +200,14 @@ def core_lp(game):
     res = simplex_min(rows, [1] * n, cost, basis=singleton_basis)
     if res.status != "optimal":
         raise RuntimeError("dual core LP failed: %s" % res.status)
-    zstar = -res.objective
+    zstar = -res.objective  # den * z*
     if zstar > vN:
         weights = [(j + 1, res.x[j]) for j in res.basis if res.x[j] > 0]
         bc = BalancedCollection(n, weights)
-        return CoreVerdict(False, collection=bc, eff=zstar, pivots=res.pivots)
+        return CoreVerdict(False, collection=bc, eff=zstar / den, pivots=res.pivots)
     x = solve_square([members[j] for j in res.basis], [worth[j + 1] for j in res.basis])
     surplus = (vN - zstar) / n
-    payment = tuple(xi + surplus for xi in x)
+    payment = tuple((xi + surplus) / den for xi in x)
     return CoreVerdict(True, payment=payment, pivots=res.pivots)
 
 

@@ -581,6 +581,48 @@ def test_game_core_rejects_nonfinite_worths(tmp_path, capsys, constant):
     assert err == "error: JSON constant %s is not a number\n" % constant
 
 
+HUGE = "1e10000000"
+CATALOG_HEAD = '"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct", "count": 1'
+HUGE_WEIGHTS = {
+    "game number": ("game", '{"n":1,"v":{"{1}":%s}}' % HUGE),
+    "game string": ("game", '{"n":1,"v":{"{1}":"%s"}}' % HUGE),
+    "text catalog": ("catalog", "mbc-catalog v1 n=2 method=direct count=1\nn=2; [{1,2}:%s]\n" % HUGE),
+    "JSON catalog": (
+        "catalog",
+        '{%s, "collections": [{"coalitions": ["{1,2}"], "weights": [%s]}]}' % (CATALOG_HEAD, HUGE),
+    ),
+    "mbc check": ("collection", "n=2; [{1,2}:%s]" % HUGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_WEIGHTS))
+def test_weight_of_more_than_4300_digits_is_refused(tmp_path, capsys, case):
+    # 10^10000000 takes seconds to build and could not be printed
+    kind, text = HUGE_WEIGHTS[case]
+    path = tmp_path / "input"
+    path.write_text(text)
+    if kind == "game":
+        argv = ["game", "core", "--game", str(path)]
+    elif kind == "catalog":
+        gpath = str(tmp_path / "g.json")
+        run(capsys, "game", "random", "--players", "2", "--seed", "1", "--out", gpath)
+        argv = ["game", "core", "--game", gpath, "--catalog", str(path)]
+    else:
+        argv = ["mbc", "check", "--collection", text]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "more than 4300 digits in its numerator or denominator" in err
+
+
+def test_game_core_reads_1e300_as_10_to_the_300(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n":1,"v":{"{1}":1e300}}')
+    rc, out, _ = run(capsys, "game", "core", "--game", str(path), "--json")
+    assert rc == 0
+    assert json.loads(out)["payment"] == [10**300]
+
+
 MISSING_KEYS = {
     "game": ("game core --game", {"n": 2}, "v"),
     "catalog": (

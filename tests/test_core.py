@@ -95,6 +95,31 @@ def test_parse_weight():
             parse_weight(value)
 
 
+def test_parse_weight_refuses_more_than_4300_digits():
+    # 4300 digits is Python's int-string limit: no longer value prints
+    assert parse_weight("1e300") == parse_weight(Decimal("1e300")) == 10**300
+    assert parse_weight("1e4299") == 10**4299
+    # 5 / 10^4300 is 1 / (2 * 10^4299), whose denominator has 4300 digits
+    assert parse_weight("5e-4300") == Fraction(1, 2 * 10**4299)
+    assert parse_weight("0." + "0" * 5000 + "1e5001") == 1
+    assert parse_weight("-1_0.5_0e-1") == parse_weight(" -1.05 ") == Fraction(-21, 20)
+    # a zero needs no power of ten, however large its exponent
+    assert parse_weight("0e99999999999999999999") == parse_weight(Decimal("-0E+10000000")) == 0
+    long = ("1e4300", "1e-4300", "1" * 4301, "1e10000000", "-2.5E-10000000",
+            Decimal("1e10000000"), "1e99999999999999999999")
+    for value in long:
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_weight(value)
+    for value in ("1e", "1__0", "_1", ".", "1.5/2"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            parse_weight(value)
+
+
+def test_read_json_rejects_an_exponent_decimal_cannot_hold():
+    with pytest.raises(ValueError, match="test JSON holds a number out of range"):
+        read_json('{"n": 1, "w": 1e99999999999999999999}', "test", ("w",))
+
+
 def _split_by_characters(text):
     """split_top_level as a scan of every character, the reference."""
     if not text.strip():

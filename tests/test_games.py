@@ -253,8 +253,9 @@ def test_verdict_problem_rejects_bad_certificates(case, message):
     assert verdict_problem(game, verdict) == message
 
 
-def test_core_lp_hands_the_lp_only_ints_for_integral_games(monkeypatch):
-    """An integral game reaches simplex_min and solve_square as plain ints."""
+def test_core_lp_hands_the_lp_only_ints(monkeypatch):
+    """Every game reaches simplex_min and solve_square as plain ints: its
+    worths over its den, whether integral, halved, negative or fractional."""
     entries = []
     calls = {"lp": 0, "square": 0}
 
@@ -276,15 +277,23 @@ def test_core_lp_hands_the_lp_only_ints_for_integral_games(monkeypatch):
     for n in range(3, 7):
         for seed in range(6):
             g = random_game(n, seed)
+            worths = {m: g.v[m] for m in range(1, 1 << n)}
             if seed % 2:
                 # v(N) = n * 100 gives a nonempty core, so solve_square runs
-                worths = {m: g.v[m] for m in range(1, 1 << n)}
                 worths[(1 << n) - 1] = n * 100
                 g = Game(n, worths)
-            verdict = core_lp(g)
-            assert verdict.nonempty == bool(seed % 2), (n, seed)
-            assert verdict_problem(g, verdict) is None, (n, seed)
-    assert calls == {"lp": 24, "square": 12}
+            halved = Game(n, {m: w / 2 for m, w in worths.items()})
+            negative = Game(n, {m: w - 60 for m, w in worths.items()})
+            for game in (g, halved, negative):
+                verdict = core_lp(game)
+                assert verdict_problem(game, verdict) is None, (n, seed)
+                if game is not negative:
+                    assert verdict.nonempty == bool(seed % 2), (n, seed)
+    for seed in range(6):
+        g = _fractional_game(seed)
+        assert g.den > 1
+        assert verdict_problem(g, core_lp(g)) is None, seed
+    assert calls == {"lp": 78, "square": 38}
     assert {type(v) for v in entries} == {int}
 
 

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import lcm
 from operator import or_
 
 import pytest
 
-from balanced_forge import balanced, games
+from balanced_forge import _simplex, balanced, games
 from balanced_forge._simplex import simplex_min, solve_square, rank_of_masks
 from balanced_forge.games import Game, random_game
 
@@ -17,6 +18,8 @@ F = Fraction
 # earlier simplex that pivoted on a Fraction tableau.
 PIVOT_LINES = 567
 PIVOT_DIGEST = "39b739278ff903ce3d7018e4b800f30e02c6cda16bedf53c49aaace92d254b81"
+# The number of entries _pivot divides over that corpus, each checked exact.
+PIVOT_DIVISIONS = 102357
 
 
 def test_solve_square():
@@ -99,17 +102,18 @@ def test_simplex_given_basis_negative_rhs_is_infeasible():
 
 
 def test_degenerate_cycling_guard():
-    # classic Beale-style degeneracy; Bland's rule must terminate
+    # Beale's LP, which cycles under the textbook rule; Bland's rule must
+    # terminate. Each row and the cost are scaled to integers.
     a = [
-        [F(1, 4), -8, -1, 9, 1, 0, 0],
-        [F(1, 2), -12, F(-1, 2), 3, 0, 1, 0],
+        [1, -32, -4, 36, 4, 0, 0],
+        [1, -24, -1, 6, 0, 2, 0],
         [0, 0, 1, 0, 0, 0, 1],
     ]
     b = [0, 0, 1]
-    c = [F(-3, 4), 20, F(-1, 2), 6, 0, 0, 0]
+    c = [-3, 80, -2, 24, 0, 0, 0]
     res = simplex_min(a, b, c, basis=[4, 5, 6])
     assert res.status == "optimal"
-    assert res.objective == F(-5, 4)
+    assert res.objective == -5
 
 
 def test_rank_of_masks():
@@ -146,23 +150,11 @@ def test_redundant_zero_row_dropped_after_phase_one():
     assert res.basis == [0]
 
 
-def test_fractional_inputs():
-    a = [[F(1, 2), F(1, 3), 1, 0], [F(1, 4), F(3, 2), 0, 1]]
-    b = [F(3, 2), F(5, 3)]
-    c = [F(-1, 2), F(-2, 3), 0, 0]
-    res = simplex_min(a, b, c)
-    assert res.status == "optimal"
-    assert res.x == [F(61, 24), F(11, 16), F(0), F(0)]
-    assert res.objective == F(-83, 48)
-    assert sum(a[0][j] * res.x[j] for j in range(4)) == b[0]
-    assert sum(a[1][j] * res.x[j] for j in range(4)) == b[1]
-    assert solve_square([[F(1, 2), F(1, 3)], [F(1, 4), F(3, 2)]], b) == [F(61, 24), F(11, 16)]
-
-
-def _lp_line(res):
+def _lp_line(res, scale=1):
+    """One corpus line, the objective divided by the factor its cost was scaled by."""
     if res.status != "optimal":
         return res.status
-    return "optimal %s [%s] %s" % (res.objective, ",".join(map(str, res.x)), res.basis)
+    return "optimal %s [%s] %s" % (res.objective / scale, ",".join(map(str, res.x)), res.basis)
 
 
 def _corpus_games():
@@ -178,51 +170,91 @@ def _corpus_games():
             yield Game(n, {**base, full: 100 * n})
 
 
-def _random_fractional_lps():
+def _fractional_lps():
+    """(A, b, c, basis): 40 seeded rational LPs, then Beale's."""
     rng = random.Random(20240616)
     for _ in range(40):
         m, k = rng.randint(2, 4), rng.randint(3, 7)
         frac = lambda: F(rng.randint(-6, 9), rng.randint(1, 6))
         a = [[frac() for _ in range(k)] for _ in range(m)]
-        yield a, [frac() for _ in range(m)], [frac() for _ in range(k)]
+        yield a, [frac() for _ in range(m)], [frac() for _ in range(k)], None
+    a = [
+        [F(1, 4), -8, -1, 9, 1, 0, 0],
+        [F(1, 2), -12, F(-1, 2), 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]
+    yield a, [0, 0, 1], [F(-3, 4), 20, F(-1, 2), 6, 0, 0, 0], [4, 5, 6]
+
+
+def _integer_lp(a, b, c):
+    """(A, b, c, scale): all of A|b times one lcm, c times its own lcm, scale."""
+    den = lambda v: F(v).denominator
+    lab = lcm(*(den(v) for row in a for v in row), *map(den, b))
+    scale = lcm(*map(den, c))
+    return (
+        [[int(v * lab) for v in row] for row in a],
+        [int(v * lab) for v in b],
+        [int(v * scale) for v in c],
+        scale,
+    )
 
 
 def test_pivot_paths_match_recorded_digest(monkeypatch):
-    """(status, objective, x, basis) of a seeded corpus, pinned by sha256.
+    """(status, objective, x, basis) of a seeded corpus, pinned by sha256,
+    with every division of every pivot checked to leave no remainder.
 
     The digest was recorded from the earlier Fraction-tableau simplex, so
     any change to a pivot path, a certificate or a solved system shows.
+    The LP takes integers only: a rational LP enters with all of A|b
+    scaled by one lcm and c by its own, core_lp hands over a game's worths
+    scaled by its den, and each line divides the objective (and core_lp's
+    payment system solution) back by the factor the worths or cost were
+    scaled by.
     """
     lines = []
+    scale = 1
+    divisions = 0
+    pivot = _simplex._pivot
 
     def record_lp(A, b, c, basis=None):
         res = simplex_min(A, b, c, basis)
-        lines.append(_lp_line(res))
+        lines.append(_lp_line(res, scale))
         return res
 
     def record_square(M, rhs):
         x = solve_square(M, rhs)
-        lines.append("square [%s]" % ",".join(map(str, x)))
+        lines.append("square [%s]" % ",".join(str(v / scale) for v in x))
         return x
 
+    def exact_pivot(tab, d, r, c):
+        # every entry _pivot divides by d, each checked before it runs
+        nonlocal divisions
+        sign = 1 if tab[r][c] > 0 else -1
+        p, row = sign * tab[r][c], [sign * v for v in tab[r]]
+        for i, other in enumerate(tab):
+            f = other[c]
+            if i != r and (f or p != d):
+                assert all((p * a - f * b) % d == 0 for a, b in zip(other, row))
+                divisions += len(row)
+        return pivot(tab, d, r, c)
+
+    monkeypatch.setattr(_simplex, "_pivot", exact_pivot)
     monkeypatch.setattr(balanced, "simplex_min", record_lp)
     monkeypatch.setattr(games, "simplex_min", record_lp)
     monkeypatch.setattr(games, "solve_square", record_square)
     for g in _corpus_games():
+        scale = g.den
         games.core_lp(g)
+    scale = 1
     # the corpus holds the balancing LP of every covering combo of sizes
     # 1..3 at n=4, most of which find_balancing_weights now rejects first
     for size in range(1, 4):
         for combo in combinations(range(1, 16), size):
             if reduce(or_, combo) == 15:
                 balanced._balancing_lp(4, combo)
-    for a, b, c in _random_fractional_lps():
-        record_lp(a, b, c)
-    a = [
-        [F(1, 4), -8, -1, 9, 1, 0, 0],
-        [F(1, 2), -12, F(-1, 2), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-    ]
-    record_lp(a, [0, 0, 1], [F(-3, 4), 20, F(-1, 2), 6, 0, 0, 0], basis=[4, 5, 6])
+    for a, b, c, basis in _fractional_lps():
+        a, b, c, scale = _integer_lp(a, b, c)
+        record_lp(a, b, c, basis)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (PIVOT_LINES, PIVOT_DIGEST)
+    assert divisions == PIVOT_DIVISIONS
