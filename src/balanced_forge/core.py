@@ -141,7 +141,18 @@ def _reject_constant(name):
     raise ValueError("JSON constant %s is not a number" % name)
 
 
-_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_reject_constant)
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("JSON object repeats the key %r" % key)
+        obj[key] = value
+    return obj
+
+
+_DECODER = json.JSONDecoder(
+    parse_float=Decimal, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+)
 
 
 def read_json(text: str, what: str, keys: tuple) -> dict:
@@ -153,6 +164,8 @@ def read_json(text: str, what: str, keys: tuple) -> dict:
     string "0.1", and 1e400 into 10^400, never into the binary double
     nearest to them. NaN, Infinity and -Infinity raise ValueError naming
     the constant, and so does a number whose exponent Decimal cannot hold.
+    A key repeated in any object, at any depth, raises ValueError naming
+    it, where json.loads would keep its last value.
     Malformed JSON (json.JSONDecodeError), a document that is not an
     object, a missing key (named, "n" first) and an n that check_players
     rejects raise ValueError too.

@@ -74,7 +74,8 @@ class MbcCatalog:
 
     Each entry keeps its weights as the kernels emit them and core_mbc
     scans them: integer numerators over one denominator. _scan holds
-    core_mbc's packed index of those numerators. It is None until the
+    core_mbc's index: every entry's numerators over the catalog's least
+    common denominator, packed in catalog order. It is None until the
     first core_mbc call on the catalog builds it, and core_mbc builds it
     again when collections no longer equals the list it was built from.
     """
@@ -414,8 +415,12 @@ def _load_catalog_json(data):
         raise CatalogError(str(exc)) from None
     if obj.get("format") != HEADER_PREFIX:
         raise CatalogError("not a catalog document")
-    if obj.get("version") != 1:
-        raise CatalogError("unsupported catalog version %r" % obj.get("version"))
+    # JSON true and 1.0 equal 1 in Python, so the type is checked first
+    version, count = obj.get("version"), obj["count"]
+    if type(version) is not int or version != 1:
+        raise CatalogError("unsupported catalog version %r" % (version,))
+    if type(count) is not int:
+        raise CatalogError("header count=%r is not an integer" % (count,))
     n = obj["n"]
     items = obj["collections"]
     if not isinstance(items, list):
@@ -426,9 +431,7 @@ def _load_catalog_json(data):
             body.append(_json_collection(item, n))
         except ValueError as exc:
             raise CatalogError("collection %d: %s" % (len(body) + 1, exc)) from None
-    return _checked_catalog(
-        n, obj["method"], obj["count"], body, obj.get("generated"), obj.get("tool")
-    )
+    return _checked_catalog(n, obj["method"], count, body, obj.get("generated"), obj.get("tool"))
 
 
 def _json_collection(item, n):

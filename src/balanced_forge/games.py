@@ -12,6 +12,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
 from .core import (
@@ -229,26 +230,29 @@ def core_mbc(game, catalog):
     maximally violating collection certifies emptiness, and witness
     construction for the nonempty case is delegated to core_lp.
 
-    The scan runs in integers: with V = game.worths over D = game.den, a
-    collection with weights num/den has efficiency t / (den * D) for
-    t = sum(num * V(S)), and it violates iff t > den * V(N). Among
-    collections of equal efficiency the first in catalog (canonical)
-    order is kept. The reported efficiency is efficiency().
+    The scan runs in integers over lcd, the lcm of the catalog's weight
+    denominators: with V = game.worths over D = game.den, a collection
+    with weights num/den has efficiency t / (lcd * D) for
+    t = sum(num * (lcd // den) * V(S)), and it violates iff
+    t > lcd * V(N). Among collections of equal efficiency the first in
+    catalog (canonical) order is kept. The reported efficiency is
+    efficiency().
 
     The first call on a catalog builds an index, catalog._scan, and a
-    later call rebuilds it when catalog.collections has changed. It
-    groups the collections by den. A group whose largest numerator sum,
-    its width, is below HALF = 2^31 also holds, for each coalition S, one
-    int whose 32-bit fields are the numerators of S, one field per
+    later call rebuilds it when catalog.collections has changed. When
+    the catalog's largest numerator sum over lcd, its width, is below
+    HALF = 2^31, the index holds, for each coalition S, one int whose
+    32-bit fields are the numerators of S over lcd, one field per
     collection in catalog order. Then bias + sum(V(S) * column(S)), with
     HALF in every field of bias, holds HALF + t in each field, with no
     carry between fields while |t| < HALF, which holds whenever max|V|
-    times the width is below HALF (the widths are 9 at most at n=5 and
-    17 at n=6). Any other group, for larger worths such as
-    Fraction(0.1) with its denominator 2^55, sums t collection by
-    collection. Either way a group's best collection is the first one
-    holding the group's largest t, and the group bests are compared by
-    cross-multiplication, ties going to the lower catalog position.
+    times the width is below HALF; one max and one index then give the
+    first collection of largest t. A collection's weights sum to at most
+    n, and to n for the singleton partition, so the width is at most
+    n * lcd, and equal to it on a full catalog: 300 at n=5 and 15120 at
+    n=6, which packs worths up to 7,158,278 and 142,029. Larger worths,
+    such as Fraction(0.1) with its denominator 2^55, or a wider catalog
+    sum t collection by collection.
     """
     if catalog.n != game.n:
         raise ValueError(
@@ -262,60 +266,49 @@ def core_mbc(game, catalog):
     # thousand collections
     if catalog._scan is None or catalog._scan[0] != cols:
         catalog._scan = _build_scan(cols)
-    limit = max(map(abs, worth))
-    best_pos = -1
-    best_t = best_den = 0
-    for den, positions, width, bias, masks, columns in catalog._scan[1]:
-        if bias is not None and limit * width < HALF:
-            x = bias + sum(map(mul, map(worth_of, masks), columns))
-            ts = array("I", x.to_bytes(4 * len(positions), sys.byteorder))
-            shift = HALF
-        else:
-            ts = [sum(map(mul, cols[pos].numerators, map(worth_of, cols[pos].coalitions)))
-                  for pos in positions]
-            shift = 0
+    _, lcd, width, bias, masks, columns = catalog._scan
+    if bias is not None and max(map(abs, worth)) * width < HALF:
+        x = bias + sum(map(mul, map(worth_of, masks), columns))
+        ts = array("I", x.to_bytes(4 * len(cols), sys.byteorder))
+        shift = HALF
+    else:
+        ts = [sum(map(mul, b.numerators, map(worth_of, b.coalitions))) * (lcd // b.denominator)
+              for b in cols]
+        shift = 0
+    if ts:  # an empty catalog certifies nothing
         top = max(ts)
-        t, pos = top - shift, positions[ts.index(top)]
-        lhs, rhs = t * best_den, best_t * den
-        if best_pos < 0 or lhs > rhs or (lhs == rhs and pos < best_pos):
-            best_pos, best_t, best_den = pos, t, den
-    if best_pos >= 0 and best_t > best_den * vN:
-        worst = cols[best_pos]
-        return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
+        if top - shift > lcd * vN:
+            worst = cols[ts.index(top)]
+            return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
     return core_lp(game)
 
 
 def _build_scan(cols):
-    """(copy of cols, groups) for core_mbc, one group per denominator.
+    """(copy of cols, lcd, width, bias, masks, columns), core_mbc's index.
 
-    A group is (den, positions, width, bias, masks, columns): the
-    positions in cols of the collections with denominator den, in
-    ascending order, and their largest numerator sum. When width is
-    below HALF, masks lists the coalitions that are members there and
-    columns holds, for each, the int packing its numerators in those
-    collections, one 32-bit field each, 0 where it is no member; bias,
-    masks and columns are None when no game could use them.
+    lcd is the lcm of the denominators in cols and width the largest sum
+    of a collection's numerators over lcd; width = n * lcd for a catalog
+    holding the singleton partition. When width is below HALF, masks lists
+    the coalitions that are members somewhere in cols and columns holds,
+    for each, the int packing its numerators over lcd, one 32-bit field per
+    collection in catalog order, 0 where it is no member; bias, masks and
+    columns are None when no game could use them.
     """
-    by_den = {}
-    for pos, b in enumerate(cols):
-        by_den.setdefault(b.denominator, []).append(pos)
-    groups = []
-    for den, positions in sorted(by_den.items()):
-        width = max(sum(cols[pos].numerators) for pos in positions)
-        bias = masks = columns = None
-        if width < HALF:
-            size = len(positions)
-            fields = {}
-            for j, pos in enumerate(positions):
-                b = cols[pos]
-                for s, num in zip(b.coalitions, b.numerators):
-                    if s not in fields:
-                        fields[s] = array("I", bytes(4 * size))
-                    fields[s][j] = num
-            # the fields are read in native byte order, and to_bytes in
-            # core_mbc writes them back in the same order
-            masks = sorted(fields)
-            columns = [int.from_bytes(fields.pop(s), sys.byteorder) for s in masks]
-            bias = int.from_bytes(array("I", [HALF]) * size, sys.byteorder)
-        groups.append((den, positions, width, bias, masks, columns))
-    return list(cols), groups
+    lcd = lcm(*{b.denominator for b in cols})
+    width = max((sum(b.numerators) * (lcd // b.denominator) for b in cols), default=0)
+    bias = masks = columns = None
+    if width < HALF:
+        size = len(cols)
+        fields = {}
+        for j, b in enumerate(cols):
+            scale = lcd // b.denominator
+            for s, num in zip(b.coalitions, b.numerators):
+                if s not in fields:
+                    fields[s] = array("I", bytes(4 * size))
+                fields[s][j] = num * scale
+        # the fields are read in native byte order, and to_bytes in
+        # core_mbc writes them back in the same order
+        masks = sorted(fields)
+        columns = [int.from_bytes(fields.pop(s), sys.byteorder) for s in masks]
+        bias = int.from_bytes(array("I", [HALF]) * size, sys.byteorder)
+    return list(cols), lcd, width, bias, masks, columns

@@ -595,24 +595,67 @@ HUGE_WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(HUGE_WEIGHTS))
-def test_weight_of_more_than_4300_digits_is_refused(tmp_path, capsys, case):
-    # 10^10000000 takes seconds to build and could not be printed
-    kind, text = HUGE_WEIGHTS[case]
+def _read_input(tmp_path, capsys, kind, text):
+    """Exit code, stdout and stderr of the command reading text as a kind of input."""
     path = tmp_path / "input"
     path.write_text(text)
     if kind == "game":
         argv = ["game", "core", "--game", str(path)]
+    elif kind == "hypergraph":
+        argv = ["hyper", "dual", "--in", str(path)]
     elif kind == "catalog":
         gpath = str(tmp_path / "g.json")
         run(capsys, "game", "random", "--players", "2", "--seed", "1", "--out", gpath)
         argv = ["game", "core", "--game", gpath, "--catalog", str(path)]
     else:
         argv = ["mbc", "check", "--collection", text]
-    rc, out, err = run(capsys, *argv)
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_WEIGHTS))
+def test_weight_of_more_than_4300_digits_is_refused(tmp_path, capsys, case):
+    # 10^10000000 takes seconds to build and could not be printed
+    rc, out, err = _read_input(tmp_path, capsys, *HUGE_WEIGHTS[case])
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "more than 4300 digits in its numerator or denominator" in err
+
+
+ONE_COLLECTION = '"collections": [{"coalitions": ["{1,2}"], "weights": ["1"]}]'
+# each document is valid if the last value of its repeated key is kept
+REPEATED_KEYS = {
+    "game worth": ("game", '{"n":1,"v":{"{1}":5,"{1}":7}}', "{1}"),
+    "game n": ("game", '{"n":2,"n":1,"v":{"{1}":5}}', "n"),
+    "hypergraph edges": ("hypergraph", '{"n":2,"edges":5,"edges":[[1,2]]}', "edges"),
+    "catalog header": ("catalog", '{%s, "count": 1, %s}' % (CATALOG_HEAD, ONE_COLLECTION), "count"),
+    "catalog collection": (
+        "catalog",
+        '{%s, "collections": [{"coalitions": ["{1,2}"], "weights": ["2"], "weights": ["1"]}]}'
+        % CATALOG_HEAD,
+        "weights",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_json_key_is_refused(tmp_path, capsys, case):
+    kind, text, key = REPEATED_KEYS[case]
+    rc, out, err = _read_input(tmp_path, capsys, kind, text)
+    assert (rc, out) == (2, "")
+    assert err == "error: JSON object repeats the key %r\n" % key
+
+
+@pytest.mark.parametrize("key, literal", [("version", "true"), ("version", "1.0"), ("version", "1e0"),
+                                          ("count", "true"), ("count", "1.0")])
+def test_catalog_header_number_must_be_a_json_integer(tmp_path, capsys, key, literal):
+    # true, 1.0 and 1e0 all equal 1 in Python
+    rc, _, _ = _read_input(tmp_path, capsys, "catalog", "{%s, %s}" % (CATALOG_HEAD, ONE_COLLECTION))
+    assert rc == 0
+    head = CATALOG_HEAD.replace('"%s": 1' % key, '"%s": %s' % (key, literal))
+    rc, out, err = _read_input(tmp_path, capsys, "catalog", "{%s, %s}" % (head, ONE_COLLECTION))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
 
 
 def test_game_core_reads_1e300_as_10_to_the_300(tmp_path, capsys):

@@ -377,14 +377,12 @@ def catalog6(direct6):
     return MbcCatalog(6, "direct", cols)
 
 
-def test_core_mbc_scan_groups_at_n6(catalog6):
-    # (size, width) of each denominator group, d = 1..9
+def test_core_mbc_scan_index_at_n6(catalog6):
+    # (lcd, width, coalitions packed) of core_mbc's index, lcd = lcm(1..9)
     core_mbc(random_game(6, 0), catalog6)
-    groups = catalog6._scan[1]
-    assert [group[0] for group in groups] == list(range(1, 10))
-    sizes = [203, 10142, 56407, 61186, 38731, 19920, 9065, 3300, 1260]
-    assert [len(group[1]) for group in groups] == sizes
-    assert [group[2] for group in groups] == [6, 9, 11, 13, 14, 15, 16, 17, 17]
+    _, lcd, width, _, masks, _ = catalog6._scan
+    assert (lcd, width, len(masks)) == (2520, 15120, 63)
+    assert width == 6 * lcd
 
 
 def test_compiled_n6_output_is_pinned(direct6):

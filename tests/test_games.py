@@ -419,9 +419,9 @@ def test_core_mbc_catalog_too_wide_for_packed_fields():
     assert verdict.efficiency == 2 - eps
 
 
-def test_core_mbc_packs_every_group_but_one_too_wide():
-    # balanced but not minimal: denominator 2^40, numerators summing to
-    # about 2^42, so only its own group is summed collection by collection
+def test_core_mbc_one_too_wide_collection_unpacks_the_catalog():
+    # balanced but not minimal: denominator 2^40 makes lcd = 3 * 2^40, so the
+    # index packs nothing and every collection is summed one by one
     eps = Fraction(1, 1 << 40)
     wide = BalancedCollection(4, {1: 1 - eps, 2: 1 - eps, 4: 1 - eps, 8: 1 - eps, 15: eps})
     kept = [b for b in enumerate_mbc(4).collections if b.coalitions not in ((1, 2, 4, 8), (15,))]
@@ -429,7 +429,7 @@ def test_core_mbc_packs_every_group_but_one_too_wide():
     singletons = Game(4, {m: 100 if m.bit_count() == 1 else 0 for m in range(1, 16)})
     assert _assert_first_maximal(catalog, singletons)
     assert core_mbc(singletons, catalog).collection is wide
-    assert [group[3] is None for group in catalog._scan[1]] == [False] * 3 + [True]
+    assert catalog._scan[1] == 3 << 40 and catalog._scan[3] is None
     # the wide collection certifies 11 of these 30 empty cores
     wins = 0
     for seed in range(30):
@@ -437,6 +437,26 @@ def test_core_mbc_packs_every_group_but_one_too_wide():
         assert _assert_first_maximal(catalog, g)
         wins += core_mbc(g, catalog).collection is wide
     assert 0 < wins < 30
+
+
+@pytest.mark.parametrize("limit, packed", [(7_158_278, True), (7_158_279, False)])
+def test_core_mbc_packed_bound_at_n5(limit, packed):
+    # |t| <= limit * width with width = 5 * 60: the singleton partition of
+    # a game worth +-limit everywhere reaches it, the packed fields' extremes
+    catalog = enumerate_mbc(5)
+    extremes = [Game(5, {m: sign * limit for m in range(1, 32)}) for sign in (1, -1)]
+    gen = splitmix64(limit)
+    mixed = []
+    for seed in range(10):
+        worths = {m: next(gen) % (2 * limit + 1) - limit for m in range(1, 32)}
+        worths[1 + 3 * seed] = limit if seed % 2 else -limit
+        mixed.append(Game(5, worths))
+    empty = 0
+    for g in extremes + mixed:
+        assert max(map(abs, g.worths)) == limit
+        empty += _assert_first_maximal(catalog, g)
+        assert (limit * catalog._scan[2] < HALF) == packed
+    assert 0 < empty < 12
 
 
 def test_core_mbc_ties_across_denominators_keep_first_in_catalog_order():
@@ -479,14 +499,24 @@ def test_core_mbc_rebuilds_a_stale_index():
         assert _assert_first_maximal(catalog, g)
 
 
-def test_core_mbc_scan_groups_at_n5():
-    # (size, width) of each denominator group, d = 1..5
-    catalog = enumerate_mbc(5)
-    core_mbc(random_game(5, 0), catalog)
-    groups = catalog._scan[1]
-    assert [group[0] for group in groups] == [1, 2, 3, 4, 5]
-    assert [len(group[1]) for group in groups] == [52, 447, 517, 216, 60]
-    assert [group[2] for group in groups] == [5, 7, 8, 9, 9]
+@pytest.mark.parametrize("n, pin", [(2, (1, 2, 3)), (3, (2, 6, 7)), (4, (6, 24, 15)),
+                                    (5, (60, 300, 31))], ids=["n=2", "n=3", "n=4", "n=5"])
+def test_core_mbc_scan_index(n, pin):
+    # (lcd, width, coalitions packed) of core_mbc's index, lcd being the
+    # lcm of the catalog's denominators
+    catalog = enumerate_mbc(n)
+    core_mbc(random_game(n, 0), catalog)
+    _, lcd, width, _, masks, _ = catalog._scan
+    assert (lcd, width, len(masks)) == pin
+    assert width == n * lcd
+
+
+def test_core_mbc_on_an_empty_catalog_defers_to_core_lp():
+    empty = MbcCatalog(3, "direct", [])
+    for seed in range(8):
+        g = random_game(3, seed)
+        via_cat, via_lp = core_mbc(g, empty), core_lp(g)
+        assert (repr(via_cat), via_cat.pivots) == (repr(via_lp), via_lp.pivots)
 
 
 def test_core_mbc_rejects_catalog_mismatch():
