@@ -126,14 +126,22 @@ when a player is first chosen, the lowest-numbered one wins the tie, and
 it keeps the fewest until it is covered; if any uncovered player has no
 usable mask, it has none either.
 
+Each node carries unc, the mask of its uncovered players, next to their
+remaining degrees: the node is a cover when unc is 0, and its branching
+player is the lowest set bit of unc. A branch on s adds one copy of s at
+a time and recurses after each, until a player of s is fully covered and
+so leaves unc; that last copy is the largest multiplicity, the least
+remaining degree among the players of s, without a scan for it.
+
 A node that already holds n - 1 distinct masks fills the last support
-slot. Its child can finish only with the mask u of the uncovered players:
-a finishing mask must hold every uncovered player and, being usable,
-avoids the covered ones. The child takes u with the common remaining
-degree c of its players, so it needs u usable and those degrees equal,
-and every other child is skipped, as is each smaller multiplicity of u,
-which would leave players uncovered at the support cap. u is still added
-one copy at a time so that the sub-multiset test sees every step.
+slot. Its child can finish only with unc itself, the mask u of the
+uncovered players: a finishing mask must hold every uncovered player
+and, being usable, avoids the covered ones. The child takes u with the
+common remaining degree c of its players, so it needs u usable and those
+degrees equal, and every other child is skipped, as is each smaller
+multiplicity of u, which would leave players uncovered at the support
+cap. u is still added one copy at a time so that the sub-multiset test
+sees every step, and the cover it completes is emitted at once.
 
 The sub-multiset test is a subset-sum bitset over coverage vectors
 encoded in base k, grown one copy at a time, so pruning and the final
@@ -328,30 +336,25 @@ def cover_search(n, k):
     has = [sum(1 << s for s in range(nmasks) if s >> i & 1) for i in range(n)]
     out = []
 
-    def rec(live, rem, chosen, mults, dp):
+    def rec(live, rem, unc, chosen, mults, dp):
         # live: bitset of the masks still usable, undecided and avoiding
-        # every fully covered player
-        if not any(rem):
+        # every fully covered player; unc: mask of the uncovered players
+        if not unc:
             out.append((tuple(chosen), tuple(mults)))
             return
         if len(chosen) >= n:
             return
-        p = next(i for i in range(n) if rem[i])  # has the fewest usable masks
+        p = (unc & -unc).bit_length() - 1  # has the fewest usable masks
         if len(chosen) == n - 1:
-            # last support slot: only u, the uncovered players, can finish
+            # last support slot: only unc itself can finish
             c = rem[p]
-            u = sum(1 << i for i in range(n) if rem[i])
-            if not live >> u & 1 or any(rem[i] != c for i in players[u]):
+            if not live >> unc & 1 or any(rem[i] != c for i in players[unc]):
                 return
             for _ in range(c):
-                dp |= (dp & vm[u]) << off[u]
+                dp |= (dp & vm[unc]) << off[unc]
                 if dp & targets:
                     return
-            chosen.append(u)
-            mults.append(c)
-            rec(0, [0] * n, chosen, mults, dp)
-            mults.pop()
-            chosen.pop()
+            out.append((tuple(chosen) + (unc,), tuple(mults) + (c,)))
             return
         opts = live & has[p]
         while opts:
@@ -360,22 +363,25 @@ def cover_search(n, k):
             s = low.bit_length() - 1
             live ^= low  # p's masks up to s are decided
             live2 = live
-            cmax = min(rem[i] for i in players[s])
             rem2 = list(rem)
+            unc2 = unc
             dp2 = dp
             chosen.append(s)
-            for c in range(1, cmax + 1):
+            c = 0
+            while unc2 == unc:  # until a player of s is fully covered
+                c += 1
                 for i in players[s]:
                     rem2[i] -= 1
                     if not rem2[i]:
                         live2 &= ~has[i]
+                        unc2 ^= 1 << i
                 dp2 |= (dp2 & vm[s]) << off[s]
                 if dp2 & targets:
                     break
                 mults.append(c)
-                rec(live2, rem2, chosen, mults, dp2)
+                rec(live2, rem2, unc2, chosen, mults, dp2)
                 mults.pop()
             chosen.pop()
 
-    rec((1 << nmasks) - 2, [k] * n, [], [], 1)  # every nonempty mask is live
+    rec((1 << nmasks) - 2, [k] * n, nmasks - 1, [], [], 1)  # every nonempty mask is live
     return out

@@ -29,6 +29,9 @@ solve_square both run it.
 from fractions import Fraction
 
 ZERO = Fraction(0)
+FIELD = 64  # bits per packed row entry in rank_of_masks
+_HALF = 1 << FIELD - 1
+_MASK = (1 << FIELD) - 1
 
 
 class LpResult:
@@ -194,26 +197,48 @@ def solve_square(M, rhs):
 
 
 def rank_of_masks(masks, n):
-    """Rank over the rationals of 0/1 incidence vectors given as bitmasks."""
+    """Rank over the rationals of 0/1 incidence vectors given as bitmasks.
+
+    Only bits 0..n-1 of each mask count. Each row is one Python int whose
+    entry i is the signed FIELD-bit field at bit FIELD * i, as in
+    _mbc_pure.direct_search, so scaling and adding rows acts on every
+    entry at once. The elimination is fraction-free with exact division
+    (Bareiss 1968): each step takes a nonzero row R as pivot, with a its
+    lowest nonzero entry and d the previous pivot (1 at first), and
+    replaces every other row r by (a * r - b * R) / d, b being r's entry
+    in a's column; rows that vanish are dropped, and the rank is the
+    number of pivots. By Sylvester's identity every stored entry is then
+    a minor of order at most n of the 0/1 matrix, so by Hadamard's
+    inequality at most (n + 1)^((n + 1) / 2) / 2^n in absolute value,
+    below 2^27 for n <= 20 = MAX_PLAYERS. Hence a * r - b * R stays below
+    2^55, every field inside +-2^63, and as d divides every field it
+    divides the packed int exactly.
+    """
+    full = (1 << n) - 1
     rows = []
     for m in masks:
-        row = [(m >> i) & 1 for i in range(n)]
-        rows.append(row)
+        m &= full
+        row = 0
+        while m:
+            low = m & -m
+            row |= 1 << FIELD * (low.bit_length() - 1)
+            m ^= low
+        if row:
+            rows.append(row)
+    bias = _HALF * ((1 << FIELD * n) - 1) // _MASK  # _HALF in each of n fields
     rank = 0
-    col_used = [False] * n
-    for row in rows:
-        row = list(row)
-        piv = -1
-        for j in range(n):
-            if col_used[j] and row[j]:
-                src = col_used[j]
-                a, bq = src[j], row[j]
-                row = [a * x - bq * y for x, y in zip(row, src)]
-        for j in range(n):
-            if row[j]:
-                piv = j
-                break
-        if piv >= 0:
-            col_used[piv] = row
-            rank += 1
+    d = 1
+    while rows:
+        piv = rows.pop()
+        s = ((piv & -piv).bit_length() - 1) // FIELD * FIELD
+        a = ((piv >> s) + _HALF & _MASK) - _HALF  # fields below s are 0
+        rank += 1
+        reduced = []
+        for r in rows:
+            b = ((r + bias) >> s & _MASK) - _HALF
+            r = (a * r - b * piv) // d
+            if r:
+                reduced.append(r)
+        rows = reduced
+        d = a
     return rank

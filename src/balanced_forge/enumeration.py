@@ -371,13 +371,16 @@ def _load_catalog_text(data):
     fields = {}
     for tok in head[2:]:
         key, _, val = tok.partition("=")
+        if key in fields:
+            raise CatalogError("header key %r repeated" % key)
         fields[key] = val
-    try:
-        n = int(fields["n"])
-        count = int(fields["count"])
-        method = fields["method"]
-    except (KeyError, ValueError):
+    digits = [fields.get("n", ""), fields.get("count", "")]
+    # plain ASCII digits: int() would also take a sign, underscores and
+    # other scripts' digits
+    if "method" not in fields or not all(v.isascii() and v.isdigit() for v in digits):
         raise CatalogError("bad header fields: %r" % lines[0])
+    n, count = map(int, digits)
+    method = fields["method"]
     generated = tool = None
     body = []
     for ln in lines[1:]:

@@ -76,7 +76,14 @@ class Hypergraph:
         return sum(1 for e in self.edges if e & bit)
 
     def degrees(self):
-        return [self.degree(x) for x in range(1, self.n + 1)]
+        """Degree of each node 1..n, in one pass over the edges' set bits."""
+        ds = [0] * self.n
+        for e in self.edges:
+            while e:
+                low = e & -e
+                ds[low.bit_length() - 1] += 1
+                e ^= low
+        return ds
 
     def regularity(self):
         """Common node degree, or None. Edgeless hypergraphs give None."""

@@ -333,13 +333,13 @@ def test_kernel_twins_agree(speedups):
     for n in range(2, 6):
         assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
         # every k up to k_max for n <= 4; at n = 5 the pure twin takes about
-        # 0.25 s for k = 5, 0.6 s for k = 6 and 1.1 s for k = 7, and
+        # 0.1 s for k = 5, 0.25 s for k = 6 and 0.5 s for k = 7, and
         # test_cover_search_output_is_pinned already runs k = 6 and 7
         for k in range(1, min(k_max(n), 5) + 1):
             assert speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
     assert speedups.cover_search(5, 6) == speedups.cover_search(5, 7) == []
-    # n = 6, k = 2 holds the 150 covers the duality route rejects; pure 0.3 s
-    # for k = 2 and about 2.4 s for k = 3 (61,927 covers)
+    # n = 6, k = 2 holds the 150 covers the duality route rejects; pure 0.05 s
+    # for k = 2 and about 1 s for k = 3 (61,927 covers)
     for k in (1, 2, 3):
         assert speedups.cover_search(6, k) == _mbc_pure.cover_search(6, k)
     for n in (3, 4, 5):
@@ -620,6 +620,41 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("something-else v1 n=2 method=direct count=0\n")
     with pytest.raises(CatalogError):
         load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        "n=+2 method=direct count=0_1",
+        "n=2 method=direct count=+1",
+        "n=2 method=direct count=0_1",
+        "n=\u0662 method=direct count=1",  # an Arabic-Indic 2
+        "n=2 method=direct count=",
+    ],
+)
+def test_load_rejects_header_numbers_that_are_not_plain_digits(tmp_path, fields):
+    path = tmp_path / "bad"
+    path.write_text("mbc-catalog v1 %s\nn=2; [{1,2}:1]\n" % fields, encoding="utf-8")
+    with pytest.raises(CatalogError, match="bad header fields"):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        "n=3 n=2 method=direct count=1",
+        "n=2 method=direct method=direct count=1",
+        "n=2 method=direct count=1 count=1",
+    ],
+)
+def test_load_rejects_repeated_header_key(tmp_path, fields):
+    path = tmp_path / "bad"
+    path.write_text("mbc-catalog v1 %s\nn=2; [{1,2}:1]\n" % fields)
+    with pytest.raises(CatalogError, match="repeated"):
+        load_catalog(path)
+    # the same catalog with each key once loads
+    path.write_text("mbc-catalog v1 n=2 method=direct count=1\nn=2; [{1,2}:1]\n")
+    assert len(load_catalog(path).collections) == 1
 
 
 def test_load_rejects_version_mismatch(tmp_path):

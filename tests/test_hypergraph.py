@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -77,6 +78,17 @@ def test_degree():
             assert h.degree(x) == 1
     with pytest.raises(ValueError):
         TRIANGLE.degree(4)
+
+
+def test_degrees_equal_degree_of_each_node():
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        edges = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
+        edges += rng.choices(edges, k=rng.randint(0, 3)) if edges else []
+        edges += [0] * rng.randint(0, 2)
+        h = Hypergraph(n, edges)
+        assert h.degrees() == [h.degree(x) for x in range(1, n + 1)], h
 
 
 def test_regularity():

@@ -124,6 +124,60 @@ def test_rank_of_masks():
     assert rank_of_masks([], 3) == 0
 
 
+def _fraction_rank(masks, n):
+    """Rank by Gaussian elimination on Fraction rows, column by column."""
+    rows = [[F(m >> i & 1) for i in range(n)] for m in masks]
+    rank = 0
+    for col in range(n):
+        p = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        piv = rows[rank]
+        for i, r in enumerate(rows):
+            if i != rank and r[col]:
+                f = r[col] / piv[col]
+                rows[i] = [x - f * y for x, y in zip(r, piv)]
+        rank += 1
+    return rank
+
+
+def test_rank_of_masks_every_small_set_at_n4():
+    for size in range(5):
+        for masks in combinations(range(16), size):
+            assert rank_of_masks(masks, 4) == _fraction_rank(masks, 4), masks
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_rank_of_masks_random_sets(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, n + 2))]
+        assert rank_of_masks(masks, n) == _fraction_rank(masks, n), masks
+
+
+def test_rank_of_masks_dense_square_sets_at_n20():
+    # n = 20 is where the docstring bounds the packed fields. The shifts
+    # of {0} and the non-residues mod 19 form a (19, 10, 5) difference
+    # set design, a 0/1 matrix of determinant 10 * 5^9 ~ 2^24.2, the most
+    # a 0/1 matrix of order 19 can have; every row holds 10 players, so
+    # the all-ones row, eliminated last, is dependent on the others.
+    squares = {i * i % 19 for i in range(1, 19)}
+    design = {0} | set(range(1, 19)) - squares
+    rows = [sum(1 << (i + d) % 19 for d in design) for i in range(19)]
+    ones = (1 << 19) - 1
+    assert rank_of_masks(rows, 20) == _fraction_rank(rows, 20) == 19
+    assert rank_of_masks([ones] + rows, 20) == _fraction_rank([ones] + rows, 20) == 19
+    assert rank_of_masks([1 << 19, ones] + rows, 20) == 20
+    rng = random.Random(20)
+    for trial in range(6):
+        masks = [rng.randrange(1 << 20) | rng.randrange(1 << 20) for _ in range(20)]
+        if trial % 2:
+            masks[-2] &= ~masks[-1]
+            masks[0] = masks[-1] | masks[-2]  # the sum of two disjoint rows
+        assert rank_of_masks(masks, 20) == _fraction_rank(masks, 20), masks
+
+
 def test_given_basis_negative_pivot():
     # row 0 has b = 0, so it is not flipped and its basic entry is -2
     a = [[-2, 3, 0], [1, 0, 1]]
