@@ -116,32 +116,36 @@ uncovered player has no usable mask has no branch (Knuth's Algorithm M,
 exact cover with multiplicities, with the minimum-remaining-values choice
 of Dancing Links).
 
-That player is always the lowest-numbered uncovered one, so nothing is
-counted. Uncovered players are held by equally many masks that avoid the
-covered players, so their usable counts differ only by decided masks. A
-node decides only masks of the player it branches on, and once that
-player is covered each of them holds a covered player, so every decided
-mask that still counts holds the current player. Hence the counts tie
-when a player is first chosen, the lowest-numbered one wins the tie, and
-it keeps the fewest until it is covered; if any uncovered player has no
-usable mask, it has none either.
-
 Each node carries unc, the mask of its uncovered players, next to their
-remaining degrees: the node is a cover when unc is 0, and its branching
-player is the lowest set bit of unc. A branch on s adds one copy of s at
-a time and recurses after each, until a player of s is fully covered and
-so leaves unc; that last copy is the largest multiplicity, the least
-remaining degree among the players of s, without a scan for it.
+remaining degrees: the node is a cover when unc is 0. Its branching
+player p is the lowest set bit of unc, and p's usable masks are the
+subsets s of unc that hold p and exceed floor, the last mask chosen for
+p on the path, or 0 if the parent branched on another player. The
+branching player changes only when it is covered, so a mask decided at
+an ancestor that branched on a player q < p holds q, which is covered,
+and lies outside unc anyway; the masks decided for p itself are its
+masks up to the last one chosen for it, floor, as each branch decides
+the masks before it. Every decided mask inside unc thus holds p, while
+every uncovered player is held by equally many subsets of unc, so p has
+the fewest usable masks and wins ties as the lowest-numbered: nothing is
+counted. A node visits the subsets t of rest = unc without p in
+ascending order, t = (t - rest) & rest, and branches on s = t | p when s
+exceeds floor. A branch on s adds one copy of s at a time and recurses
+after each, with floor s while p stays uncovered and 0 once it is
+covered, until a player of s is fully covered and so leaves unc; that
+last copy is the largest multiplicity, the least remaining degree among
+the players of s, without a scan for it.
 
 A node that already holds n - 1 distinct masks fills the last support
-slot. Its child can finish only with unc itself, the mask u of the
-uncovered players: a finishing mask must hold every uncovered player
-and, being usable, avoids the covered ones. The child takes u with the
-common remaining degree c of its players, so it needs u usable and those
-degrees equal, and every other child is skipped, as is each smaller
-multiplicity of u, which would leave players uncovered at the support
-cap. u is still added one copy at a time so that the sub-multiset test
-sees every step, and the cover it completes is emitted at once.
+slot. Its child can finish only with unc itself: a finishing mask must
+hold every uncovered player and, being usable, avoids the covered ones.
+The child takes unc with the common remaining degree c of its players,
+so it needs unc usable, that is unc > floor, and those degrees equal;
+every other child is skipped, as is each smaller multiplicity of unc,
+which would leave players uncovered at the support cap. unc is still
+added one copy at a time so that the sub-multiset test sees every step,
+and the cover it completes is emitted at once. No node is entered at
+depth n: the last slot emits without recursing.
 
 The sub-multiset test is a subset-sum bitset over coverage vectors
 encoded in base k, grown one copy at a time, so pruning and the final
@@ -333,22 +337,19 @@ def cover_search(n, k):
         targets |= 1 << (d * ones)
 
     players = [[i for i in range(n) if s >> i & 1] for s in range(nmasks)]
-    has = [sum(1 << s for s in range(nmasks) if s >> i & 1) for i in range(n)]
     out = []
 
-    def rec(live, rem, unc, chosen, mults, dp):
-        # live: bitset of the masks still usable, undecided and avoiding
-        # every fully covered player; unc: mask of the uncovered players
+    def rec(floor, rem, unc, chosen, mults, dp):
+        # unc: mask of the uncovered players; floor: the last mask chosen
+        # for the branching player, or 0
         if not unc:
             out.append((tuple(chosen), tuple(mults)))
             return
-        if len(chosen) >= n:
-            return
-        p = (unc & -unc).bit_length() - 1  # has the fewest usable masks
+        low = unc & -unc  # the branching player, p
         if len(chosen) == n - 1:
             # last support slot: only unc itself can finish
-            c = rem[p]
-            if not live >> unc & 1 or any(rem[i] != c for i in players[unc]):
+            c = rem[low.bit_length() - 1]
+            if unc <= floor or any(rem[i] != c for i in players[unc]):
                 return
             for _ in range(c):
                 dp |= (dp & vm[unc]) << off[unc]
@@ -356,32 +357,32 @@ def cover_search(n, k):
                     return
             out.append((tuple(chosen) + (unc,), tuple(mults) + (c,)))
             return
-        opts = live & has[p]
-        while opts:
-            low = opts & -opts
-            opts ^= low
-            s = low.bit_length() - 1
-            live ^= low  # p's masks up to s are decided
-            live2 = live
-            rem2 = list(rem)
-            unc2 = unc
-            dp2 = dp
-            chosen.append(s)
-            c = 0
-            while unc2 == unc:  # until a player of s is fully covered
-                c += 1
-                for i in players[s]:
-                    rem2[i] -= 1
-                    if not rem2[i]:
-                        live2 &= ~has[i]
-                        unc2 ^= 1 << i
-                dp2 |= (dp2 & vm[s]) << off[s]
-                if dp2 & targets:
-                    break
-                mults.append(c)
-                rec(live2, rem2, unc2, chosen, mults, dp2)
-                mults.pop()
-            chosen.pop()
+        rest = unc ^ low
+        t = 0
+        while True:  # s = t | low over the subsets t of rest, ascending
+            s = t | low
+            t = (t - rest) & rest
+            if s > floor:
+                rem2 = list(rem)
+                unc2 = unc
+                dp2 = dp
+                chosen.append(s)
+                c = 0
+                while unc2 == unc:  # until a player of s is fully covered
+                    c += 1
+                    for i in players[s]:
+                        rem2[i] -= 1
+                        if not rem2[i]:
+                            unc2 ^= 1 << i
+                    dp2 |= (dp2 & vm[s]) << off[s]
+                    if dp2 & targets:
+                        break
+                    mults.append(c)
+                    rec(s if unc2 & low else 0, rem2, unc2, chosen, mults, dp2)
+                    mults.pop()
+                chosen.pop()
+            if not t:
+                return
 
-    rec((1 << nmasks) - 2, [k] * n, nmasks - 1, [], [], 1)  # every nonempty mask is live
+    rec(0, [k] * n, nmasks - 1, [], [], 1)
     return out

@@ -42,17 +42,16 @@
  * holds i but not j. A suffix OR of split per depth gives A's pairs in one
  * OR per child; a candidate costs one AND.
  *
- * cover_search branches, like its twin, on the uncovered player with the
- * fewest usable masks, which _mbc_pure.py shows is always the lowest-numbered
- * uncovered player. The masks of a node that are undecided and avoid every
- * fully covered player are a 128-bit set of two uint64_t words; covering a
- * player clears has[player], its masks. Branch j on the player's masks in the
- * set, s_1 < s_2 < ..., takes s_j with each multiplicity c >= 1 and decides
- * s_1 .. s_j for the subtree. A node holding n - 1 masks has one child: the
- * mask of the uncovered players with their common remaining degree, the only
- * one that can finish. The subset-sum bitset is kept per depth. Each cover
- * is appended to the result list when the search finds it, masks in the
- * order chosen, which is the pure twin's order.
+ * cover_search runs its twin's node: it branches on p, the lowest uncovered
+ * player, whose usable masks are the subsets of unc, the uncovered players,
+ * that hold p and exceed floor, the last mask chosen for p on the path (0 if
+ * the parent branched on another player); _mbc_pure.py shows why. Branch j on
+ * them, s_1 < s_2 < ..., takes s_j with each multiplicity c >= 1 until a
+ * player of s_j is covered. A node holding n - 1 masks has one child: unc with
+ * the common remaining degree of its players, the only one that can finish.
+ * The subset-sum bitset is kept per depth. Each cover is appended to the
+ * result list when the search finds it, masks in the order chosen, which is
+ * the pure twin's order.
  *
  * Every entry of direct_search's rows is at most ENTRY_MAX = 4096 in absolute
  * value, by the argument in _mbc_pure.py. In int64 that leaves wide margins:
@@ -343,7 +342,6 @@ typedef struct {
     int n, k, nmasks, nwords;
     int64_t ones;            /* encoding of one copy of every player */
     int64_t off[1 << MAXN];  /* per-mask encoding increment */
-    uint64_t has[MAXN][2];   /* per player: the masks holding it, as bits */
     uint64_t *vm;            /* per mask: positions where one more copy is legal */
     uint64_t *dp;            /* subset-sum bitset per depth, then a scratch row */
     int64_t chosen[MAXN], mults[MAXN];
@@ -383,11 +381,16 @@ set_range(uint64_t *bits, int64_t lo, int64_t hi)
     bits[whi] |= himask;
 }
 
-/* Whether a nonempty proper uniform sub-multiset is reachable in dp. */
+/* Add one copy of mask s to the subset-sum bitset dp; 1 if a nonempty proper
+   uniform sub-multiset becomes reachable. */
 static int
-hits_target(const Cover *c, const uint64_t *dp)
+add_copy(const Cover *c, uint64_t *dp, int s)
 {
+    uint64_t *scratch = c->dp + (size_t)(c->n + 1) * c->nwords;
     int64_t pos = 0;
+    for (int w = 0; w < c->nwords; w++)
+        scratch[w] = dp[w] & c->vm[(size_t)s * c->nwords + w];
+    shift_or(dp, scratch, c->nwords, c->off[s]);
     for (int d = 1; d < c->k; d++) {
         pos += c->ones;
         if (dp[pos >> 6] >> (pos & 63) & 1)
@@ -396,80 +399,54 @@ hits_target(const Cover *c, const uint64_t *dp)
     return 0;
 }
 
-/* Branch on the lowest uncovered player: live holds the masks that are
-   undecided and avoid every fully covered player. */
+/* Branch on p, the lowest uncovered player: its usable masks are the
+   subsets of unc that hold p and exceed floor, the last mask chosen for p. */
 static int
-cover_rec(Cover *c, int depth, const uint64_t *live, const int *rem, int rem_total)
+cover_rec(Cover *c, int depth, int floor, const int *rem, int unc)
 {
-    int n = c->n, nwords = c->nwords, p = 0, rem2[MAXN];
+    int n = c->n, nwords = c->nwords, low = unc & -unc, rest = unc ^ low;
+    int rem2[MAXN], t = 0;
     const uint64_t *dp = c->dp + (size_t)depth * nwords;
     uint64_t *dp2 = c->dp + (size_t)(depth + 1) * nwords;
-    uint64_t *scratch = c->dp + (size_t)(n + 1) * nwords;
-    uint64_t rest[2] = {live[0], live[1]}, live2[2];
-    if (rem_total == 0)
+    if (!unc)
         return append_result(c->out, c->chosen, c->mults, depth, 1, -1);
-    if (depth >= n)
-        return 0;
-    while (!rem[p])
-        p++;
     if (depth == n - 1) {
-        /* last support slot: only u, the uncovered players, can finish */
-        int u = 0, m = rem[p];
-        for (int i = 0; i < n; i++) {
-            if (rem[i] && rem[i] != m)
-                return 0;
-            if (rem[i])
-                u |= 1 << i;
-        }
-        if (!(live[u >> 6] >> (u & 63) & 1))
+        /* last support slot: only unc itself can finish */
+        int p = 0;
+        if (unc <= floor)
             return 0;
-        memcpy(dp2, dp, nwords * sizeof *dp2);
-        for (int j = 0; j < m; j++) {
-            for (int w = 0; w < nwords; w++)
-                scratch[w] = dp2[w] & c->vm[(size_t)u * nwords + w];
-            shift_or(dp2, scratch, nwords, c->off[u]);
-            if (hits_target(c, dp2))
+        while (!(unc >> p & 1))
+            p++;
+        for (int i = 0; i < n; i++)
+            if (unc >> i & 1 && rem[i] != rem[p])
                 return 0;
-        }
-        c->chosen[depth] = u;
-        c->mults[depth] = m;
+        memcpy(dp2, dp, nwords * sizeof *dp2);
+        for (int j = 0; j < rem[p]; j++)
+            if (add_copy(c, dp2, unc))
+                return 0;
+        c->chosen[depth] = unc;
+        c->mults[depth] = rem[p];
         return append_result(c->out, c->chosen, c->mults, depth + 1, 1, -1);
     }
-    for (int s = 1; s < c->nmasks; s++) {
-        uint64_t bit = (uint64_t)1 << (s & 63);
-        int cmax = c->k + 1, pc = 0, i;
-        if (!(s >> p & 1 && rest[s >> 6] & bit))
+    do {  /* s = t | low over the subsets t of rest, ascending */
+        int s = t | low, unc2 = unc;
+        t = (t - rest) & rest;
+        if (s <= floor)
             continue;
-        rest[s >> 6] &= ~bit;  /* p's masks up to s are decided */
-        for (i = 0; i < n; i++) {
-            if (s >> i & 1) {
-                pc++;
-                if (rem[i] < cmax)
-                    cmax = rem[i];
-            }
-        }
         memcpy(rem2, rem, n * sizeof *rem2);
         memcpy(dp2, dp, nwords * sizeof *dp2);
-        live2[0] = rest[0];
-        live2[1] = rest[1];
         c->chosen[depth] = s;
-        for (int m = 1; m <= cmax; m++) {
-            for (i = 0; i < n; i++) {
-                if (s >> i & 1 && --rem2[i] == 0) {
-                    live2[0] &= ~c->has[i][0];
-                    live2[1] &= ~c->has[i][1];
-                }
-            }
-            for (int w = 0; w < nwords; w++)
-                scratch[w] = dp2[w] & c->vm[(size_t)s * nwords + w];
-            shift_or(dp2, scratch, nwords, c->off[s]);
-            if (hits_target(c, dp2))
+        for (int m = 1; unc2 == unc; m++) {  /* until a player of s is covered */
+            for (int i = 0; i < n; i++)
+                if (s >> i & 1 && --rem2[i] == 0)
+                    unc2 ^= 1 << i;
+            if (add_copy(c, dp2, s))
                 break;
             c->mults[depth] = m;
-            if (cover_rec(c, depth + 1, live2, rem2, rem_total - m * pc) < 0)
+            if (cover_rec(c, depth + 1, unc2 & low ? s : 0, rem2, unc2) < 0)
                 return -1;
         }
-    }
+    } while (t);
     return 0;
 }
 
@@ -502,7 +479,6 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
                                 (int)base, n);
     }
     Cover c = {.n = n, .k = k, .nmasks = 1 << n, .nwords = (int)((npos + 63) >> 6)};
-    uint64_t live[2] = {0, 0};
     c.vm = PyMem_Calloc((size_t)c.nmasks * c.nwords, sizeof *c.vm);
     c.dp = PyMem_Calloc((size_t)(n + 2) * c.nwords, sizeof *c.dp);
     c.out = PyList_New(0);
@@ -522,10 +498,6 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     for (int s = 1; s < c.nmasks; s++) {
         int low = s & -s;
-        live[s >> 6] |= (uint64_t)1 << (s & 63);
-        for (int i = 0; i < n; i++)
-            if (s >> i & 1)
-                c.has[i][s >> 6] |= (uint64_t)1 << (s & 63);
         if (s == low)
             continue;
         c.off[s] = c.off[s - low] + c.off[low];
@@ -536,7 +508,7 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     c.dp[0] = 1;
     for (int i = 0; i < n; i++)
         rem[i] = k;
-    if (cover_rec(&c, 0, live, rem, n * k) < 0)
+    if (cover_rec(&c, 0, 0, rem, c.nmasks - 1) < 0)
         Py_CLEAR(c.out);
 done:
     PyMem_Free(c.vm);

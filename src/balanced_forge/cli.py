@@ -85,13 +85,7 @@ def _cmd_mbc_enum(args):
 
 
 def _cmd_mbc_check(args):
-    if args.infile:
-        text = _read(args.infile)
-    elif args.collection:
-        text = args.collection
-    else:
-        raise ValueError("give --in or --collection")
-    text = text.strip()
+    text = (_read(args.infile) if args.infile is not None else args.collection).strip()
     if ":" in text:
         bc = parse_collection(text)
         n, masks = bc.n, bc.coalitions
@@ -330,8 +324,9 @@ def _build_parser():
     enum.set_defaults(func=_cmd_mbc_enum)
 
     check = mbc_sub.add_parser("check", help="test a collection for minimal balancedness")
-    check.add_argument("--in", dest="infile", help="file holding one collection line")
-    check.add_argument("--collection", help="collection literal, weights optional")
+    source = check.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="file holding one collection line")
+    source.add_argument("--collection", help="collection literal, weights optional")
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=_cmd_mbc_check)
 

@@ -24,6 +24,18 @@ def check_players(n: int) -> None:
         raise ValueError("player count %d outside 1..%d" % (n, MAX_PLAYERS))
 
 
+def parse_digits(text: str) -> int:
+    """A count or id written in plain ASCII digits, blanks around it allowed.
+
+    int() would also take a sign, underscores and other scripts' digits,
+    which no line form or catalog header writes.
+    """
+    s = text.strip()
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError("expected plain digits, got %r" % text)
+    return int(s)
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -123,7 +135,7 @@ def _parse_coalition(text, n):
         return 0
     mask = 0
     for part in body.split(","):
-        p = int(part.strip())
+        p = parse_digits(part)
         if p < 1 or (n and p > n) or p > MAX_PLAYERS:
             raise ValueError("player id %d out of range in %r" % (p, text))
         if mask >> (p - 1) & 1:
@@ -269,7 +281,7 @@ def split_line(text: str, label: str = "") -> tuple:
     name, eq, count = head.partition("=")
     if not eq or name.strip() != "n":
         raise ValueError("line must start with n=<players>;: %r" % text)
-    n = int(count)
+    n = parse_digits(count)
     check_players(n)
     body = body.strip()
     if not (body.startswith(label + "[") and body.endswith("]")):

@@ -23,6 +23,7 @@ from .core import (
     format_coalition,
     full_mask,
     parse_coalition,
+    parse_digits,
     parse_weight,
     read_json,
 )
@@ -374,13 +375,11 @@ def _load_catalog_text(data):
         if key in fields:
             raise CatalogError("header key %r repeated" % key)
         fields[key] = val
-    digits = [fields.get("n", ""), fields.get("count", "")]
-    # plain ASCII digits: int() would also take a sign, underscores and
-    # other scripts' digits
-    if "method" not in fields or not all(v.isascii() and v.isdigit() for v in digits):
-        raise CatalogError("bad header fields: %r" % lines[0])
-    n, count = map(int, digits)
-    method = fields["method"]
+    try:
+        n, count = (parse_digits(fields.get(key, "")) for key in ("n", "count"))
+        method = fields["method"]
+    except (ValueError, KeyError):
+        raise CatalogError("bad header fields: %r" % lines[0]) from None
     generated = tool = None
     body = []
     for ln in lines[1:]:

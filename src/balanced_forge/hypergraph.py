@@ -68,13 +68,6 @@ class Hypergraph:
     def __repr__(self):
         return "Hypergraph(%d, %s)" % (self.n, list(self.edges))
 
-    def degree(self, x):
-        """Number of edges containing node x (1-based)."""
-        if not 1 <= x <= self.n:
-            raise ValueError("node %r outside 1..%d" % (x, self.n))
-        bit = 1 << (x - 1)
-        return sum(1 for e in self.edges if e & bit)
-
     def degrees(self):
         """Degree of each node 1..n, in one pass over the edges' set bits."""
         ds = [0] * self.n

@@ -206,6 +206,12 @@ MALFORMED_LINES = {
     "header n 3": lambda body: "n 3; " + body,
     "header n=x": lambda body: "n=x; " + body,
     "header n=0": lambda body: "n=0; " + body,
+    "header n=+3": lambda body: "n=+3; " + body,
+    "header n=0_3": lambda body: "n=0_3; " + body,
+    "header n=\u0663": lambda body: "n=\u0663; " + body,  # an Arabic-Indic 3
+    "player +1": lambda body: "n=3; " + body.replace("{1,2}", "{+1,2}"),
+    "player 0_1": lambda body: "n=3; " + body.replace("{1,2}", "{0_1,2}"),
+    "player \u0661": lambda body: "n=3; " + body.replace("{1,2}", "{\u0661,2}"),
     "no semicolon": lambda body: "n=3 " + body,
     "no closing bracket": lambda body: "n=3; " + body[:-1],
     "no opening bracket": lambda body: "n=3; " + body.replace("[", "", 1),
@@ -249,9 +255,19 @@ def test_mbc_enum_rejects_options_the_method_does_not_take(capsys, argv, option)
 
 
 def test_mbc_check_needs_input(capsys):
-    rc, _, err = run(capsys, "mbc", "check")
-    assert rc == 2
-    assert "give --in or --collection" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["mbc", "check"])
+    assert exc.value.code == 2
+    assert "one of the arguments --in --collection is required" in capsys.readouterr().err
+
+
+def test_mbc_check_takes_one_input(tmp_path, capsys):
+    path = tmp_path / "col"
+    path.write_text("n=2; [{1}:1, {2}:1]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["mbc", "check", "--in", str(path), "--collection", "n=2; [{1}]"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --in" in capsys.readouterr().err
 
 
 def test_hyper_count_spanning(capsys):

@@ -333,15 +333,21 @@ def test_kernel_twins_agree(speedups):
     for n in range(2, 6):
         assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
         # every k up to k_max for n <= 4; at n = 5 the pure twin takes about
-        # 0.1 s for k = 5, 0.25 s for k = 6 and 0.5 s for k = 7, and
+        # 0.1 s for k = 5, 0.2 s for k = 6 and 0.5 s for k = 7, and
         # test_cover_search_output_is_pinned already runs k = 6 and 7
         for k in range(1, min(k_max(n), 5) + 1):
             assert speedups.cover_search(n, k) == _mbc_pure.cover_search(n, k)
     assert speedups.cover_search(5, 6) == speedups.cover_search(5, 7) == []
-    # n = 6, k = 2 holds the 150 covers the duality route rejects; pure 0.05 s
-    # for k = 2 and about 1 s for k = 3 (61,927 covers)
+    # n = 6, k = 2 holds the 150 covers the duality route rejects; pure 0.04 s
+    # for k = 2 and about 0.8 s for k = 3 (61,927 covers)
     for k in (1, 2, 3):
         assert speedups.cover_search(6, k) == _mbc_pure.cover_search(6, k)
+    # n = 7 reaches masks 64..127: 877 covers (Bell 7) for k = 1 and 275,950
+    # for k = 2, about 1 s in the pure twin
+    for k, count in ((1, 877), (2, 275_950)):
+        covers = speedups.cover_search(7, k)
+        assert len(covers) == count
+        assert covers == _mbc_pure.cover_search(7, k)
     for n in (3, 4, 5):
         for first in range(1, 1 << n):
             assert speedups.direct_search(n, first) == _mbc_pure.direct_search(n, first)
@@ -636,6 +642,22 @@ def test_load_rejects_header_numbers_that_are_not_plain_digits(tmp_path, fields)
     path = tmp_path / "bad"
     path.write_text("mbc-catalog v1 %s\nn=2; [{1,2}:1]\n" % fields, encoding="utf-8")
     with pytest.raises(CatalogError, match="bad header fields"):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "n=+2; [{1}:1, {2}:1]",
+        "n=2; [{+1}:1, {2}:1]",
+        "n=2; [{1}:1, {0_2}:1]",
+        "n=\u0662; [{1}:1, {2}:1]",  # an Arabic-Indic 2
+    ],
+)
+def test_load_rejects_body_numbers_that_are_not_plain_digits(tmp_path, line):
+    path = tmp_path / "bad"
+    path.write_text("mbc-catalog v1 n=2 method=direct count=1\n%s\n" % line, encoding="utf-8")
+    with pytest.raises(CatalogError, match="collection 1"):
         load_catalog(path)
 
 

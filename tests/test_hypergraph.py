@@ -70,14 +70,11 @@ def test_is_proper():
 
 
 def test_degree():
-    assert TRIANGLE.degree(1) == 2
-    assert Hypergraph(2, [3, 3, 3]).degree(2) == 3
+    assert TRIANGLE.degrees() == [2, 2, 2]
+    assert Hypergraph(2, [3, 3, 3]).degrees() == [3, 3]
+    assert Hypergraph(3, [1, 5, 0]).degrees() == [2, 0, 1]
     for n in (1, 4, 7):
-        h = Hypergraph(n, [(1 << n) - 1])
-        for x in range(1, n + 1):
-            assert h.degree(x) == 1
-    with pytest.raises(ValueError):
-        TRIANGLE.degree(4)
+        assert Hypergraph(n, [(1 << n) - 1]).degrees() == [1] * n
 
 
 def test_degrees_equal_degree_of_each_node():
@@ -88,7 +85,8 @@ def test_degrees_equal_degree_of_each_node():
         edges += rng.choices(edges, k=rng.randint(0, 3)) if edges else []
         edges += [0] * rng.randint(0, 2)
         h = Hypergraph(n, edges)
-        assert h.degrees() == [h.degree(x) for x in range(1, n + 1)], h
+        # node x's degree, counted edge by edge
+        assert h.degrees() == [sum(e >> x & 1 for e in edges) for x in range(n)], h
 
 
 def test_regularity():
