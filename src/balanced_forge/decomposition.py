@@ -9,7 +9,9 @@ decompose_all enumerates them all.
 Whether a block qualifies is hypergraph.minimally_uniform_on, the one
 minimal-uniformity predicate, applied to the block's node mask; the
 search, UniformPartition's check and is_minimally_uniform share it, so
-no induced subhypergraph is built.
+no induced subhypergraph is built. The search decides each block once,
+so the partitions it returns are built without UniformPartition's
+check, which stays for blocks a caller supplies.
 """
 from .core import format_coalition, players_of
 from .hypergraph import minimally_uniform_on
@@ -57,6 +59,21 @@ class UniformPartition:
         self.blocks = tuple(blocks)
         self.degrees = tuple(degrees)
         self.size = h.size
+
+    @classmethod
+    def _trusted(cls, h, blocks):
+        """Skip validation; blocks must be a tuple partitioning h's nodes
+        into minimally uniform blocks, ordered by lowest member.
+
+        For the partitions _partitions yields: it has decided every block
+        with minimally_uniform_on already and memoised the answer.
+        """
+        self = object.__new__(cls)
+        self.n = h.n
+        self.blocks = blocks
+        self.degrees = tuple((h.edges[0] & b).bit_count() for b in blocks)
+        self.size = h.size
+        return self
 
     def block_nodes(self):
         return tuple(players_of(b) for b in self.blocks)
@@ -123,7 +140,7 @@ def decompose(h):
     """
     _check_input(h)
     for blocks in _partitions(h.edges, h.n):
-        return UniformPartition(h, blocks)
+        return UniformPartition._trusted(h, blocks)
     raise IncompleteDecomposition(
         "no partition of %d nodes into minimally uniform blocks; "
         "this would be a counterexample to the existence theorem" % h.n
@@ -135,4 +152,4 @@ def decompose_all(h):
     _check_input(h)
     if h.n > 10:
         raise ValueError("decompose_all capped at n <= 10, got %d" % h.n)
-    return [UniformPartition(h, blocks) for blocks in _partitions(h.edges, h.n)]
+    return [UniformPartition._trusted(h, blocks) for blocks in _partitions(h.edges, h.n)]

@@ -13,8 +13,10 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import isqrt
+from operator import or_
 
 from . import __version__
 from .core import (
@@ -27,6 +29,7 @@ from .core import (
     parse_weight,
     read_json,
 )
+from .counting import count_total
 from .hypergraph import Hypergraph, is_minimally_uniform
 from .balanced import (
     BalancedCollection,
@@ -42,6 +45,13 @@ TOOL = "balanced-forge/%s" % __version__
 
 # known counts of minimal balanced collections by player count
 TABLE1 = {1: 1, 2: 2, 3: 6, 4: 42, 5: 1292, 6: 200214, 7: 132422036}
+
+
+# Most multisets enumerate_uniform will list, counted before the spanning
+# filter (count_total). A four-edge hypergraph in the list holds about
+# 130 bytes, so 10**6 of them take about 130 MB; the benchmark lists at
+# most 20,000 and `verify prop2` 8,855.
+MAX_ENUMERATION = 10**6
 
 
 # Largest |det| of an n x n 0/1 matrix, Hadamard's maximal determinant
@@ -194,12 +204,20 @@ def enumerate_uniform(n, k, p, spanning):
     """All labeled multisets of p k-subsets of {1..n}; optionally spanning.
 
     Emitted in non-decreasing canonical edge order, each as a Hypergraph.
+    The whole list is built, so a shape whose count_total exceeds
+    MAX_ENUMERATION raises ValueError before any multiset is listed.
     """
     check_players(n)
     if not 1 <= k <= n:
         raise ValueError("edge size k=%d infeasible for n=%d" % (k, n))
     if p < 1:
         raise ValueError("size p must be >= 1, got %d" % p)
+    total = count_total(n, k, p)
+    if total > MAX_ENUMERATION:
+        raise ValueError(
+            "enumerate_uniform(%d, %d, %d) would list %d multisets before the "
+            "spanning filter, above the cap of %d" % (n, k, p, total, MAX_ENUMERATION)
+        )
     edges = [m for m in range(1, 1 << n) if m.bit_count() == k]
     return list(_multisets(n, edges, p, spanning))
 
@@ -218,15 +236,13 @@ def enumerate_proper(n, p_max):
 
 
 def _multisets(n, edges, p, spanning):
+    # n passed check_players and every edge is a mask in 1..full, so the
+    # hypergraphs need no validation
     full = full_mask(n)
     for combo in combinations_with_replacement(edges, p):
-        if spanning:
-            cover = 0
-            for e in combo:
-                cover |= e
-            if cover != full:
-                continue
-        yield Hypergraph(n, combo)
+        if spanning and reduce(or_, combo) != full:
+            continue
+        yield Hypergraph._trusted(n, combo)
 
 
 def enumerate_minimally_uniform(n, k, p):

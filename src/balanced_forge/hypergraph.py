@@ -14,6 +14,7 @@ induced subhypergraph with its nodes relabeled.
 import json
 from collections import Counter
 from itertools import product
+from operator import mul
 
 from .core import (
     check_players,
@@ -39,6 +40,20 @@ class Hypergraph:
                 raise ValueError("edge %r outside node range 1..%d" % (e, n))
         self.n = n
         self.edges = edges
+
+    @classmethod
+    def _trusted(cls, n, edges):
+        """Skip validation; n must pass check_players and edges must be a
+        tuple of int masks in 0..full_mask(n).
+
+        For hypergraphs this module and enumeration build themselves:
+        enumerated multisets, canonical forms and duals, whose edges are
+        in range by construction.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.edges = edges
+        return self
 
     @property
     def size(self):
@@ -97,9 +112,12 @@ class Hypergraph:
 
         Node j of the dual is edge j of self; the edge emitted for node x
         of self is the star {j : x in e_j}. dual(dual(H)) == H exactly.
+        Every star is a mask of the edge indices, so the one check left is
+        that the edge count is a valid node count.
         """
         if not self.is_proper:
             raise ValueError("dual is defined for proper hypergraphs only")
+        check_players(len(self.edges))
         stars = []
         for x in range(self.n):
             star = 0
@@ -107,10 +125,10 @@ class Hypergraph:
                 if e >> x & 1:
                     star |= 1 << j
             stars.append(star)
-        return Hypergraph(len(self.edges), stars)
+        return Hypergraph._trusted(len(self.edges), tuple(stars))
 
     def canonicalize(self):
-        return Hypergraph(self.n, sorted(self.edges))
+        return Hypergraph._trusted(self.n, tuple(sorted(self.edges)))
 
     def to_text(self):
         return "n=%d; edges=[%s]" % (
@@ -192,22 +210,30 @@ def is_minimally_regular(h):
 
     Proper means a nonempty sub-multiset X of the edges with X != E
     (multiplicities matter: one of two copies of an edge is proper).
+
+    Sub-multisets are scanned lazily, one multiplicity vector at a time.
+    Each distinct edge is packed as one int with a field of `width` bits
+    per node, holding 1 where the node is in the edge; a sub-multiset's
+    degree vector is then the multiplicity-weighted sum of those ints.
+    A node's degree is at most the edge count `total` < 2**(width - 1),
+    so no field carries. The degrees are then all equal exactly when the
+    packed sum is a multiple of `ones`, the int with a 1 in every field:
+    the sum is below 2**(n * width), so the quotient fits one field and
+    is the common degree.
     """
     if h.regularity() is None:
         return False
     counted = sorted(Counter(h.edges).items())
     total = len(h.edges)
+    width = total.bit_length() + 1
+    spread = [1 << (x * width) for x in range(h.n)]
+    ones = sum(spread)
+    vecs = [sum(f for x, f in enumerate(spread) if e >> x & 1) for e, _ in counted]
     ranges = [range(k + 1) for _, k in counted]
     for mults in product(*ranges):
         took = sum(mults)
         if took == 0 or took == total:
             continue
-        degs = [0] * h.n
-        for (e, _), c in zip(counted, mults):
-            if c:
-                for x in range(h.n):
-                    if e >> x & 1:
-                        degs[x] += c
-        if all(d == degs[0] for d in degs):
+        if sum(map(mul, mults, vecs)) % ones == 0:
             return False
     return True

@@ -389,6 +389,12 @@ def test_hyper_enum_json(capsys):
     assert len(blob["hypergraphs"]) == 7
 
 
+def test_hyper_enum_refuses_a_list_above_the_cap(capsys):
+    rc, out, err = run(capsys, "hyper", "enum", "--nodes", "12", "--degree", "6", "--size", "4")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: enumerate_uniform(12, 6, 4) would list 30569841225 multisets")
+
+
 def test_hyper_dual_text(tmp_path, capsys):
     path = tmp_path / "tri"
     path.write_text(TRIANGLE_TEXT)

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import combinations, combinations_with_replacement
 
@@ -103,6 +104,34 @@ def test_matches_oracle_on_small_uniform_hypergraphs():
                 assert got == {q.blocks for q in partition_oracle(h)}
                 if got:
                     assert decompose(h).blocks in got
+
+
+def random_uniform(rng, n, k, p):
+    # p random k-subsets of n nodes, drawn until they cover every node
+    nodes = range(n)
+    while True:
+        edges = sorted(sum(1 << x for x in rng.sample(nodes, k)) for _ in range(p))
+        h = Hypergraph(n, edges)
+        if h.is_proper:
+            return h
+
+
+def test_search_partitions_equal_the_validated_ones():
+    # the search builds partitions without the constructor's checks; the
+    # constructor, given the same blocks, must accept them and agree on
+    # blocks, degrees and size
+    rng = random.Random("decompose-sample")
+    shapes = [(n, k, p) for n in (6, 7, 8) for k in (2, 3, 4) for p in (3, 4, 5) if k * p >= n]
+    for _ in range(4):
+        for n, k, p in shapes:
+            h = random_uniform(rng, n, k, p)
+            parts = decompose_all(h)
+            assert parts and decompose(h) == parts[0]
+            for part in [decompose(h)] + parts:
+                checked = UniformPartition(h, part.blocks)
+                assert (part.n, part.blocks, part.degrees, part.size) == (
+                    checked.n, checked.blocks, checked.degrees, checked.size)
+                assert type(part.blocks) is tuple and part.size == p
 
 
 def test_duplicate_edges_force_singleton_blocks():

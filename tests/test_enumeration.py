@@ -9,7 +9,7 @@ import subprocess
 import sys
 import sysconfig
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -756,6 +756,59 @@ def test_proper_enumeration():
     assert [h.edges for h in enumerate_proper(2, 2)] == [(3,), (1, 2), (1, 3), (2, 3), (3, 3)]
     with pytest.raises(ValueError):
         enumerate_proper(2, 0)
+
+
+def multisets_by_filter(n, edges, p, spanning):
+    # the literal definition: every multiset of p edges, kept when it
+    # covers the nodes or spanning is not asked for
+    kept = []
+    for combo in combinations_with_replacement(edges, p):
+        cover = 0
+        for e in combo:
+            cover |= e
+        if not spanning or cover == (1 << n) - 1:
+            kept.append(combo)
+    return kept
+
+
+def assert_listed_as(found, n, want):
+    # same edge tuples in the same order, each equal to the hypergraph the
+    # validating constructor builds
+    assert [h.edges for h in found] == want
+    for h, edges in zip(found, want):
+        assert type(h.edges) is tuple
+        assert all(type(e) is int for e in h.edges)
+        assert h == Hypergraph(n, edges)
+
+
+def test_uniform_enumeration_matches_the_filter():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            k_sets = [m for m in range(1, 1 << n) if m.bit_count() == k]
+            for p in range(1, 5):
+                for spanning in (False, True):
+                    want = multisets_by_filter(n, k_sets, p, spanning)
+                    assert_listed_as(enumerate_uniform(n, k, p, spanning), n, want)
+
+
+def test_proper_enumeration_matches_the_filter():
+    for n in range(1, 5):
+        want = [combo for p in range(1, 4)
+                for combo in multisets_by_filter(n, range(1, 1 << n), p, True)]
+        assert_listed_as(list(enumerate_proper(n, 3)), n, want)
+
+
+def test_uniform_enumeration_cap(monkeypatch):
+    # C(12,6) = 924 edges taken 4 at a time with repetition: C(927,4)
+    # multisets, refused before any is built
+    with pytest.raises(ValueError, match="would list 30569841225 multisets"):
+        enumerate_uniform(12, 6, 4, True)
+    # the cap bounds count_total, the count before the spanning filter
+    monkeypatch.setattr(enumeration, "MAX_ENUMERATION", 21)
+    assert len(enumerate_uniform(4, 2, 2, True)) == 3
+    monkeypatch.setattr(enumeration, "MAX_ENUMERATION", 20)
+    with pytest.raises(ValueError, match="would list 21 multisets"):
+        enumerate_uniform(4, 2, 2, True)
 
 
 def test_uniform_enumeration_validation():

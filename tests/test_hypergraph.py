@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -122,6 +124,16 @@ def test_dual_requires_proper():
         Hypergraph(2, [3, 0]).dual()
 
 
+def test_dual_node_count_bound():
+    # the dual has one node per edge, so at most MAX_PLAYERS = 20 edges
+    assert Hypergraph(2, [3] * 20).dual() == Hypergraph(20, [(1 << 20) - 1] * 2)
+    with pytest.raises(ValueError, match="player count 21 outside"):
+        Hypergraph(2, [3] * 21).dual()
+    # not spanning, so refused before the bound
+    with pytest.raises(ValueError, match="proper"):
+        Hypergraph(2, [1] * 21).dual()
+
+
 def test_dual_involution_small():
     # dual of dual gives the original back, edges in original order
     for h in (TRIANGLE, FIG3, Hypergraph(2, [3, 3, 3]), Hypergraph(4, [15, 3, 12])):
@@ -175,6 +187,36 @@ def test_is_minimally_regular():
     block, _ = subhypergraph(FIG3, [1, 3, 6])
     assert is_minimally_regular(block.dual())
     assert not is_minimally_regular(Hypergraph(2, [1, 3]))
+
+
+def minimally_regular_by_degrees(h):
+    # the literal scan: the degree of every node, for every proper
+    # sub-multiset of the edges
+    if h.regularity() is None:
+        return False
+    counted = sorted(Counter(h.edges).items())
+    total = len(h.edges)
+    for mults in product(*[range(k + 1) for _, k in counted]):
+        if sum(mults) in (0, total):
+            continue
+        degs = [0] * h.n
+        for (e, _), c in zip(counted, mults):
+            for x in range(h.n):
+                if e >> x & 1:
+                    degs[x] += c
+        if all(d == degs[0] for d in degs):
+            return False
+    return True
+
+
+def test_is_minimally_regular_matches_the_degree_scan():
+    cases = [Hypergraph(1, [1, 1]), Hypergraph(2, [3, 3, 3]), Hypergraph(2, [0, 3])]
+    for n in range(1, 5):
+        for h in enumerate_proper(n, 4):
+            cases += [h, h.dual()]
+    for h in cases:
+        assert is_minimally_regular(h) == minimally_regular_by_degrees(h), h
+    assert sum(map(is_minimally_regular, cases)) > 0
 
 
 def test_minimal_uniform_regular_duality_small():
