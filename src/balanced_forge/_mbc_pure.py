@@ -298,40 +298,30 @@ def cover_search(n, k):
         raise ValueError("k must be >= 1, got %d" % k)
     nmasks = 1 << n
     base = max(k, 2)
-    place = [base ** i for i in range(n)]
     npos = base ** n
     if npos > MAX_STATES:
         raise ValueError("cover state space too large: base %d, n %d" % (base, n))
 
-    # per-player bitset of encodings whose digit there is at most k-2,
-    # i.e. positions safe to add one more copy of an edge containing it
-    digit_ok = []
-    for i in range(n):
-        if k < 2:
-            digit_ok.append(0)
-            continue
-        span = place[i]
-        period = span * base
-        unit = (1 << (span * (k - 1))) - 1
-        m = 0
-        for start in range(0, npos, period):
-            m |= unit << start
-        digit_ok.append(m)
-
+    # off[s]: the encoding of one copy of s; vm[s]: the positions where one
+    # more copy of s is legal. A singleton {i} may take one where player i's
+    # digit is at most k - 2, a larger mask where every member's digit is.
     off = [0] * nmasks
     vm = [0] * nmasks
-    allbits = (1 << npos) - 1
+    for i in range(n):
+        span = base ** i
+        unit = (1 << span * (k - 1)) - 1
+        m = 0
+        for start in range(0, npos, span * base):
+            m |= unit << start
+        off[1 << i] = span
+        vm[1 << i] = m
     for s in range(1, nmasks):
-        o = 0
-        v = allbits
-        for i in range(n):
-            if s >> i & 1:
-                o += place[i]
-                v &= digit_ok[i]
-        off[s] = o
-        vm[s] = v
+        low = s & -s
+        if s != low:
+            off[s] = off[s ^ low] + off[low]
+            vm[s] = vm[s ^ low] & vm[low]
 
-    ones = sum(place)
+    ones = off[nmasks - 1]
     targets = 0
     for d in range(1, k):
         targets |= 1 << (d * ones)

@@ -460,7 +460,7 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "k", NULL};
     int n, k, rem[MAXN];
-    int64_t base, npos = 1, place[MAXN];
+    int64_t base, npos = 1;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ii:cover_search", kwlist,
                                      &n, &k))
         return NULL;
@@ -471,7 +471,6 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
         return PyErr_Format(PyExc_ValueError, "k must be >= 1, got %d", k);
     base = k >= 2 ? k : 2;
     for (int i = 0; i < n; i++) {
-        place[i] = npos;
         npos *= base;
         if (npos > MAX_STATES)
             return PyErr_Format(PyExc_ValueError,
@@ -489,12 +488,11 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     /* a singleton {i} may take one more copy where player i's digit is at
        most k - 2; a larger mask where every member's digit is */
-    for (int i = 0; i < n; i++) {
+    for (int64_t i = 0, span = 1; i < n; i++, span *= base) {
         int s = 1 << i;
-        c.off[s] = place[i];
-        c.ones += place[i];
-        for (int64_t start = 0; k >= 2 && start < npos; start += place[i] * base)
-            set_range(c.vm + (size_t)s * c.nwords, start, start + place[i] * (k - 1));
+        c.off[s] = span;
+        for (int64_t start = 0; k >= 2 && start < npos; start += span * base)
+            set_range(c.vm + (size_t)s * c.nwords, start, start + span * (k - 1));
     }
     for (int s = 1; s < c.nmasks; s++) {
         int low = s & -s;
@@ -505,6 +503,7 @@ cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
             c.vm[(size_t)s * c.nwords + w] = c.vm[(size_t)(s - low) * c.nwords + w]
                                            & c.vm[(size_t)low * c.nwords + w];
     }
+    c.ones = c.off[c.nmasks - 1];
     c.dp[0] = 1;
     for (int i = 0; i < n; i++)
         rem[i] = k;

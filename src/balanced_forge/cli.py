@@ -19,6 +19,7 @@ from .balanced import (
     find_balancing_weights,
 )
 from .enumeration import (
+    MbcCatalog,
     enumerate_mbc,
     enumerate_mbc_oracle,
     enumerate_uniform,
@@ -310,7 +311,7 @@ def _build_parser():
 
     enum = mbc_sub.add_parser("enum", help="enumerate and optionally save a catalog")
     enum.add_argument("--players", type=int, required=True)
-    enum.add_argument("--method", choices=("direct", "duality", "oracle"), default="direct")
+    enum.add_argument("--method", choices=MbcCatalog.METHODS, default="direct")
     enum.add_argument("--out", help="catalog path (.json for the JSON variant)")
     enum.add_argument(
         "--k-max",

@@ -256,22 +256,26 @@ def mbc_via_duality(n, kmax=None):
     For every regularity k = 1..kmax, enumerate the minimally regular
     exact k-covers of the player set (each is the dual of a minimally
     k-uniform hypergraph of size n, with the primal node count equal to
-    the cover's multiset size), convert through from_regular_hypergraph,
-    validate minimality, and deduplicate. kmax defaults to MAX_DET[n], the
-    largest weight denominator lcm a minimal balanced collection on n
-    players can have, which makes the sweep exhaustive; k_max(n) is a
-    looser bound.
+    the cover's multiset size), convert through from_regular_hypergraph
+    and validate minimality. kmax defaults to MAX_DET[n], the largest
+    weight denominator lcm a minimal balanced collection on n players can
+    have, which makes the sweep exhaustive; k_max(n) is a looser bound.
 
     Minimality is validated by incidence rank alone. from_regular_hypergraph
     already checks strictly positive weights that sum to 1 per player, so
     the support is balanced by construction and the balancedness LP of
     is_minimal_balanced would always succeed.
 
-    Diagnostics on the returned catalog record how often any collection
-    was produced more than once (multiplicity histogram; expected all-1,
-    each collection arising only at k = lcm of its weight denominators)
-    and how many covers failed the minimality validation. That count is 0
-    for n <= 5, but not at n = 6: k = 2 yields 150 minimally 2-regular
+    Each collection arises once, at k equal to its weight denominator.
+    A cover whose multiplicities share a factor g > 1 with k holds, at
+    one g-th of every multiplicity, a (k/g)-regular proper sub-multiset,
+    which cover_search rejects; so every accepted cover has
+    gcd(k, multiplicities) = 1 and is its collection's weights times k.
+    MbcCatalog's duplicate check would raise if one arose twice.
+
+    Diagnostics on the returned catalog name the kernel and count the
+    covers that failed the minimality validation. That count is 0 for
+    n <= 5, but not at n = 6: k = 2 yields 150 minimally 2-regular
     covers whose support has a balanced proper subcollection, e.g.
     {1},{2},{1,2},{3,4},{3,5,6},{4,5,6} contains {1,2}:1, {3,4}:1/2,
     {3,5,6}:1/2, {4,5,6}:1/2. The validation is what keeps them out.
@@ -283,31 +287,20 @@ def mbc_via_duality(n, kmax=None):
         kmax = MAX_DET[n]
     if kmax < 1:
         raise ValueError("kmax must be >= 1, got %r" % (kmax,))
-    seen = {}
-    times_produced = {}
+    cols = []
     rejected = 0
     for k in range(1, kmax + 1):
         for masks, mults in cover_search(n, k):
-            edges = []
-            for m, c in zip(masks, mults):
-                edges.extend([m] * c)
-            bc = from_regular_hypergraph(Hypergraph(n, edges))
+            # n passed check_players and every kernel mask is in 1..full
+            edges = tuple(m for m, c in zip(masks, mults) for _ in range(c))
+            bc = from_regular_hypergraph(Hypergraph._trusted(n, edges))
             # balanced by construction, so independence decides minimality
             if rank_of_masks(bc.coalitions, n) != len(bc.coalitions):
                 rejected += 1
                 continue
-            key = bc.coalitions
-            times_produced[key] = times_produced.get(key, 0) + 1
-            if key not in seen:
-                seen[key] = bc
-    hist = {}
-    for c in times_produced.values():
-        hist[c] = hist.get(c, 0) + 1
+            cols.append(bc)
     return MbcCatalog(
-        n,
-        "duality",
-        list(seen.values()),
-        diagnostics={"multiplicity_histogram": hist, "rejected": rejected, "k_max": kmax},
+        n, "duality", cols, diagnostics={"kernel": KERNEL, "rejected": rejected, "k_max": kmax}
     )
 
 

@@ -47,8 +47,8 @@ class Hypergraph:
         tuple of int masks in 0..full_mask(n).
 
         For hypergraphs this module and enumeration build themselves:
-        enumerated multisets, canonical forms and duals, whose edges are
-        in range by construction.
+        enumerated multisets, canonical forms, duals and the duality
+        route's covers, whose edges are in range by construction.
         """
         self = object.__new__(cls)
         self.n = n

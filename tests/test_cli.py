@@ -52,7 +52,7 @@ def test_mbc_enum_writes_text_catalog(tmp_path, capsys):
 def test_mbc_enum_json_reports_diagnostics(capsys):
     keys = {
         "direct": {"kernel", "search_s", "build_s"},
-        "duality": {"multiplicity_histogram", "rejected", "k_max"},
+        "duality": {"kernel", "rejected", "k_max"},
         "oracle": set(),
     }
     for method, want in keys.items():

@@ -8,8 +8,10 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 import pytest
 
@@ -204,15 +206,33 @@ def test_oracle_range():
         enumerate_mbc_oracle(6)
 
 
+def _denominators(catalog):
+    return Counter(b.denominator for b in catalog.collections)
+
+
 def test_duality_agrees_with_direct():
-    # the default kmax = MAX_DET[n]; mbc_via_duality rejects no cover for n <= 5
+    # the default kmax = MAX_DET[n]; mbc_via_duality rejects no cover for n <= 5.
+    # Each collection is accepted at k = its weight denominator, so grouping
+    # the route's collections by denominator gives its ledger of accepted
+    # covers per k, which must equal the direct catalog's histogram
     for n in range(2, 6):
         dual = mbc_via_duality(n)
-        assert dual.coalition_sets() == enumerate_mbc(n).coalition_sets()
-        diag = dual.diagnostics
-        assert diag["rejected"] == 0
-        assert set(diag["multiplicity_histogram"]) == {1}
-        assert diag["multiplicity_histogram"][1] == TABLE1[n]
+        direct = enumerate_mbc(n)
+        assert dual.coalition_sets() == direct.coalition_sets()
+        assert _denominators(dual) == _denominators(direct)
+        assert dual.diagnostics["rejected"] == 0
+    # the COVER_PINS counts at n = 5
+    assert _denominators(dual) == {1: 52, 2: 447, 3: 517, 4: 216, 5: 60}
+
+
+def test_duality_raises_on_a_duplicate_collection(monkeypatch):
+    # every accepted cover has gcd(k, multiplicities) = 1, so no collection
+    # arises twice; if one did, MbcCatalog's duplicate check names it
+    first = min(mbc_via_duality(3).collections, key=lambda b: b.coalitions)
+    search = enumeration.cover_search
+    monkeypatch.setattr(enumeration, "cover_search", lambda n, k: search(n, k) * 2)
+    with pytest.raises(ValueError, match="duplicate collection " + re.escape(first.to_text())):
+        mbc_via_duality(3)
 
 
 def test_duality_rejects_non_minimal_covers_at_n6():
@@ -231,6 +251,8 @@ def test_duality_rejection_counts_at_n6_k3_k4(speedups, catalog6, monkeypatch):
     dual = mbc_via_duality(6, kmax=4)
     assert (dual.count, dual.diagnostics["rejected"]) == (127938, 8370)
     assert dual.coalition_sets() <= catalog6.coalition_sets()
+    # accepted covers per k, equal to the direct histogram at d = 1..4
+    assert _denominators(dual) == {1: 203, 2: 10142, 3: 56407, 4: 61186}
 
 
 def test_threads_must_be_positive():
@@ -255,8 +277,9 @@ def test_duality_range_checks():
 
 def test_covers_are_minimally_regular_and_dualize():
     # every kernel cover is a minimally k-regular spanning hypergraph on
-    # the player set whose dual is minimally k-uniform of size n
-    for n in range(2, 4):
+    # the player set whose dual is minimally k-uniform of size n, and its
+    # collection's weight denominator is k (1,342 covers for n <= 5)
+    for n in range(2, 6):
         for k in range(1, k_max(n) + 1):
             for masks, mults in cover_search(n, k):
                 edges = []
@@ -270,7 +293,13 @@ def test_covers_are_minimally_regular_and_dualize():
                 assert d.size == n
                 assert is_minimally_uniform(d)
                 bc = from_regular_hypergraph(h)
-                assert bc.n == n
+                assert (bc.n, bc.denominator) == (n, k)
+    # the denominator is k because a common factor g of k and the
+    # multiplicities would leave a (k/g)-regular proper sub-multiset, which
+    # cover_search rejects; 203 + 10,292 + 61,927 covers at n = 6
+    for k in (1, 2, 3):
+        for masks, mults in _mbc_pure.cover_search(6, k):
+            assert gcd(k, *mults) == 1
 
 
 def test_partial_kmax_misses_collections():
