@@ -87,6 +87,8 @@ def coalitions_of(n: int) -> list:
 
 def players_of(mask: int) -> tuple:
     """1-based player ids of a coalition, ascending."""
+    if mask < 0:
+        raise ValueError("negative coalition mask %d" % mask)
     out = []
     i = 1
     while mask:

@@ -6,15 +6,16 @@ so the edge count is preserved) is minimally uniform. Such partitions
 are not unique; decompose returns the lexicographically first one and
 decompose_all enumerates them all.
 
-Whether a block qualifies is hypergraph.minimally_uniform_on, the one
-minimal-uniformity predicate, applied to the block's node mask; the
-search, UniformPartition's check and is_minimally_uniform share it, so
-no induced subhypergraph is built. The search decides each block once,
-so the partitions it returns are built without UniformPartition's
-check, which stays for blocks a caller supplies.
+The blocks come from hypergraph.minimal_blocks, the ascending scan of
+the minimally uniform masks that hold a given mask's lowest node.
+Uniform restrictions are closed under differences, so once a block is
+taken the unassigned nodes are uniform again and always hold a next
+block: the search never backtracks, which proves existence, and its
+partitions skip UniformPartition's check, which stays for blocks a
+caller supplies.
 """
-from .core import format_coalition, players_of
-from .hypergraph import minimally_uniform_on
+from .core import format_coalition, full_mask, players_of
+from .hypergraph import minimal_blocks, minimally_uniform_on
 
 
 class IncompleteDecomposition(RuntimeError):
@@ -38,12 +39,15 @@ class UniformPartition:
     __slots__ = ("n", "blocks", "degrees", "size")
 
     def __init__(self, h, blocks):
-        blocks = sorted(blocks, key=lambda b: b & -b)
+        full = full_mask(h.n)
+        blocks = list(blocks)
+        for b in blocks:
+            if type(b) is not int or not 0 < b <= full:
+                raise ValueError("block %r is not a node mask in 1..%d" % (b, full))
+        blocks.sort(key=lambda b: b & -b)
         union = 0
         degrees = []
         for b in blocks:
-            if b == 0:
-                raise ValueError("empty block")
             if union & b:
                 raise ValueError("blocks overlap")
             union |= b
@@ -53,7 +57,7 @@ class UniformPartition:
                     % format_coalition(b)
                 )
             degrees.append((h.edges[0] & b).bit_count())
-        if union != (1 << h.n) - 1:
+        if union != full:
             raise ValueError("blocks do not cover all %d nodes" % h.n)
         self.n = h.n
         self.blocks = tuple(blocks)
@@ -65,8 +69,8 @@ class UniformPartition:
         """Skip validation; blocks must be a tuple partitioning h's nodes
         into minimally uniform blocks, ordered by lowest member.
 
-        For the partitions _partitions yields: it has decided every block
-        with minimally_uniform_on already and memoised the answer.
+        For the partitions _partitions yields, whose blocks minimal_blocks
+        has decided already.
         """
         self = object.__new__(cls)
         self.n = h.n
@@ -92,37 +96,16 @@ class UniformPartition:
         return "UniformPartition(%s)" % ", ".join(map(format_coalition, self.blocks))
 
 
-def _partitions(edges, n):
-    """Yield block-mask tuples in lexicographic DFS order.
-
-    The open block always contains the lowest unassigned node, so each
-    partition appears exactly once, blocks ordered by lowest member.
+def _partitions(edges, nodes):
+    """Yield block-mask tuples partitioning the node mask, in lexicographic
+    order: each block holds the lowest node not yet assigned.
     """
-    ok = {}
-    full = (1 << n) - 1
-    acc = []
-
-    def rec(remaining):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        low = remaining & -remaining
-        rest = remaining ^ low
-        s = 0
-        while True:
-            block = low | s
-            good = ok.get(block)
-            if good is None:
-                good = ok[block] = minimally_uniform_on(edges, block)
-            if good:
-                acc.append(block)
-                yield from rec(remaining ^ block)
-                acc.pop()
-            if s == rest:
-                break
-            s = (s - rest) & rest
-
-    yield from rec(full)
+    if not nodes:
+        yield ()
+        return
+    for block in minimal_blocks(edges, nodes):
+        for tail in _partitions(edges, nodes ^ block):
+            yield (block,) + tail
 
 
 def _check_input(h):
@@ -139,7 +122,7 @@ def decompose(h):
     order, so the result is the lexicographically smallest partition.
     """
     _check_input(h)
-    for blocks in _partitions(h.edges, h.n):
+    for blocks in _partitions(h.edges, full_mask(h.n)):
         return UniformPartition._trusted(h, blocks)
     raise IncompleteDecomposition(
         "no partition of %d nodes into minimally uniform blocks; "
@@ -152,4 +135,4 @@ def decompose_all(h):
     _check_input(h)
     if h.n > 10:
         raise ValueError("decompose_all capped at n <= 10, got %d" % h.n)
-    return [UniformPartition._trusted(h, blocks) for blocks in _partitions(h.edges, h.n)]
+    return [UniformPartition._trusted(h, blocks) for blocks in _partitions(h.edges, full_mask(h.n))]

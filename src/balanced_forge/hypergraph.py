@@ -6,10 +6,11 @@ explicit sorting step. Empty edges are representable since induced
 subhypergraphs retain edges that become empty; constructors of proper
 hypergraphs must check is_proper themselves.
 
-Minimal uniformity is decided in one place, minimally_uniform_on, on
-bitmasks: is_minimally_uniform and the blocks of decomposition both
-call it. The tests compare it against the definition, which builds each
-induced subhypergraph with its nodes relabeled.
+Minimal uniformity is decided on bitmasks by one ascending scan,
+minimal_blocks: is_minimally_uniform, UniformPartition's check and the
+decomposition search all call it. The tests compare it against the
+definition, which builds each induced subhypergraph with its nodes
+relabeled.
 """
 import json
 from collections import Counter
@@ -175,24 +176,42 @@ def _uniform_on(edges, nodes):
     return len({(e & nodes).bit_count() for e in edges}) == 1
 
 
+def minimal_blocks(edges, nodes):
+    """Yield, ascending, the minimally uniform masks inside the node mask
+    that hold its lowest node.
+
+    A restriction keeps empty intersections and is not relabeled, so its
+    uniformity is one set of intersection sizes. If s and t <= s are
+    uniform, so is s ^ t: each edge meets it in a difference of two
+    constants. A uniform s that is not minimal thus holds a smaller
+    minimal block with s's lowest node, found earlier in the scan, so
+    skipping every s that holds a found block leaves the minimal ones.
+    """
+    low = nodes & -nodes
+    rest = nodes ^ low
+    found = []
+    t = 0
+    while True:
+        s = low | t
+        for b in found:
+            if b & s == b:
+                break
+        else:
+            if _uniform_on(edges, s):
+                found.append(s)
+                yield s
+        if t == rest:
+            return
+        t = (t - rest) & rest
+
+
 def minimally_uniform_on(edges, nodes):
     """Whether the edges restricted to the node mask are uniform and their
     restriction to every nonempty proper subset of it is not.
 
-    The restriction is the induced subhypergraph without relabeling: its
-    uniformity depends only on the intersection sizes, so no object is
-    built. Empty intersections count as size 0 and edgeless input is not
-    uniform.
+    Edgeless input is not uniform.
     """
-    if not _uniform_on(edges, nodes):
-        return False
-    s = 0
-    while True:
-        s = (s - nodes) & nodes
-        if s == nodes:
-            return True
-        if _uniform_on(edges, s):
-            return False
+    return _uniform_on(edges, nodes) and next(minimal_blocks(edges, nodes)) == nodes
 
 
 def is_minimally_uniform(h):

@@ -50,6 +50,13 @@ def test_masks_and_players():
     assert players_of(0) == ()
 
 
+def test_negative_masks_are_rejected():
+    # -1 >> 1 == -1, so an unguarded bit loop would never end
+    for f in (players_of, format_coalition):
+        with pytest.raises(ValueError, match="negative coalition mask -1"):
+            f(-1)
+
+
 def test_format_parse_round_trip():
     assert format_coalition(0b1101) == "{1,3,4}"
     assert format_coalition(0) == "{}"

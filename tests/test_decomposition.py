@@ -11,7 +11,7 @@ from balanced_forge.decomposition import (
     decompose_all,
 )
 from balanced_forge.hypergraph import Hypergraph, is_minimally_uniform
-from test_hypergraph import subhypergraph
+from test_hypergraph import minimally_uniform_masks, small_uniform, subhypergraph
 
 TRIANGLE = Hypergraph(3, [0b011, 0b101, 0b110])
 FIG3 = Hypergraph(7, [0b0001111, 0b1110001, 0b0111100, 0b1101100])
@@ -41,14 +41,12 @@ def all_partitions(n):
 
 
 def partition_oracle(h):
-    # definition-literal check through the public constructor only
-    good = []
-    for blocks in all_partitions(h.n):
-        try:
-            good.append(UniformPartition(h, blocks))
-        except ValueError:
-            pass
-    return good
+    # the partitions whose blocks all pass the definition's literal test,
+    # in lexicographic order; blocks are decided without minimal_blocks,
+    # which the search and the validating constructor share
+    minimal = set(minimally_uniform_masks(h))
+    return [UniformPartition._trusted(h, blocks) for blocks in sorted(all_partitions(h.n))
+            if all(b in minimal for b in blocks)]
 
 
 def test_triangle_is_its_own_block():
@@ -104,6 +102,12 @@ def test_matches_oracle_on_small_uniform_hypergraphs():
                 assert got == {q.blocks for q in partition_oracle(h)}
                 if got:
                     assert decompose(h).blocks in got
+
+
+def test_decompose_all_lists_the_literal_partitions_in_order():
+    for h in small_uniform():
+        want = [p.blocks for p in partition_oracle(h)]
+        assert want and [p.blocks for p in decompose_all(h)] == want, h
 
 
 def random_uniform(rng, n, k, p):
@@ -172,6 +176,21 @@ def test_partition_constructor_validation():
         UniformPartition(TRIANGLE, [0b011, 0b100])
     with pytest.raises(ValueError):
         UniformPartition(TRIANGLE, [0b111, 0])
+
+
+def test_partition_rejects_blocks_that_are_not_node_masks():
+    # named before any block is sorted or decided: a negative mask would
+    # hang format_coalition, a float the sort key, and True would be {1}
+    for blocks, bad in (
+        ([-1], "-1"),
+        ([7.0], "7.0"),
+        ([True, 6], "True"),
+        ([0b1111], "15"),
+        ([0b111, 0b1000], "8"),
+        ([0b111, 0], "0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape("block %s is not a node mask in 1..7" % bad)):
+            UniformPartition(TRIANGLE, blocks)
 
 
 def test_partition_rejects_uniform_block_that_is_not_minimal():

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from balanced_forge.enumeration import enumerate_proper
+from balanced_forge.enumeration import enumerate_proper, enumerate_uniform
 from balanced_forge.hypergraph import (
     Hypergraph,
+    minimal_blocks,
     parse_hypergraph,
     hypergraph_from_json,
     is_minimally_uniform,
@@ -179,6 +180,46 @@ def test_is_minimally_uniform_matches_the_definition():
                 for a in range(1, 1 << n)
             )
             assert is_minimally_uniform(h) == literal, h
+
+
+def small_uniform():
+    # every spanning k-uniform multiset hypergraph with n <= 5, k <= 3 and
+    # at most 4 edges: 1,145 of them
+    for n in range(1, 6):
+        for k in range(1, min(3, n) + 1):
+            for p in range(1, 5):
+                yield from enumerate_uniform(n, k, p, True)
+
+
+def uniform_masks(h):
+    # the nonempty node masks whose induced subhypergraph is uniform, ascending
+    return [a for a in range(1, 1 << h.n)
+            if subhypergraph(h, [x + 1 for x in range(h.n) if a >> x & 1])[0].uniformity()
+            is not None]
+
+
+def minimally_uniform_masks(h):
+    # the literal block test: uniform, and no nonempty proper part is
+    uniform = uniform_masks(h)
+    return [a for a in uniform if not any(t != a and t & a == t for t in uniform)]
+
+
+def test_minimal_blocks_match_the_definition():
+    for h in small_uniform():
+        minimal = minimally_uniform_masks(h)
+        for nodes in range(1, 1 << h.n):
+            low = nodes & -nodes
+            want = [a for a in minimal if a & nodes == a and a & low]
+            assert list(minimal_blocks(h.edges, nodes)) == want, (h, nodes)
+
+
+def test_uniform_restrictions_are_closed_under_differences():
+    for h in small_uniform():
+        uniform = set(uniform_masks(h))
+        for s in uniform:
+            for t in uniform:
+                if t != s and t & s == t:
+                    assert s ^ t in uniform, (h, s, t)
 
 
 def test_is_minimally_regular():
