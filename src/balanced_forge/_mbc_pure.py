@@ -88,21 +88,37 @@ only the chosen coalitions themselves, so it is tested again with A
 equal to them, and skipped if a chosen coalition holds an i but not a j
 that every chosen coalition holding j also holds; every player is in a
 chosen coalition, since the all-ones vector is in their span. Only then
-are its residual reduced and its weights read off and sign-checked. At
-n = 5, 39,620 of the 48,253 children are solved and 1,292 emit; 18,523
-fail the first test and 19,279 more the second, so 4,147 residuals are
-reduced instead of 44,456. A child that is not solved has its residual
-reduced, and every later candidate holding such an i but not j is
-dropped before it is reduced.
+are its residual reduced and its weights read off and sign-checked. A
+child that is not solved has its residual reduced, and every later
+candidate holding such an i but not j is dropped before it is reduced.
+
+A node of depth n - 1, the last level, has only solved children. Its
+n - 1 chosen rows are independent, so one column has no pivot, and the
+residual and every candidate, zero at each pivot, have incidence parts
+nonzero only there: a candidate whose part vanished was dropped, and the
+residual's part is not zero, or the node would be solved. So b != 0
+and a * rho - b * row has no incidence part. A solved child's chosen
+coalitions cover every player, and if every member of A holding j holds
+i, so does every chosen coalition, so the first test cuts only what the
+second does. The last level therefore tests nothing: the node of depth
+n - 2 building its child's list keeps only the later candidates that
+pass the second test together with the child's chosen masks, before
+reducing them, and the last level rescales each candidate's row,
+reduces the residual and emits through the sign check. At n = 5, of the
+13,800 children above the last level 6,921 fail the first test and
+2,296 of the 2,612 solved ones the second, the lists for the last level
+drop 38,150 candidates unreduced, 1,502 children reach it, and 1,292
+emit; 13,542 rows are reduced in all, 4,147 of them residuals.
 
 The rule removes only children that emit nothing, and it changes no
 row, residual or pivot of a child it keeps, so the DFS order, every
 emitted triple, and the bound on the elimination entries (ENTRY_MAX)
 are as without it. Player pairs are bits j * n + i of an int: a suffix
-OR over the candidate list gives A's pairs with one OR per child, and
-each candidate is tested with one AND. Repeating the
-candidate filter until nothing more drops visits the same nodes at n = 5
-and in the n = 6 subtrees first = 8 and 24, so it is not done.
+OR over the candidate list gives A's pairs with one OR per child above
+the last level, and each candidate is tested with a few bitwise
+operations. Repeating the candidate filter until nothing more drops
+visits the same nodes at n = 5 and in the n = 6 subtrees first = 8 and
+24, so it is not done.
 
 cover_search enumerates exact k-covers (multisets of coalitions covering
 every player exactly k times, with at most n distinct coalitions) and
@@ -214,14 +230,39 @@ def direct_search(n, first=0):
     out = []
     chosen = []
 
+    def emit(r2):
+        # the chosen masks' weights, read off a solved residual, if positive
+        t = r2 + bias
+        w = [(t >> FIELD * i & _MASK) - _HALF for i in range(n, n + 1 + len(chosen))]
+        if w[0] < 0:
+            w = [-x for x in w]
+        if max(w[1:]) < 0:
+            g = gcd(*w)
+            out.append((tuple(chosen), tuple(-x // g for x in w[1:]), w[0] // g))
+
     def rec(cands, lo, hi, rho, drho, dnode, depth, split_chosen, lone_chosen):
         # dnode is D_depth; rho and each candidate row come with the
         # divisor of the level they were stored at
         move = (1 << FIELD * (n + 1 + depth)) - (1 << own)  # own slot -> depth slot
+        biased = rho + bias
+        if depth == n - 1:
+            # the last level: every child is solved, and each candidate
+            # passed the pair test when the parent built the list
+            for m, row, p, drow in cands[lo:hi]:
+                s = FIELD * p
+                a = ((row >> s) + _HALF & _MASK) - _HALF
+                b = (biased >> s & _MASK) - _HALF
+                if drow != dnode:
+                    row = row * dnode // drow
+                    a = a * dnode // drow
+                chosen.append(m)
+                emit(_reduce(a, rho, b, row + dnode * move, drho))
+                chosen.pop()
+            return
+        tail = depth == n - 2  # the kids form the last level
         suf = [0] * (len(cands) + 1)  # split pairs of cands[c:]
         for c in range(len(cands) - 1, lo, -1):
             suf[c] = suf[c + 1] | split[cands[c][0]]
-        biased = rho + bias
         for c in range(lo, hi):
             m, row, p, drow = cands[c]
             sc = split_chosen | split[m]
@@ -246,17 +287,14 @@ def direct_search(n, first=0):
                 r2, d2 = _reduce(a, rho, b, row, drho), a
             chosen.append(m)
             if solved:
-                t = r2 + bias
-                w = [(t >> FIELD * i & _MASK) - _HALF for i in range(n, n + 2 + depth)]
-                if w[0] < 0:
-                    w = [-x for x in w]
-                if max(w[1:]) < 0:
-                    g = gcd(*w)
-                    out.append((tuple(chosen), tuple(-x // g for x in w[1:]), w[0] // g))
+                emit(r2)
             else:
                 kids = []
                 for m2, r, q, dr in cands[c + 1 :]:
-                    if lone[m2] & tied:
+                    if tail:
+                        if (lc | lone[m2]) & off & ~(sc | split[m2]):
+                            continue  # its child fails the pair test
+                    elif lone[m2] & tied:
                         continue  # would need weight zero
                     b = ((r + bias) >> s & _MASK) - _HALF
                     if b:

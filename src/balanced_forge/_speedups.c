@@ -35,12 +35,18 @@
  * if it fails; only then is its residual reduced and its weights checked. A
  * child that is not solved has its residual reduced, and every later
  * candidate holding such an i but not j is dropped before it is reduced.
- * Only children that emit nothing are removed, and no entry of a kept child
- * changes, so the output and the bound below stand. Player pairs (j, i) are
- * bits j * n + i of a uint64_t (n * n <= 49): split[m] has (j, i) when m
- * holds j but not i, and (j, j) when m holds j; lone[m] has (j, i) when m
- * holds i but not j. A suffix OR of split per depth gives A's pairs in one
- * OR per child; a candidate costs one AND.
+ * A node of depth n - 1 has only solved children, and there the first test
+ * cuts only what the second does (_mbc_pure.py shows both), so a node of
+ * depth n - 2 keeps in its child's list only the candidates that pass the
+ * second test with the child's chosen masks, before reducing them, and the
+ * last level tests nothing: it rescales each row, reduces the residual and
+ * emits. Only children that emit nothing are removed, and no entry of a
+ * kept child changes, so the output and the bound below stand. Player
+ * pairs (j, i) are bits j * n + i of a uint64_t (n * n <= 49): split[m]
+ * has (j, i) when m holds j but not i, and (j, j) when m holds j; lone[m]
+ * has (j, i) when m holds i but not j. A suffix OR of split per depth gives
+ * A's pairs in one OR per child above the last level; a candidate costs a
+ * few bitwise operations.
  *
  * cover_search runs its twin's node: it branches on p, the lowest uncovered
  * player, whose usable masks are the subsets of unc, the uncovered players,
@@ -189,15 +195,32 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
            uint64_t split_chosen, uint64_t lone_chosen, int64_t drho, int64_t dnode)
 {
     int n = d->n, width = d->width, own = width - 1, slot = n + 1 + depth;
+    int tail = depth == n - 2;  /* the kids form the last level */
     const Cand *cands = d->cands + (size_t)depth * d->nmasks;
     Cand *kids = d->cands + (size_t)(depth + 1) * d->nmasks;
     int64_t *store = d->store + (size_t)(depth + 1) * d->nmasks * WIDTH;
     int64_t *row = d->rows + depth * WIDTH;
     int64_t *rho = d->rhos + depth * WIDTH, *r2 = rho + WIDTH;
     uint64_t *suf = d->suf + (size_t)depth * d->nmasks;
-    if (depth >= n) {  /* n independent rows leave a zero residual */
-        PyErr_SetString(PyExc_SystemError, "direct kernel: depth exceeds n");
-        return -1;
+    if (depth == n - 1) {
+        /* the last level: every child is solved, and each candidate passed
+           the pair test when the parent built the list */
+        for (int c = lo; c < hi; c++) {
+            int p = cands[c].pivot;
+            if (cands[c].div == dnode)
+                memcpy(row, cands[c].row, width * sizeof *row);
+            else if (reduce(row, dnode, cands[c].row, 0, cands[c].row,
+                            cands[c].div, width) < 0)
+                return -1;
+            row[slot] = row[own];
+            row[own] = 0;
+            if (reduce(r2, row[p], rho, rho[p], row, drho, width) < 0)
+                return -1;
+            d->chosen[depth] = cands[c].mask;
+            if (direct_emit(d, depth + 1, r2) < 0)
+                return -1;
+        }
+        return 0;
     }
     suf[ncand] = 0;
     for (int c = ncand - 1; c > lo; c--)
@@ -242,9 +265,13 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
         }
         for (int j = c + 1; j < ncand; j++) {
             const int64_t *r = cands[j].row;
-            int q = cands[j].pivot;
+            int q = cands[j].pivot, m2 = cands[j].mask;
             int64_t div = cands[j].div;
-            if (d->lone[cands[j].mask] & tied)
+            if (tail) {
+                if ((lc | d->lone[m2]) & d->off & ~(sc | d->split[m2]))
+                    continue;  /* its child fails the pair test */
+            }
+            else if (d->lone[m2] & tied)
                 continue;  /* would need weight zero */
             if (r[p]) {
                 int64_t *r3 = store + nkids * WIDTH;
@@ -257,7 +284,7 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
                 r = r3;
                 div = a;
             }
-            kids[nkids].mask = cands[j].mask;
+            kids[nkids].mask = m2;
             kids[nkids].pivot = q;
             kids[nkids].div = div;
             kids[nkids].row = r;

@@ -152,11 +152,14 @@ def enumerate_mbc(n, threads=None):
     """
     check_players(n)
     if not 2 <= n <= 6:
-        raise ValueError(
-            "enumerate_mbc supports 2 <= n <= 6, got %d; the n=7 catalog holds "
-            "132,422,036 collections, about 33 GB in memory, so search n=7 one "
-            "subtree at a time with _kernel.direct_search(7, first)" % n
-        )
+        why = "enumerate_mbc supports 2 <= n <= 6, got %d" % n
+        if n == 7:
+            why += (
+                "; the n=7 catalog holds 132,422,036 collections, about 33 GB in "
+                "memory, so search n=7 one subtree at a time with "
+                "_kernel.direct_search(7, first)"
+            )
+        raise ValueError(why)
     if threads is None:
         threads = _threads_default()
     if threads < 1:

@@ -187,6 +187,8 @@ def minimal_blocks(edges, nodes):
     minimal block with s's lowest node, found earlier in the scan, so
     skipping every s that holds a found block leaves the minimal ones.
     """
+    if nodes < 0:
+        raise ValueError("negative node mask %d" % nodes)
     low = nodes & -nodes
     rest = nodes ^ low
     found = []

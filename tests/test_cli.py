@@ -75,11 +75,16 @@ def test_mbc_enum_writes_json_catalog(tmp_path, capsys):
 
 
 def test_mbc_enum_bad_players(capsys):
-    # n=7 is refused before any search: its catalog needs about 33 GB
-    for players in ("9", "7"):
+    # n=7 is refused before any search, and only its message names the
+    # reason: its catalog needs about 33 GB
+    for players in ("1", "9"):
         rc, _, err = run(capsys, "mbc", "enum", "--players", players)
         assert rc == 2
-        assert err.startswith("error:")
+        assert err == "error: enumerate_mbc supports 2 <= n <= 6, got %s\n" % players
+    rc, _, err = run(capsys, "mbc", "enum", "--players", "7")
+    assert rc == 2
+    assert err.startswith("error: enumerate_mbc supports 2 <= n <= 6, got 7; ")
+    assert "about 33 GB in memory" in err
 
 
 def test_mbc_check_minimal(capsys):

@@ -146,9 +146,11 @@ def test_farkas_filter_drops_candidates_before_reduction(monkeypatch):
     # a candidate the Farkas rule drops is never reduced against the chosen
     # row, and a child that fails the pair test has no residual reduced, so
     # the number of _reduce calls shows both at work: the same output
-    # takes 37,192 calls with the candidate filter off, and 77,457 with the
-    # pair test run after the child's residual is reduced; every division
-    # is exact and every entry stays within ENTRY_MAX
+    # takes 13,586 calls with the candidate filter off, 20,900 with the
+    # pair test run after the child's residual is reduced, 37,148 with the
+    # last level's candidates tested there instead of when their list is
+    # built, and 70,099 with them not tested at all; every division is
+    # exact and every entry stays within ENTRY_MAX
     calls = 0
     reduce = _mbc_pure._reduce
     width, half, mask = _mbc_pure.FIELD, _mbc_pure._HALF, _mbc_pure._MASK
@@ -169,7 +171,7 @@ def test_farkas_filter_drops_candidates_before_reduction(monkeypatch):
 
     monkeypatch.setattr(_mbc_pure, "_reduce", counted)
     assert len(_mbc_pure.direct_search(5)) == TABLE1[5]
-    assert calls == 37148
+    assert calls == 13542
 
 
 def _revalidated(n, triple):
@@ -359,6 +361,8 @@ def speedups(tmp_path_factory):
 
 
 def test_kernel_twins_agree(speedups):
+    # at n = 1 the root is the last level
+    assert speedups.direct_search(1) == _mbc_pure.direct_search(1) == [((1,), (1,), 1)]
     for n in range(2, 6):
         assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
         # every k up to k_max for n <= 4; at n = 5 the pure twin takes about
@@ -401,7 +405,7 @@ DIRECT6_SHA256 = "dacac381ac0c8bb6def344b051f94f837ea789eed50ea89dfacee566bd46f4
 
 @pytest.fixture(scope="module")
 def direct6(speedups):
-    """The compiled kernel's n = 6 search, about 3 s, run once per module."""
+    """The compiled kernel's n = 6 search, about 0.5 s, run once per module."""
     return speedups.direct_search(6)
 
 
@@ -431,11 +435,19 @@ DIRECT7_56_SHA256 = "fd10cd2a58af741e8e0afaa02ed3db81fbc6ff97d290044113a2a8f68be
 
 
 def test_compiled_n7_subtree_is_pinned(speedups):
-    # a nonempty n = 7 subtree, about 0.2 s: rows of 16 entries and minors
+    # a nonempty n = 7 subtree, about 0.1 s: rows of 16 entries and minors
     # of order 8, which no n <= 6 search reaches
     raw = speedups.direct_search(7, 56)
     assert len(raw) == 26618
     assert max(den for _, _, den in raw) == 15
+    assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT7_56_SHA256
+
+
+def test_pure_n7_subtree_is_pinned():
+    # the same subtree in the pure twin, about 2 s; the other pure n = 7
+    # searches here are cut at the root or hold the grand coalition alone
+    raw = _mbc_pure.direct_search(7, 56)
+    assert len(raw) == 26618
     assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT7_56_SHA256
 
 

@@ -213,6 +213,12 @@ def test_minimal_blocks_match_the_definition():
             assert list(minimal_blocks(h.edges, nodes)) == want, (h, nodes)
 
 
+def test_minimal_blocks_rejects_a_negative_mask():
+    # the scan t = (t - rest) & rest never reaches a negative rest
+    with pytest.raises(ValueError, match="negative node mask -1"):
+        list(minimal_blocks([1, 2], -1))
+
+
 def test_uniform_restrictions_are_closed_under_differences():
     for h in small_uniform():
         uniform = set(uniform_masks(h))
