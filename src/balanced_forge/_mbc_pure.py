@@ -75,8 +75,10 @@ player j also holds player i, the sums for i and j over B differ by the
 weights of B's members holding i but not j, so those weights are 0:
 y = e_i - e_j is a Farkas certificate that no such member has a positive
 weight. Hence the child is skipped, before its row is copied or its
-residual reduced, when some player is in no member of A, or when a
-chosen coalition holds such an i but not j.
+residual reduced, when a chosen coalition holds such an i but not j.
+That covers a player j in no member of A too: every pair (j, i) is then
+tied, and the child's own mask, nonempty and without j, holds some
+i != j.
 
 A child that passes is solved when its reduced residual's incidence part
 vanishes: with a and b the entries of its row and of the node's residual
@@ -193,8 +195,8 @@ def _reduce(a, r, b, row, d):
 def _pair_tables(n):
     """Per mask, its ordered player pairs as bits j * n + i of two ints.
 
-    split[m] has (j, i) when m contains j but not i, and (j, j) when m
-    contains j; lone[m] has (j, i) when m contains i but not j.
+    split[m] has (j, i) when m contains j but not i; lone[m] has (j, i)
+    when m contains i but not j. Neither has a pair (j, j).
     """
     nmasks = 1 << n
     split = [0] * nmasks
@@ -203,7 +205,7 @@ def _pair_tables(n):
         for j in range(n):
             for i in range(n):
                 bit = 1 << (j * n + i)
-                if m >> j & 1 and (i == j or not m >> i & 1):
+                if m >> j & 1 and not m >> i & 1:
                     split[m] |= bit
                 if m >> i & 1 and not m >> j & 1:
                     lone[m] |= bit
@@ -223,8 +225,6 @@ def direct_search(n, first=0):
         raise ValueError("first must be in 0..%d, got %d" % (nmasks - 1, first))
     own = FIELD * (2 * n + 1)
     split, lone = _pair_tables(n)
-    diag = sum(1 << (j * n + j) for j in range(n))
-    off = (1 << n * n) - 1 - diag
     low = (1 << FIELD * n) - 1  # the incidence fields
     bias = sum(_HALF << FIELD * i for i in range(2 * n + 2))
     out = []
@@ -268,15 +268,15 @@ def direct_search(n, first=0):
             sc = split_chosen | split[m]
             lc = lone_chosen | lone[m]
             every = sc | suf[c + 1]
-            tied = off & ~every  # (j, i): every member of A with j has i
-            if every & diag != diag or lc & tied:
+            tied = ~every  # (j, i): every member of A with j has i
+            if lc & tied:
                 continue  # no positive weights below: cut
             s = FIELD * p
             a = ((row >> s) + _HALF & _MASK) - _HALF  # fields below p are 0
             b = (biased >> s & _MASK) - _HALF
             # solved: the reduced residual's incidence part vanishes
             solved = b and not (a * rho - b * row) & low
-            if solved and lc & off & ~sc:
+            if solved and lc & ~sc:
                 continue  # the chosen masks alone need a zero weight
             if drow != dnode:
                 row = row * dnode // drow
@@ -292,7 +292,7 @@ def direct_search(n, first=0):
                 kids = []
                 for m2, r, q, dr in cands[c + 1 :]:
                     if tail:
-                        if (lc | lone[m2]) & off & ~(sc | split[m2]):
+                        if (lc | lone[m2]) & ~(sc | split[m2]):
                             continue  # its child fails the pair test
                     elif lone[m2] & tied:
                         continue  # would need weight zero

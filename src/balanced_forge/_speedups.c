@@ -26,8 +26,9 @@
  * later candidates, before they are reduced. If every member of A holding
  * player j also holds player i, y = e_i - e_j shows that any member holding
  * i but not j has weight 0 in every balanced subcollection of A, so the child
- * is skipped, before its row is copied or its residual reduced, when some
- * player is in no member of A or a chosen mask holds such an i but not j.
+ * is skipped, before its row is copied or its residual reduced, when a chosen
+ * mask holds such an i but not j; a player in no member of A ties every pair
+ * it leads, so the child's own mask already fails the test.
  * A child that passes is solved when row[p] * rho[i] == rho[p] * row[i] for
  * every i < n, p its pivot, which is the reduced residual's incidence part
  * vanishing, tested before the full reduction. A solved child can emit only
@@ -43,8 +44,8 @@
  * emits. Only children that emit nothing are removed, and no entry of a
  * kept child changes, so the output and the bound below stand. Player
  * pairs (j, i) are bits j * n + i of a uint64_t (n * n <= 49): split[m]
- * has (j, i) when m holds j but not i, and (j, j) when m holds j; lone[m]
- * has (j, i) when m holds i but not j. A suffix OR of split per depth gives
+ * has (j, i) when m holds j but not i, lone[m] has (j, i) when m holds i but
+ * not j, and neither has a pair (j, j). A suffix OR of split per depth gives
  * A's pairs in one OR per child above the last level; a candidate costs a
  * few bitwise operations.
  *
@@ -129,7 +130,6 @@ typedef struct {
     int64_t *store;   /* per depth: rows reduced on entering it, WIDTH apart */
     uint64_t *suf;    /* per depth: split pairs of the candidates from c on */
     uint64_t split[1 << MAXN], lone[1 << MAXN];  /* player pairs, see the top */
-    uint64_t diag, off;                          /* pairs (j, j) and (j, i != j) */
     int64_t rows[MAXN * WIDTH];        /* the chosen row per depth */
     int64_t rhos[(MAXN + 1) * WIDTH];  /* all-ones residual per depth */
     int64_t chosen[MAXN];
@@ -232,15 +232,15 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
         uint64_t sc = split_chosen | d->split[cands[c].mask];
         uint64_t lc = lone_chosen | d->lone[cands[c].mask];
         uint64_t every = sc | suf[c + 1];
-        uint64_t tied = d->off & ~every;  /* (j, i): every member of A with j has i */
-        if ((every & d->diag) != d->diag || (lc & tied))
+        uint64_t tied = ~every;  /* (j, i): every member of A with j has i */
+        if (lc & tied)
             continue;  /* no positive weights below: cut */
         if (rho[p]) {  /* solved: the reduced residual's incidence part vanishes */
             for (i = 0; i < n && src[p] * rho[i] == rho[p] * src[i]; i++)
                 ;
             solved = i == n;
         }
-        if (solved && (lc & d->off & ~sc))
+        if (solved && (lc & ~sc))
             continue;  /* the chosen masks alone need a zero weight */
         /* the chosen row at this node's level: src * D_depth / D_j */
         if (cands[c].div == dnode)
@@ -268,7 +268,7 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
             int q = cands[j].pivot, m2 = cands[j].mask;
             int64_t div = cands[j].div;
             if (tail) {
-                if ((lc | d->lone[m2]) & d->off & ~(sc | d->split[m2]))
+                if ((lc | d->lone[m2]) & ~(sc | d->split[m2]))
                     continue;  /* its child fails the pair test */
             }
             else if (d->lone[m2] & tied)
@@ -340,15 +340,12 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
         for (int j = 0; j < n; j++)
             for (int i = 0; i < n; i++) {
                 uint64_t bit = (uint64_t)1 << (j * n + i);
-                if (m >> j & 1 && (i == j || !(m >> i & 1)))
+                if (m >> j & 1 && !(m >> i & 1))
                     d.split[m] |= bit;
                 if (m >> i & 1 && !(m >> j & 1))
                     d.lone[m] |= bit;
             }
     }
-    for (int j = 0; j < n; j++)
-        d.diag |= (uint64_t)1 << (j * n + j);
-    d.off = (((uint64_t)1 << n * n) - 1) & ~d.diag;
     for (int i = 0; i <= n; i++)
         d.rhos[i] = 1;
     d.out = PyList_New(0);

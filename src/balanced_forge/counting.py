@@ -15,6 +15,8 @@ MAX_TABLE_N = 30
 
 def _check_sizes(n, k, p):
     for name, value in (("n", n), ("k", k), ("p", p)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError("%s must be an int, got %r" % (name, value))
         if value < 0:
             raise ValueError("%s must be >= 0, got %d" % (name, value))
 
@@ -33,7 +35,7 @@ def count_spanning(n, k, p):
     for m = C(i,k), which is multiset_coefficient(m, p). That factorial
     has p factors: the source text's inline convention has p+1, but its
     worked numbers (3*4*5/3! = 10 from a 3-element ground set) force p.
-    A negative n, k or p raises ValueError.
+    An n, k or p that is negative, a bool or not an int raises ValueError.
     """
     _check_sizes(n, k, p)
     total = 0

@@ -12,6 +12,7 @@ definition-literal route.
 import json
 import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
@@ -211,11 +212,11 @@ def enumerate_uniform(n, k, p, spanning):
     MAX_ENUMERATION raises ValueError before any multiset is listed.
     """
     check_players(n)
+    total = count_total(n, k, p)  # k and p must be ints >= 0
     if not 1 <= k <= n:
         raise ValueError("edge size k=%d infeasible for n=%d" % (k, n))
     if p < 1:
         raise ValueError("size p must be >= 1, got %d" % p)
-    total = count_total(n, k, p)
     if total > MAX_ENUMERATION:
         raise ValueError(
             "enumerate_uniform(%d, %d, %d) would list %d multisets before the "
@@ -232,20 +233,34 @@ def enumerate_proper(n, p_max):
     non-decreasing canonical edge order.
     """
     check_players(n)
-    if p_max < 1:
-        raise ValueError("size bound p_max must be >= 1, got %d" % p_max)
+    if not isinstance(p_max, int) or isinstance(p_max, bool) or p_max < 1:
+        raise ValueError("size bound p_max must be an int >= 1, got %r" % (p_max,))
     nonempty = range(1, 1 << n)
     return (h for p in range(1, p_max + 1) for h in _multisets(n, nonempty, p, True))
 
 
 def _multisets(n, edges, p, spanning):
-    # n passed check_players and every edge is a mask in 1..full, so the
-    # hypergraphs need no validation
+    # A multiset spans exactly when its last edge holds need, every node
+    # its first p - 1 edges (its head) miss, so each head is completed from
+    # the edges holding need instead of OR-ing every multiset. edges must
+    # be ascending: combinations_with_replacement then lists the heads in
+    # lexicographic order, and each head's last edges, from its own last
+    # edge on, ascend, so the multisets come out lexicographic. n passed
+    # check_players and every edge is a mask in 1..full, so each
+    # Hypergraph is built as Hypergraph._trusted builds it, inline.
     full = full_mask(n)
-    for combo in combinations_with_replacement(edges, p):
-        if spanning and reduce(or_, combo) != full:
-            continue
-        yield Hypergraph._trusted(n, combo)
+    holding = {}  # need -> the edges that hold it, ascending
+    new = object.__new__
+    for head in combinations_with_replacement(edges, p - 1):
+        need = full ^ reduce(or_, head, 0) if spanning else 0
+        lasts = holding.get(need)
+        if lasts is None:
+            lasts = holding[need] = [e for e in edges if e & need == need]
+        for e in lasts[bisect_left(lasts, head[-1]) if head else 0 :]:
+            h = new(Hypergraph)
+            h.n = n
+            h.edges = head + (e,)
+            yield h
 
 
 def enumerate_minimally_uniform(n, k, p):

@@ -50,6 +50,9 @@ class Hypergraph:
         For hypergraphs this module and enumeration build themselves:
         enumerated multisets, canonical forms, duals and the duality
         route's covers, whose edges are in range by construction.
+        enumeration._multisets builds its hypergraphs the same way inline,
+        which saves a call per multiset; a change here must be made there
+        too.
         """
         self = object.__new__(cls)
         self.n = n

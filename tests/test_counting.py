@@ -43,6 +43,11 @@ def test_negative_sizes_are_named(count):
     for args, name in (((-1, 2, 3), "n"), ((3, -2, 3), "k"), ((3, 2, -3), "p")):
         with pytest.raises(ValueError, match="^%s must be >= 0" % name):
             count(*args)
+    # a bool or a non-int size is refused, not read as 0, 1 or a float
+    for args, name, shown in (((True, 2, 3), "n", "True"), ((3, 2.0, 3), "k", "2.0"),
+                              ((3, 2, False), "p", "False"), ((3, 2, "3"), "p", "'3'")):
+        with pytest.raises(ValueError, match="^%s must be an int, got %s$" % (name, shown)):
+            count(*args)
     # zero stays valid: the boundary values rely on it
     assert count(0, 0, 0) == 1
 

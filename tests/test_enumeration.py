@@ -8,9 +8,10 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import gcd
 
 import pytest
@@ -795,8 +796,19 @@ def test_uniform_enumeration_counts():
 
 def test_proper_enumeration():
     assert [h.edges for h in enumerate_proper(2, 2)] == [(3,), (1, 2), (1, 3), (2, 3), (3, 3)]
-    with pytest.raises(ValueError):
-        enumerate_proper(2, 0)
+    for p_max in (0, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="p_max must be an int >= 1"):
+            enumerate_proper(2, p_max)
+
+
+def test_proper_enumeration_is_lazy():
+    # 65,535 nonempty edges on 16 nodes: the first items come from the
+    # first heads, while a level built whole would hold about 2 * 10^9
+    # multisets of two edges
+    t0 = time.perf_counter()
+    first = [h.edges for h in islice(enumerate_proper(16, 3), 4)]
+    assert time.perf_counter() - t0 < 2
+    assert first == [(0xFFFF,), (1, 0xFFFE), (1, 0xFFFF), (2, 0xFFFD)]
 
 
 def multisets_by_filter(n, edges, p, spanning):
@@ -823,20 +835,21 @@ def assert_listed_as(found, n, want):
 
 
 def test_uniform_enumeration_matches_the_filter():
-    for n in range(1, 6):
-        for k in range(1, n + 1):
-            k_sets = [m for m in range(1, 1 << n) if m.bit_count() == k]
-            for p in range(1, 5):
-                for spanning in (False, True):
-                    want = multisets_by_filter(n, k_sets, p, spanning)
-                    assert_listed_as(enumerate_uniform(n, k, p, spanning), n, want)
+    shapes = [(n, k, p) for n in range(1, 6) for k in range(1, n + 1) for p in range(1, 5)]
+    # heads of 4 and 5 edges, as the benchmark's larger shapes have
+    shapes += [(6, k, p) for k in (2, 3) for p in (5, 6)]
+    for n, k, p in shapes:
+        k_sets = [m for m in range(1, 1 << n) if m.bit_count() == k]
+        for spanning in (False, True):
+            want = multisets_by_filter(n, k_sets, p, spanning)
+            assert_listed_as(enumerate_uniform(n, k, p, spanning), n, want)
 
 
 def test_proper_enumeration_matches_the_filter():
     for n in range(1, 5):
-        want = [combo for p in range(1, 4)
+        want = [combo for p in range(1, 5)
                 for combo in multisets_by_filter(n, range(1, 1 << n), p, True)]
-        assert_listed_as(list(enumerate_proper(n, 3)), n, want)
+        assert_listed_as(list(enumerate_proper(n, 4)), n, want)
 
 
 def test_uniform_enumeration_cap(monkeypatch):
@@ -859,6 +872,13 @@ def test_uniform_enumeration_validation():
         enumerate_uniform(3, 0, 1, False)
     with pytest.raises(ValueError):
         enumerate_uniform(3, 2, 0, False)
+    # a bool or float size is refused, not read as 1 or 2
+    with pytest.raises(ValueError, match="k must be an int, got True"):
+        enumerate_uniform(3, True, 2, False)
+    with pytest.raises(ValueError, match="p must be an int, got 2.0"):
+        enumerate_uniform(3, 2, 2.0, True)
+    with pytest.raises(ValueError, match="k must be an int, got '2'"):
+        enumerate_uniform(3, "2", 2, True)
 
 
 def test_minimally_uniform_triangle():
