@@ -19,10 +19,11 @@ pivot, divisor). Entering a child reduces each candidate once, against
 the one newly chosen row and only where that row's pivot entry is
 nonzero; a candidate whose incidence part vanishes is dependent on the
 chosen rows and is dropped for the whole subtree. Unreduced rows are
-shared between parent and child. A row is n incidence entries, the
-all-ones coefficient, one coefficient slot per depth, and a last slot
-holding the candidate's own coefficient until it is chosen at depth d,
-when it moves to slot n + 1 + d. The row is one Python int, its entry i
+shared between parent and child. A row is 2n + 1 entries: n incidence
+entries, the all-ones coefficient and one coefficient slot per depth. A
+candidate's own coefficient is not stored, since it always equals the
+divisor kept with the row (below); choosing the row at depth d writes
+it, as D_d, into slot n + 1 + d. The row is one Python int, its entry i
 the signed FIELD-bit field at bit FIELD * i, so the int is the sum of
 entry[i] << FIELD * i: scaling and adding rows scales and adds every
 field at once, as long as each stays inside +-2^(FIELD - 1). The
@@ -43,10 +44,14 @@ of the level j it was stored at; reducing it later against R is
 (a * r - b * R) / D_j on the stored entries, as the factor D_k / D_j of
 both r and b cancels. A chosen row is first rescaled to its node's level
 by row * D_k / D_j; its own coefficient is then D_k, the minor whose own
-column has a single 1, so moving it to its depth slot adds D_k times a
-constant. The residual is a row of the all-ones vector, kept with its
-divisor in the same way. Every division is exact: the quotient's entries
-are minors, hence integers, and when a divisor divides every field it
+column has a single 1, and D_k is what its depth slot receives. A row's
+own coefficient starts at 1 = D_0 and becomes a after a reduction
+(a * r - b * R) / D_j, since R is 0 in r's own column, so it is the
+row's divisor throughout. The residual is a row of the all-ones vector,
+kept with its divisor in the same way, and for the same reason that
+divisor is its all-ones coefficient, slot n, where it is read: no candidate
+row has an entry there. Every division is exact: the quotient's entries are
+minors, hence integers, and when a divisor divides every field it
 divides the packed int, field by field.
 
 Every entry is bounded by ENTRY_MAX = 4096, in both twins. A row
@@ -216,17 +221,19 @@ def direct_search(n, first=0):
     """Minimal balanced collections as (masks, numerators, denominator).
 
     With first > 0 only the subtree whose smallest member is `first` is
-    searched; first = 0 runs the whole tree. Results are emitted with
-    masks ascending within each tuple but in DFS order overall.
+    searched; first = 0 runs the whole tree. Masks ascend within each
+    tuple, and the DFS order is ascending mask-tuple order: candidates are
+    tried in ascending order and a solved node is not extended, so no
+    emitted tuple is a prefix of another and the list comes out sorted.
+    The subtrees for first = 1, 2, ... concatenate to the whole search.
     """
     _check_players("direct", n)
     nmasks = 1 << n
     if not 0 <= first < nmasks:
         raise ValueError("first must be in 0..%d, got %d" % (nmasks - 1, first))
-    own = FIELD * (2 * n + 1)
     split, lone = _pair_tables(n)
     low = (1 << FIELD * n) - 1  # the incidence fields
-    bias = sum(_HALF << FIELD * i for i in range(2 * n + 2))
+    bias = sum(_HALF << FIELD * i for i in range(2 * n + 1))
     out = []
     chosen = []
 
@@ -240,11 +247,12 @@ def direct_search(n, first=0):
             g = gcd(*w)
             out.append((tuple(chosen), tuple(-x // g for x in w[1:]), w[0] // g))
 
-    def rec(cands, lo, hi, rho, drho, dnode, depth, split_chosen, lone_chosen):
-        # dnode is D_depth; rho and each candidate row come with the
-        # divisor of the level they were stored at
-        move = (1 << FIELD * (n + 1 + depth)) - (1 << own)  # own slot -> depth slot
+    def rec(cands, lo, hi, rho, dnode, depth, split_chosen, lone_chosen):
+        # dnode is D_depth; each candidate row comes with the divisor of
+        # the level it was stored at, and rho's is its all-ones coefficient
+        slot = 1 << FIELD * (n + 1 + depth)
         biased = rho + bias
+        drho = (biased >> FIELD * n & _MASK) - _HALF
         if depth == n - 1:
             # the last level: every child is solved, and each candidate
             # passed the pair test when the parent built the list
@@ -256,7 +264,7 @@ def direct_search(n, first=0):
                     row = row * dnode // drow
                     a = a * dnode // drow
                 chosen.append(m)
-                emit(_reduce(a, rho, b, row + dnode * move, drho))
+                emit(_reduce(a, rho, b, row + dnode * slot, drho))
                 chosen.pop()
             return
         tail = depth == n - 2  # the kids form the last level
@@ -281,10 +289,8 @@ def direct_search(n, first=0):
             if drow != dnode:
                 row = row * dnode // drow
                 a = a * dnode // drow
-            row += dnode * move
-            r2, d2 = rho, drho
-            if b:
-                r2, d2 = _reduce(a, rho, b, row, drho), a
+            row += dnode * slot
+            r2 = _reduce(a, rho, b, row, drho) if b else rho
             chosen.append(m)
             if solved:
                 emit(r2)
@@ -304,18 +310,18 @@ def direct_search(n, first=0):
                         q = ((r & -r).bit_length() - 1) // FIELD
                         dr = a
                     kids.append((m2, r, q, dr))
-                rec(kids, 0, len(kids), r2, d2, a, depth + 1, sc, lc)
+                rec(kids, 0, len(kids), r2, a, depth + 1, sc, lc)
             chosen.pop()
 
     cands = []
     for m in range(1, nmasks):
-        row = sum(1 << FIELD * i for i in range(n) if m >> i & 1) + (1 << own)
+        row = sum(1 << FIELD * i for i in range(n) if m >> i & 1)
         cands.append((m, row, (m & -m).bit_length() - 1, 1))
     rho0 = sum(1 << FIELD * i for i in range(n + 1))
     if first:
-        rec(cands, first - 1, first, rho0, 1, 1, 0, 0, 0)
+        rec(cands, first - 1, first, rho0, 1, 0, 0, 0)
     else:
-        rec(cands, 0, nmasks - 1, rho0, 1, 1, 0, 0, 0)
+        rec(cands, 0, nmasks - 1, rho0, 1, 0, 0, 0)
     return out
 
 

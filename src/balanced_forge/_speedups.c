@@ -13,13 +13,14 @@
  * entry; a candidate whose incidence part vanishes is dropped for the whole
  * subtree, and an unreduced row is shared by pointer with its divisor. A
  * chosen row is first rescaled to its node's level, row * D_depth / D_j, and
- * the all-ones residual keeps its divisor in the same way. A candidate's own
- * coefficient sits in the last column (2n + 1) and moves to column
- * n + 1 + depth when it is chosen. This is the fraction-free elimination with
- * exact division that _mbc_pure.py derives, so both twins hold the same row
- * values at every node, and a gcd is taken only when a triple is emitted. The
- * lists and the rows reduced on entering each depth take (n + 1) * 2^n
- * entries on the heap: 147 KB at n = 7.
+ * its own coefficient, which always equals its divisor and so is not
+ * stored, is written as D_depth into column n + 1 + depth. Rows are 2n + 1
+ * columns wide. The all-ones residual's divisor is likewise its column n,
+ * the all-ones coefficient, and is read from there. This is the
+ * fraction-free elimination with exact division that _mbc_pure.py derives,
+ * so both twins hold the same row values at every node, and a gcd is taken
+ * only when a triple is emitted. The lists and the rows reduced on entering
+ * each depth take (n + 1) * 2^n entries on the heap: 147 KB at n = 7.
  *
  * Each child is first tested by the Farkas rule that _mbc_pure.py derives.
  * Its chosen masks are the node's and its own; A is those plus the node's
@@ -73,7 +74,7 @@
 #include <string.h>
 
 #define MAXN 7
-#define WIDTH 16                   /* row stride: 2n + 2 <= 16 columns */
+#define WIDTH 16                   /* row stride: 2n + 1 <= 15 columns */
 #define ENTRY_MAX 4096             /* see the bound in _mbc_pure.py */
 #define MAX_STATES (1LL << 28)     /* cover bitset positions */
 
@@ -189,12 +190,12 @@ direct_emit(Direct *d, int size, int64_t *r2)
 /* Choose each of the node's candidates lo..hi-1 in turn, then search the
    candidates after it, each reduced once against the newly chosen row.
    split_chosen and lone_chosen are the player pairs of the chosen masks;
-   dnode is D_depth and drho the divisor the residual was stored with. */
+   dnode is D_depth; the residual's divisor is its own column n. */
 static int
 direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
-           uint64_t split_chosen, uint64_t lone_chosen, int64_t drho, int64_t dnode)
+           uint64_t split_chosen, uint64_t lone_chosen, int64_t dnode)
 {
-    int n = d->n, width = d->width, own = width - 1, slot = n + 1 + depth;
+    int n = d->n, width = d->width, slot = n + 1 + depth;
     int tail = depth == n - 2;  /* the kids form the last level */
     const Cand *cands = d->cands + (size_t)depth * d->nmasks;
     Cand *kids = d->cands + (size_t)(depth + 1) * d->nmasks;
@@ -212,9 +213,8 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
             else if (reduce(row, dnode, cands[c].row, 0, cands[c].row,
                             cands[c].div, width) < 0)
                 return -1;
-            row[slot] = row[own];
-            row[own] = 0;
-            if (reduce(r2, row[p], rho, rho[p], row, drho, width) < 0)
+            row[slot] = dnode;
+            if (reduce(r2, row[p], rho, rho[p], row, rho[n], width) < 0)
                 return -1;
             d->chosen[depth] = cands[c].mask;
             if (direct_emit(d, depth + 1, r2) < 0)
@@ -248,10 +248,9 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
         else if (reduce(row, dnode, src, 0, src, cands[c].div, width) < 0)
             return -1;
         a = row[p];
-        row[slot] = row[own];  /* the candidate's own coefficient, D_depth, */
-        row[own] = 0;          /* moves into this depth's slot once chosen */
+        row[slot] = dnode;  /* the candidate's own coefficient, once chosen */
         if (rho[p]) {
-            if (reduce(r2, a, rho, rho[p], row, drho, width) < 0)
+            if (reduce(r2, a, rho, rho[p], row, rho[n], width) < 0)
                 return -1;
         }
         else {
@@ -290,7 +289,7 @@ direct_rec(Direct *d, int depth, int ncand, int lo, int hi,
             kids[nkids].row = r;
             nkids++;
         }
-        if (direct_rec(d, depth + 1, nkids, 0, nkids, sc, lc, rho[p] ? a : drho, a) < 0)
+        if (direct_rec(d, depth + 1, nkids, 0, nkids, sc, lc, a) < 0)
             return -1;
     }
     return 0;
@@ -300,10 +299,11 @@ PyDoc_STRVAR(direct_search_doc,
 "direct_search(n, first=0)\n--\n\n"
 "Minimal balanced collections as (masks, numerators, denominator).\n\n"
 "With first > 0 only the subtree whose smallest member is `first` is\n"
-"searched; first = 0 runs the whole tree.");
+"searched; first = 0 runs the whole tree. Masks ascend within each tuple\n"
+"and the tuples come in ascending order, the pure twin's DFS order.");
 
 static PyObject *
-direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
+direct_search(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "first", NULL};
     int n, first = 0;
@@ -316,7 +316,7 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (first < 0 || first >= 1 << n)
         return PyErr_Format(PyExc_ValueError,
                             "first must be in 0..%d, got %d", (1 << n) - 1, first);
-    Direct d = {.n = n, .width = 2 * n + 2, .nmasks = 1 << n};
+    Direct d = {.n = n, .width = 2 * n + 1, .nmasks = 1 << n};
     d.cands = PyMem_Malloc((size_t)(n + 1) * d.nmasks * sizeof *d.cands);
     d.store = PyMem_Malloc((size_t)(n + 1) * d.nmasks * WIDTH * sizeof *d.store);
     d.suf = PyMem_Malloc((size_t)(n + 1) * d.nmasks * sizeof *d.suf);
@@ -332,7 +332,6 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
             row[i] = (m >> i) & 1;
         while (!row[p])
             p++;
-        row[d.width - 1] = 1;
         d.cands[m - 1].mask = m;
         d.cands[m - 1].pivot = p;
         d.cands[m - 1].div = 1;
@@ -351,7 +350,7 @@ direct_search(PyObject *self, PyObject *args, PyObject *kwargs)
     d.out = PyList_New(0);
     if (d.out != NULL
         && direct_rec(&d, 0, d.nmasks - 1, first ? first - 1 : 0,
-                      first ? first : d.nmasks - 1, 0, 0, 1, 1) < 0)
+                      first ? first : d.nmasks - 1, 0, 0, 1) < 0)
         Py_CLEAR(d.out);
 done:
     PyMem_Free(d.cands);
@@ -480,7 +479,7 @@ PyDoc_STRVAR(cover_search_doc,
 "order found.");
 
 static PyObject *
-cover_search(PyObject *self, PyObject *args, PyObject *kwargs)
+cover_search(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "k", NULL};
     int n, k, rem[MAXN];
@@ -548,9 +547,11 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_speedups",
-    "Compiled twins of the balanced_forge._mbc_pure search kernels.",
-    0, methods
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_speedups",
+    .m_doc = "Compiled twins of the balanced_forge._mbc_pure search kernels.",
+    .m_size = 0,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC

@@ -86,7 +86,13 @@ def _cmd_mbc_enum(args):
 
 
 def _cmd_mbc_check(args):
-    text = (_read(args.infile) if args.infile is not None else args.collection).strip()
+    text = args.collection
+    if args.infile is not None:
+        lines = [line for line in _read(args.infile).splitlines() if line.strip()]
+        if len(lines) != 1:
+            raise ValueError("%s: expected one collection line, found %d" % (args.infile, len(lines)))
+        text = lines[0]
+    text = text.strip()
     if ":" in text:
         bc = parse_collection(text)
         n, masks = bc.n, bc.coalitions

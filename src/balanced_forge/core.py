@@ -16,12 +16,24 @@ from math import comb, lcm
 MAX_PLAYERS = 20
 
 
+def check_int(name: str, value, lo=None, hi=None) -> None:
+    """Raise ValueError, naming the argument, unless value is an int in lo..hi.
+
+    A bool is refused, as are a float and a string however integral they
+    look. hi needs lo; with neither, only the type is checked.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+    if hi is not None:
+        if not lo <= value <= hi:
+            raise ValueError("%s %d outside %d..%d" % (name, value, lo, hi))
+    elif lo is not None and value < lo:
+        raise ValueError("%s must be >= %d, got %d" % (name, lo, value))
+
+
 def check_players(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_PLAYERS."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("player count must be an int, got %r" % (n,))
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ValueError("player count %d outside 1..%d" % (n, MAX_PLAYERS))
+    """Raise ValueError unless n is an int in 1..MAX_PLAYERS."""
+    check_int("player count", n, 1, MAX_PLAYERS)
 
 
 def parse_digits(text: str) -> int:

@@ -8,22 +8,15 @@ itself and are exactly the conventions the inversion identity
 
 needs, so nothing is special-cased.
 """
-from .core import binomial, multiset_coefficient
+from .core import binomial, check_int, multiset_coefficient
 
 MAX_TABLE_N = 30
 
 
-def _check_sizes(n, k, p):
-    for name, value in (("n", n), ("k", k), ("p", p)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError("%s must be an int, got %r" % (name, value))
-        if value < 0:
-            raise ValueError("%s must be >= 0, got %d" % (name, value))
-
-
 def count_total(n, k, p):
     """Multisets of p edges from the k-subsets of an n-set (no spanning)."""
-    _check_sizes(n, k, p)
+    for name, value in zip("nkp", (n, k, p)):
+        check_int(name, value, 0)
     return multiset_coefficient(binomial(n, k), p)
 
 
@@ -37,7 +30,8 @@ def count_spanning(n, k, p):
     worked numbers (3*4*5/3! = 10 from a 3-element ground set) force p.
     An n, k or p that is negative, a bool or not an int raises ValueError.
     """
-    _check_sizes(n, k, p)
+    for name, value in zip("nkp", (n, k, p)):
+        check_int(name, value, 0)
     total = 0
     for i in range(n + 1):
         term = binomial(n, i) * multiset_coefficient(binomial(i, k), p)
@@ -52,19 +46,18 @@ def count_cumulative(n_max, k, p):
     for k=2, p=3, n_max=3); it sums coefficients, not C(n_max,n)-weighted
     counts on sub-node-sets of a fixed ground set.
     """
-    _check_sizes(n_max, k, p)
+    for name, value in zip("nkp", (n_max, k, p)):
+        check_int(name, value, 0)
     return sum(count_spanning(n, k, p) for n in range(k, n_max + 1))
 
 
 def egf_table(k, p, n_max):
     """The spanning counts count_spanning(n, k, p) for n = 0..n_max, as a list."""
-    if not 0 <= n_max <= MAX_TABLE_N:
-        raise ValueError("n_max %r outside 0..%d" % (n_max, MAX_TABLE_N))
+    check_int("n_max", n_max, 0, MAX_TABLE_N)
     return [count_spanning(n, k, p) for n in range(n_max + 1)]
 
 
 def count_graphs(n):
     """Labeled simple graphs on n nodes: 2^C(n,2)."""
-    if not 0 <= n <= 64:
-        raise ValueError("n %r outside 0..64" % (n,))
+    check_int("n", n, 0, 64)
     return 1 << binomial(n, 2)

@@ -21,6 +21,7 @@ from operator import or_
 
 from . import __version__
 from .core import (
+    check_int,
     check_players,
     coalitions_of,
     format_coalition,
@@ -163,8 +164,7 @@ def enumerate_mbc(n, threads=None):
         raise ValueError(why)
     if threads is None:
         threads = _threads_default()
-    if threads < 1:
-        raise ValueError("threads must be >= 1, got %r" % (threads,))
+    check_int("threads", threads, 1)
     start = time.perf_counter()
     if n >= 6 and threads > 1:
         tasks = [(n, first) for first in range(1, 1 << n)]
@@ -215,8 +215,7 @@ def enumerate_uniform(n, k, p, spanning):
     total = count_total(n, k, p)  # k and p must be ints >= 0
     if not 1 <= k <= n:
         raise ValueError("edge size k=%d infeasible for n=%d" % (k, n))
-    if p < 1:
-        raise ValueError("size p must be >= 1, got %d" % p)
+    check_int("p", p, 1)
     if total > MAX_ENUMERATION:
         raise ValueError(
             "enumerate_uniform(%d, %d, %d) would list %d multisets before the "
@@ -233,8 +232,7 @@ def enumerate_proper(n, p_max):
     non-decreasing canonical edge order.
     """
     check_players(n)
-    if not isinstance(p_max, int) or isinstance(p_max, bool) or p_max < 1:
-        raise ValueError("size bound p_max must be an int >= 1, got %r" % (p_max,))
+    check_int("p_max", p_max, 1)
     nonempty = range(1, 1 << n)
     return (h for p in range(1, p_max + 1) for h in _multisets(n, nonempty, p, True))
 
@@ -303,8 +301,7 @@ def mbc_via_duality(n, kmax=None):
         raise ValueError("duality route supports 2 <= n <= 6, got %d" % n)
     if kmax is None:
         kmax = MAX_DET[n]
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1, got %r" % (kmax,))
+    check_int("kmax", kmax, 1)
     cols = []
     rejected = 0
     for k in range(1, kmax + 1):

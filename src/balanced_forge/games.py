@@ -16,6 +16,7 @@ from math import lcm
 from operator import mul
 
 from .core import (
+    check_int,
     check_players,
     format_coalition,
     full_mask,
@@ -133,13 +134,13 @@ def random_game(n, seed, magnitude=100):
     """Integer worths uniform on 0..magnitude from a splitmix64 stream.
 
     Coalitions are filled in ascending canonical order, one draw each, so
-    a (n, seed, magnitude) triple names the same game everywhere.
+    a (n, seed, magnitude) triple names the same game everywhere. Each is
+    an int, not a bool: n in 1..10, magnitude >= 0, and any seed, which
+    splitmix64 reads mod 2^64.
     """
-    check_players(n)
-    if n > 10:
-        raise ValueError("random games capped at n <= 10, got %d" % n)
-    if magnitude < 0:
-        raise ValueError("magnitude must be >= 0")
+    check_int("player count", n, 1, 10)
+    check_int("magnitude", magnitude, 0)
+    check_int("seed", seed)
     gen = splitmix64(seed)
     worths = {m: next(gen) % (magnitude + 1) for m in range(1, 1 << n)}
     return Game(n, worths)

@@ -18,6 +18,7 @@ from itertools import product
 from operator import mul
 
 from .core import (
+    check_int,
     check_players,
     format_coalition,
     full_mask,
@@ -164,10 +165,7 @@ def hypergraph_from_json(text):
     for lst in lists:
         m = 0
         for p in lst:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise ValueError("node id %r is not an int" % (p,))
-            if not 1 <= p <= n:
-                raise ValueError("node id %r outside 1..%d" % (p, n))
+            check_int("node id", p, 1, n)
             m |= 1 << (p - 1)
         if len(lst) != m.bit_count():
             raise ValueError("duplicate node ids in edge %r" % (lst,))

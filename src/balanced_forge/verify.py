@@ -9,7 +9,7 @@ work raises ValueError, so a suite never passes by checking nothing.
 import time
 
 from .balanced import is_minimal_balanced
-from .core import format_coalition, full_mask
+from .core import check_int, format_coalition, full_mask
 from .counting import count_cumulative, count_spanning
 from .decomposition import IncompleteDecomposition, decompose, decompose_all
 from .enumeration import (
@@ -44,8 +44,7 @@ def table1(max_n=5):
     the whole catalog, and the n = 7 one holds 132,422,036 collections,
     about 33 GB in memory.
     """
-    if not 2 <= max_n <= 6:
-        raise ValueError("table1 needs 2 <= max_n <= 6, got %d" % max_n)
+    check_int("max_n", max_n, 2, 6)
     checks = []
     for n in range(2, max_n + 1):
         t0 = time.monotonic()
@@ -87,10 +86,8 @@ def prop1(max_nodes=5, max_size=4):
     """Prop. 1 on every proper hypergraph with 1..max_nodes nodes and at
     most max_size edges: H is minimally uniform iff its dual is minimally
     regular, and the dual of the dual is H."""
-    if max_nodes < 1 or max_size < 1:
-        raise ValueError(
-            "prop1 needs max_nodes >= 1 and max_size >= 1, got %d and %d" % (max_nodes, max_size)
-        )
+    check_int("max_nodes", max_nodes, 1)
+    check_int("max_size", max_size, 1)
     checks = []
     for n in range(1, max_nodes + 1):
         total = 0
@@ -120,8 +117,7 @@ def prop2(max_nodes=6):
     """Prop. 2: every spanning k-uniform hypergraph with 1..max_nodes
     nodes, k <= 3 and at most 4 edges decomposes into minimally uniform
     blocks; and FIG3 has both of its known partitions."""
-    if max_nodes < 1:
-        raise ValueError("prop2 needs max_nodes >= 1, got %d" % max_nodes)
+    check_int("max_nodes", max_nodes, 1)
     checks = []
     for n in range(1, max_nodes + 1):
         total = 0
@@ -203,10 +199,8 @@ def sharpbs(max_n=4, games=1000):
     6: the n = 7 catalog holds 132,422,036 collections, about 33 GB in
     memory.
     """
-    if not 2 <= max_n <= 6:
-        raise ValueError("sharpbs needs 2 <= max_n <= 6, got %d" % max_n)
-    if games < 1:
-        raise ValueError("sharpbs needs games >= 1, got %d" % games)
+    check_int("max_n", max_n, 2, 6)
+    check_int("games", games, 1)
     checks = []
     for n in range(2, max_n + 1):
         checks += sharpbs_catalog(enumerate_mbc(n), games)

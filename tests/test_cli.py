@@ -174,6 +174,15 @@ def test_mbc_check_reads_file(tmp_path, capsys):
     assert "minimal=true" in out
 
 
+@pytest.mark.parametrize("lines", [0, 2])
+def test_mbc_check_reads_exactly_one_line(tmp_path, capsys, lines):
+    path = tmp_path / "col"
+    path.write_text("\n" + "n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]\n" * lines)
+    rc, out, err = run(capsys, "mbc", "check", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: %s: expected one collection line, found %d\n" % (path, lines)
+
+
 def test_mbc_check_rejects_empty_item(capsys):
     rc, _, err = run(capsys, "mbc", "check", "--collection", "n=3; [{1,2},]")
     assert rc == 2

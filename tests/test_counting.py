@@ -63,10 +63,14 @@ def test_egf_table():
     counts = egf_table(2, 3, 5)
     assert counts == [0, 0, 1, 7, 22, 30]
     assert counts[3] == count_spanning(3, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_max 31 outside 0..30$"):
         egf_table(2, 3, 31)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_max -1 outside 0..30$"):
         egf_table(2, 3, -1)
+    # True would give the n = 0..1 table [0, 0]
+    for n_max in (True, 3.0):
+        with pytest.raises(ValueError, match="^n_max must be an int, got %s$" % n_max):
+            egf_table(2, 3, n_max)
 
 
 def test_egf_table_serialization(capsys):
@@ -84,7 +88,11 @@ def test_count_graphs():
     assert count_graphs(3) == 8
     assert count_graphs(4) == 64
     assert count_graphs(64) == 1 << binomial(64, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n 65 outside 0..64$"):
         count_graphs(65)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n -1 outside 0..64$"):
         count_graphs(-1)
+    # True would count the one graph on one node
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="^n must be an int, got %s$" % n):
+            count_graphs(n)

@@ -94,9 +94,12 @@ DIRECT5_SUBTREE_COUNTS = (
 def test_direct_search_output_is_pinned():
     raw = _mbc_pure.direct_search(5)
     assert hashlib.sha256(repr(raw).encode()).hexdigest() == DIRECT5_SHA256
-    counts = [len(_mbc_pure.direct_search(5, first)) for first in range(1, 32)]
-    assert counts == DIRECT5_SUBTREE_COUNTS
-    assert sum(counts) == len(raw) == TABLE1[5]
+    subtrees = [_mbc_pure.direct_search(5, first) for first in range(1, 32)]
+    assert [len(sub) for sub in subtrees] == DIRECT5_SUBTREE_COUNTS
+    assert len(raw) == TABLE1[5]
+    # the DFS order is ascending mask-tuple order, and so is the
+    # concatenation of the subtrees
+    assert sum(subtrees, []) == raw == sorted(raw)
 
 
 # result count and sha256 of repr(_canonical_covers(_mbc_pure.cover_search(n, k))),
@@ -155,15 +158,15 @@ def test_farkas_filter_drops_candidates_before_reduction(monkeypatch):
     calls = 0
     reduce = _mbc_pure._reduce
     width, half, mask = _mbc_pure.FIELD, _mbc_pure._HALF, _mbc_pure._MASK
-    bias = sum(half << width * i for i in range(12))
+    bias = sum(half << width * i for i in range(11))
 
     def counted(a, r, b, row, d):
         nonlocal calls
         calls += 1
         q, rem = divmod(a * r - b * row, d)
         assert rem == 0
-        # the 2n + 2 = 12 fields hold all of q, each within the bound
-        fields = [((q + bias) >> width * i & mask) - half for i in range(12)]
+        # the 2n + 1 = 11 fields hold all of q, each within the bound
+        fields = [((q + bias) >> width * i & mask) - half for i in range(11)]
         assert sum(f << width * i for i, f in enumerate(fields)) == q
         assert max(map(abs, fields)) <= 4096
         got = reduce(a, r, b, row, d)
@@ -259,8 +262,12 @@ def test_duality_rejection_counts_at_n6_k3_k4(speedups, catalog6, monkeypatch):
 
 
 def test_threads_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
         enumerate_mbc(3, threads=0)
+    # a bool or a float is refused, not read as one worker or passed to the pool
+    for threads in (True, 2.5):
+        with pytest.raises(ValueError, match="^threads must be an int, got %s$" % threads):
+            enumerate_mbc(3, threads=threads)
 
 
 def test_threads_default_counts_the_cpus_this_process_may_use(monkeypatch):
@@ -274,8 +281,12 @@ def test_threads_default_counts_the_cpus_this_process_may_use(monkeypatch):
 def test_duality_range_checks():
     with pytest.raises(ValueError):
         mbc_via_duality(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kmax must be >= 1, got 0$"):
         mbc_via_duality(3, kmax=0)
+    # True would sweep k = 1 alone and report "k_max": true
+    for kmax in (True, 2.0):
+        with pytest.raises(ValueError, match="^kmax must be an int, got %s$" % kmax):
+            mbc_via_duality(4, kmax)
 
 
 def test_covers_are_minimally_regular_and_dualize():
@@ -344,17 +355,22 @@ def speedups(tmp_path_factory):
     """The C kernels built from this checkout into a temporary directory.
 
     Skips when no C compiler or Python headers are present; with both
-    present, a build that yields no extension fails the test.
+    present, a build that yields no extension fails the test, and so does
+    a warning about _speedups.c under -Wall -Wextra.
     """
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     headers = os.path.join(sysconfig.get_paths()["include"], "Python.h")
     if shutil.which(cc.split()[0]) is None or not os.path.exists(headers):
         pytest.skip("no C compiler or Python headers to build the extension")
     out = tmp_path_factory.mktemp("speedups")
-    proc = _build_ext(ROOT, os.environ, "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp"))
+    env = dict(os.environ, CFLAGS=os.environ.get("CFLAGS", "") + " -Wall -Wextra")
+    proc = _build_ext(ROOT, env, "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp"))
     built = glob.glob(str(out / "lib" / "balanced_forge" / "_speedups*"))
     if proc.returncode != 0 or not built:
         pytest.fail("building balanced_forge._speedups failed:\n" + proc.stdout)
+    warnings = [line for line in proc.stdout.splitlines() if "_speedups.c" in line and "warning" in line]
+    if warnings:
+        pytest.fail("compiler warnings in _speedups.c:\n" + "\n".join(warnings))
     spec = importlib.util.spec_from_file_location("balanced_forge._speedups", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -365,7 +381,8 @@ def test_kernel_twins_agree(speedups):
     # at n = 1 the root is the last level
     assert speedups.direct_search(1) == _mbc_pure.direct_search(1) == [((1,), (1,), 1)]
     for n in range(2, 6):
-        assert speedups.direct_search(n) == _mbc_pure.direct_search(n)
+        raw = speedups.direct_search(n)
+        assert raw == _mbc_pure.direct_search(n) == sorted(raw)
         # every k up to k_max for n <= 4; at n = 5 the pure twin takes about
         # 0.1 s for k = 5, 0.2 s for k = 6 and 0.5 s for k = 7, and
         # test_cover_search_output_is_pinned already runs k = 6 and 7
@@ -382,9 +399,13 @@ def test_kernel_twins_agree(speedups):
         covers = speedups.cover_search(7, k)
         assert len(covers) == count
         assert covers == _mbc_pure.cover_search(7, k)
-    for n in (3, 4, 5):
+    for n in range(2, 6):
+        subtrees = []
         for first in range(1, 1 << n):
-            assert speedups.direct_search(n, first) == _mbc_pure.direct_search(n, first)
+            sub = speedups.direct_search(n, first)
+            assert sub == _mbc_pure.direct_search(n, first)
+            subtrees += sub
+        assert subtrees == sorted(subtrees) == speedups.direct_search(n)
     # n = 6 subtrees the pure twin finishes in under a second each; first =
     # 16, 20 and 22 hold 750, 1,151 and 1,883 collections and many solved
     # children; for 32 <= first <= 62 every later coalition holds player 6
@@ -428,6 +449,7 @@ def test_core_mbc_scan_index_at_n6(catalog6):
 def test_compiled_n6_output_is_pinned(direct6):
     assert len(direct6) == TABLE1[6]
     assert hashlib.sha256(repr(direct6).encode()).hexdigest() == DIRECT6_SHA256
+    assert direct6 == sorted(direct6)
 
 
 # sha256 of repr(direct_search(7, 56)), recorded from the compiled kernel
@@ -436,7 +458,7 @@ DIRECT7_56_SHA256 = "fd10cd2a58af741e8e0afaa02ed3db81fbc6ff97d290044113a2a8f68be
 
 
 def test_compiled_n7_subtree_is_pinned(speedups):
-    # a nonempty n = 7 subtree, about 0.1 s: rows of 16 entries and minors
+    # a nonempty n = 7 subtree, about 0.1 s: rows of 15 entries and minors
     # of order 8, which no n <= 6 search reaches
     raw = speedups.direct_search(7, 56)
     assert len(raw) == 26618
@@ -796,8 +818,10 @@ def test_uniform_enumeration_counts():
 
 def test_proper_enumeration():
     assert [h.edges for h in enumerate_proper(2, 2)] == [(3,), (1, 2), (1, 3), (2, 3), (3, 3)]
-    for p_max in (0, True, 2.0, "2"):
-        with pytest.raises(ValueError, match="p_max must be an int >= 1"):
+    with pytest.raises(ValueError, match="^p_max must be >= 1, got 0$"):
+        enumerate_proper(2, 0)
+    for p_max in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^p_max must be an int, got %r$" % (p_max,)):
             enumerate_proper(2, p_max)
 
 

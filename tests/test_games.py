@@ -161,8 +161,17 @@ def test_random_game_determinism_and_caps():
     assert random_game(4, 9) != random_game(4, 10)
     with pytest.raises(ValueError):
         random_game(11, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^magnitude must be >= 0, got -1$"):
         random_game(3, 0, magnitude=-1)
+    # a float magnitude would give fractional worths, a bool the range 0..1;
+    # a seed may be any int, negative too, but not a bool or a float
+    for magnitude in (2.5, True):
+        with pytest.raises(ValueError, match="^magnitude must be an int, got %s$" % magnitude):
+            random_game(2, 1, magnitude)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="^seed must be an int, got %s$" % seed):
+            random_game(2, seed)
+    assert random_game(2, -1) == random_game(2, 2**64 - 1)
     flat = random_game(3, 5, magnitude=0)
     assert all(v == 0 for v in flat.v)
 
