@@ -28,18 +28,19 @@ directly.
 """
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
-from operator import mul
+from itertools import combinations, repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 
 from .core import (
+    _PLAYERS,
     check_players,
     format_coalition,
     full_mask,
     parse_coalition,
     parse_weight,
+    players_of,
     split_line,
-    to_common_denominator,
 )
 from ._simplex import simplex_min, rank_of_masks
 
@@ -58,9 +59,9 @@ def _checked_masks(n, coalitions):
     if masks[0] == 0:
         raise ValueError("the empty coalition {} does not belong in a collection")
     full = full_mask(n)
-    for s in masks:
-        if s <= 0 or s > full:
-            raise ValueError("coalition %r outside players 1..%d" % (s, n))
+    if masks[0] < 0 or masks[-1] > full:
+        bad = masks[0] if masks[0] < 0 else next(s for s in masks if s > full)
+        raise ValueError("coalition %r outside players 1..%d" % (bad, n))
     for a, b in zip(masks, masks[1:]):
         if a == b:
             raise ValueError("duplicate coalition %s" % format_coalition(a))
@@ -186,50 +187,73 @@ def is_minimal_balanced_oracle(n, coalitions):
     return True
 
 
+def _checked_items(n, items):
+    """(masks, numerators, denominator) of the collection of (mask, p, q) items.
+
+    The one validator of a collection's coalitions and weights: the weight
+    of mask is p/q, ints in lowest terms with q >= 1. It raises ValueError,
+    in this order, on a mask that is not an int, an empty list, the empty
+    coalition, a mask outside players 1..n, a repeated mask, a weight that
+    is not positive (the first in mask order) and a player whose weights
+    do not sum to 1 (the first player). Masks come back ascending, and the
+    numerators are over the lcm of the q, so equal weights give equal ints.
+    """
+    firsts, ps, qs = zip(*items) if items else ((), (), ())
+    masks = _checked_masks(n, firsts)
+    if masks != firsts:
+        # distinct int masks, so the items sort by mask alone
+        _, ps, qs = zip(*sorted(items))
+    # positivity and per-player sums of 1, checked on numerators over the lcm
+    if min(ps) <= 0:
+        s, p, q = next(item for item in zip(masks, ps, qs) if item[1] <= 0)
+        raise ValueError(
+            "weight of %s must be positive, got %s" % (format_coalition(s), Fraction(p, q))
+        )
+    den = lcm(*qs)
+    if qs.count(den) == len(qs):
+        nums = ps
+    else:
+        nums = tuple(map(mul, ps, map(floordiv, repeat(den), qs)))
+    sums = [0] * (n + 1)
+    for s, num in zip(masks, nums):
+        for i in _PLAYERS[s] if s < 256 else players_of(s):
+            sums[i] += num
+    if sums.count(den) != n:
+        i = next(i for i in range(1, n + 1) if sums[i] != den)
+        raise ValueError("player %d weight sum is %s, expected 1" % (i, Fraction(sums[i], den)))
+    return masks, nums, den
+
+
 class BalancedCollection:
     """A balanced collection as integers: the weight of coalitions[i] is
     numerators[i] / denominator, over the lcm of the reduced weight
     denominators, so equal weights give equal integers.
 
-    Construction validates everything: distinct nonempty coalitions in
-    canonical order, strictly positive weights, and the per-player sum
-    identity. Equality and hashing cover the weights; catalogs
-    deduplicate on .coalitions alone, which is enough for minimal
-    collections since their weights are unique.
+    Construction validates everything through _checked_items, the one
+    validator: distinct nonempty coalitions in canonical order, strictly
+    positive weights, and the per-player sum identity. Equality and hashing
+    cover the weights; catalogs deduplicate on .coalitions alone, which is
+    enough for minimal collections since their weights are unique.
     """
 
     __slots__ = ("n", "coalitions", "numerators", "denominator", "_weights")
 
     def __init__(self, n, weights):
-        """weights: a {coalition: weight} mapping or (coalition, weight) pairs;
-        a coalition given twice raises ValueError."""
-        pairs = list(weights.items() if hasattr(weights, "keys") else weights)
-        masks = _checked_masks(n, [s for s, _ in pairs])
-        by_mask = dict(pairs)
-        # positivity and per-player sums of 1, checked on numerators over the lcm
-        nums, den = to_common_denominator([by_mask[s] for s in masks])
-        sums = [0] * n
-        for s, num in zip(masks, nums):
-            if num <= 0:
-                raise ValueError(
-                    "weight of %s must be positive, got %s"
-                    % (format_coalition(s), Fraction(num, den))
-                )
-            i = 0
-            while s:
-                if s & 1:
-                    sums[i] += num
-                s >>= 1
-                i += 1
-        for i, total in enumerate(sums):
-            if total != den:
-                raise ValueError(
-                    "player %d weight sum is %s, expected 1" % (i + 1, Fraction(total, den))
-                )
+        """weights: a {coalition: weight} mapping or (coalition, weight) pairs,
+        each weight an int, a Fraction or anything Fraction() accepts; a
+        coalition given twice raises ValueError."""
+        pairs = weights.items() if hasattr(weights, "keys") else weights
+        items = [(s, *Fraction(w).as_integer_ratio()) for s, w in pairs]
         self.n = n
-        self.coalitions = masks
-        self.numerators = tuple(nums)
-        self.denominator = den
+        self.coalitions, self.numerators, self.denominator = _checked_items(n, items)
+
+    @classmethod
+    def _from_items(cls, n, items):
+        """The collection of (mask, p, q) items, validated by _checked_items."""
+        self = object.__new__(cls)
+        self.n = n
+        self.coalitions, self.numerators, self.denominator = _checked_items(n, items)
+        return self
 
     @classmethod
     def _trusted(cls, n, masks, nums, den):
@@ -272,39 +296,80 @@ class BalancedCollection:
     def __repr__(self):
         return "BalancedCollection(%d, %s)" % (self.n, self.to_text())
 
-    def weight_texts(self):
-        """Each weight as str(Fraction) writes it, `a/b` or `a`, in coalition order."""
-        den = self.denominator
+    def weight_texts(self, memo=None):
+        """Each weight as str(Fraction) writes it, `a/b` or `a`, in coalition order.
+
+        A writer of many collections passes one memo dict for all of them,
+        (numerator, denominator) -> text; catalogs repeat their weights.
+        """
+        if memo is None:
+            memo = {}
         out = []
-        for a in self.numerators:
-            g = gcd(a, den)
-            out.append(str(a // g) if g == den else "%d/%d" % (a // g, den // g))
+        for key in zip(self.numerators, repeat(self.denominator)):
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _weight_text(*key)
+            out.append(text)
         return out
 
-    def to_text(self):
-        body = ", ".join(
-            "%s:%s" % (format_coalition(s), w)
-            for s, w in zip(self.coalitions, self.weight_texts())
-        )
-        return "n=%d; [%s]" % (self.n, body)
+    def to_text(self, memo=None):
+        """`n=<players>; [<coalition>:<weight>, ...]`, the form parse_collection reads.
+
+        A writer of many collections passes one memo dict for all of them,
+        (mask, numerator, denominator) -> item text; catalogs repeat their
+        items.
+        """
+        if memo is None:
+            memo = {}
+        den = self.denominator
+        out = []
+        for key in zip(self.coalitions, self.numerators, repeat(den)):
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "%s:%s" % (format_coalition(key[0]), _weight_text(key[1], den))
+            out.append(text)
+        return "n=%d; [%s]" % (self.n, ", ".join(out))
 
 
-def parse_collection(text):
+def _weight_text(a, den):
+    """a/den as str(Fraction) writes it, reduced: `a/b` or `a`."""
+    g = gcd(a, den)
+    return str(a // g) if g == den else "%d/%d" % (a // g, den // g)
+
+
+def parse_item(coalition, weight, n):
+    """The (mask, p, q) item of a coalition text and a weight on n players:
+    parse_coalition, then parse_weight's Fraction in lowest terms."""
+    mask = parse_coalition(coalition, n)
+    w = parse_weight(weight)
+    return mask, w.numerator, w.denominator
+
+
+def parse_collection(text, memo=None):
     """Parse `n=3; [{1,2}:1/2, {1,3}:1/2, {2,3}:1/2]`.
 
     The one parser of weighted collections, for catalog lines and
     `mbc check`; split_line reads the header and body. Every malformed
     input raises ValueError, a coalition given twice included; weights
-    are whatever Fraction() accepts.
+    are whatever parse_weight accepts. A reader of many lines passes one
+    memo dict for all of them, (item text, n) -> parse_item's item;
+    catalogs repeat their items. Every collection is still validated
+    whole by _checked_items.
     """
-    n, items = split_line(text)
-    pairs = []
-    for part in items:
-        coal, sep, frac = part.rpartition(":")
-        if not sep:
-            raise ValueError("missing weight in %r" % part)
-        pairs.append((parse_coalition(coal.strip(), n), parse_weight(frac.strip())))
-    return BalancedCollection(n, pairs)
+    n, parts = split_line(text)
+    if memo is None:
+        memo = {}
+    items = []
+    for part in parts:
+        key = (part, n)
+        item = memo.get(key)
+        if item is None:
+            coal, sep, frac = part.rpartition(":")
+            if not sep:
+                raise ValueError("missing weight in %r" % part)
+            item = memo[key] = parse_item(coal.strip(), frac.strip(), n)
+        items.append(item)
+    return BalancedCollection._from_items(n, items)
 
 
 def from_regular_hypergraph(h):

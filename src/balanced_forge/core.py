@@ -10,7 +10,6 @@ import json
 import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 
 MAX_PLAYERS = 20
@@ -111,36 +110,27 @@ def players_of(mask: int) -> tuple:
     return tuple(out)
 
 
-def _format_players(mask: int) -> str:
-    return "{%s}" % ",".join(map(str, players_of(mask)))
-
-
-# the text of every coalition of up to 8 players, read by the catalog writers
-_COALITION_TEXT = tuple(_format_players(mask) for mask in range(256))
+# the player ids and the text of every coalition of up to 8 players, read by
+# the collection validator and the catalog writers
+_PLAYERS = tuple(players_of(mask) for mask in range(256))
+_COALITION_TEXT = tuple("{%s}" % ",".join(map(str, ids)) for ids in _PLAYERS)
 
 
 def format_coalition(mask: int) -> str:
     """Canonical text form, e.g. {1,3,4}."""
     if 0 <= mask < 256:
         return _COALITION_TEXT[mask]
-    return _format_players(mask)
+    return "{%s}" % ",".join(map(str, players_of(mask)))
 
 
 def parse_coalition(text: str, n: int = 0) -> int:
     """Parse {1,3,4} (spaces tolerated) into a bitmask.
 
     With n > 0, player ids above n are rejected. The empty form {} parses
-    to 0; callers that require nonempty coalitions must check. A catalog
-    holds few distinct coalition texts, so the last 4096 distinct
-    (text, n) pairs used are kept parsed.
+    to 0; callers that require nonempty coalitions must check.
     """
     if not isinstance(text, str):
         raise ValueError("coalition must be text like {1,3}, got %r" % (text,))
-    return _parse_coalition(text, n)
-
-
-@lru_cache(maxsize=4096)
-def _parse_coalition(text, n):
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise ValueError("coalition must be brace-delimited: %r" % text)
@@ -214,21 +204,23 @@ def parse_weight(value) -> Fraction:
 
     Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
     None, and takes a bool (a JSON true or false) as 1 or 0; a bool is
-    rejected here, before the cache, where True and 1 share a key. JSON
-    numbers reach it as read_json reads them. A weight with a numerator or
-    denominator of more than MAX_DIGITS digits is refused, a decimal before
-    10^|exponent| is built.
-    Catalogs repeat a few dozen weight texts, so the last 4096 distinct
-    values used are kept converted.
+    rejected here. JSON numbers reach it as read_json reads them. A weight
+    with a numerator or denominator of more than MAX_DIGITS digits is
+    refused, a decimal before 10^|exponent| is built.
     """
     if isinstance(value, bool):
         raise ValueError("bad weight %r: a boolean is not a number" % (value,))
     try:
-        return _parse_weight(value)
+        match = isinstance(value, (str, Decimal)) and _DECIMAL.fullmatch(str(value))
+        f = _decimal_fraction(*match.groups()) if match else Fraction(value)
     except ZeroDivisionError:
         raise ValueError("weight %r has a zero denominator" % (value,)) from None
     except (TypeError, OverflowError) as exc:
         raise ValueError("bad weight %r: %s" % (value, exc)) from None
+    if f is None or max(abs(f.numerator), f.denominator) >= _TOO_LONG:
+        raise ValueError("weight %r has more than %d digits in its numerator or "
+                         "denominator" % (value, MAX_DIGITS))
+    return f
 
 
 # Python's default int-string limit: no longer numerator or denominator prints
@@ -237,16 +229,6 @@ _TOO_LONG = 10**MAX_DIGITS
 # a decimal in Fraction()'s syntax: sign, digits, fraction digits, exponent
 _DECIMAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
                       r"(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
-
-
-@lru_cache(maxsize=4096)
-def _parse_weight(value):
-    match = isinstance(value, (str, Decimal)) and _DECIMAL.fullmatch(str(value))
-    f = _decimal_fraction(*match.groups()) if match else Fraction(value)
-    if f is None or max(abs(f.numerator), f.denominator) >= _TOO_LONG:
-        raise ValueError("weight %r has more than %d digits in its numerator or "
-                         "denominator" % (value, MAX_DIGITS))
-    return f
 
 
 def _decimal_fraction(sign, whole, part, exp):

@@ -26,9 +26,7 @@ from .core import (
     coalitions_of,
     format_coalition,
     full_mask,
-    parse_coalition,
     parse_digits,
-    parse_weight,
     read_json,
 )
 from .counting import count_total
@@ -39,6 +37,7 @@ from .balanced import (
     from_regular_hypergraph,
     is_minimal_balanced_oracle,
     parse_collection,
+    parse_item,
 )
 from ._kernel import KERNEL, direct_search, cover_search
 from ._simplex import rank_of_masks
@@ -111,8 +110,10 @@ class MbcCatalog:
         self.n = n
         self.method = method
         self.collections = cols
-        self.generated = generated or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        self.tool = tool or TOOL
+        if generated is None:
+            generated = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        self.generated = generated
+        self.tool = TOOL if tool is None else tool
         self.diagnostics = diagnostics or {}
         self._scan = None
 
@@ -329,15 +330,27 @@ def save_catalog(catalog, path, fmt="text"):
     The JSON file is json.dumps(document, indent=0). Coalition and weight
     texts hold only digits, braces, commas and slashes, which JSON writes
     as they are, so each collection's lines are built as text and spliced
-    into the encoded header fields.
+    into the encoded header fields. Catalogs repeat their items, so each
+    item's text is built once per file and then read from a memo.
+
+    The provenance fields, generated and tool, must be strings; the text
+    header separates its fields by blanks, so there they may hold none.
     """
+    for name in ("generated", "tool"):
+        value = getattr(catalog, name)
+        if not isinstance(value, str):
+            raise ValueError("catalog %s must be a string, got %r" % (name, value))
+        if fmt == "text" and any(ch.isspace() for ch in value):
+            raise ValueError("catalog %s %r holds whitespace, which the text "
+                             "header cannot keep" % (name, value))
+    memo = {}
     if fmt == "text":
         lines = [
             "%s %s n=%d method=%s count=%d"
             % (HEADER_PREFIX, FORMAT_VERSION, catalog.n, catalog.method, catalog.count)
         ]
         lines.append("# generated=%s tool=%s" % (catalog.generated, catalog.tool))
-        lines.extend(b.to_text() for b in catalog.collections)
+        lines.extend(b.to_text(memo) for b in catalog.collections)
         data = "\n".join(lines) + "\n"
     elif fmt == "json":
         data = json.dumps(
@@ -355,7 +368,10 @@ def save_catalog(catalog, path, fmt="text"):
         )
         items = [
             '{\n"coalitions": [\n"%s"\n],\n"weights": [\n"%s"\n]\n}'
-            % ('",\n"'.join(map(format_coalition, b.coalitions)), '",\n"'.join(b.weight_texts()))
+            % (
+                '",\n"'.join(map(format_coalition, b.coalitions)),
+                '",\n"'.join(b.weight_texts(memo)),
+            )
             for b in catalog.collections
         ]
         if items:
@@ -370,12 +386,14 @@ def save_catalog(catalog, path, fmt="text"):
 def load_catalog(path):
     """Read either catalog format back, validating every invariant.
 
-    Each collection goes through the validating constructor. The loaders
-    check the file rules (header, count, canonical order), and MbcCatalog
-    checks player counts and duplicates. A coalition given twice in one
-    collection, and a JSON collection whose coalitions and weights lists
-    differ in length, are rejected; every rejection raises CatalogError
-    naming the collection.
+    Each collection goes through the one validator, _checked_items; its
+    items are parsed once per file and then read from a memo, since
+    catalogs repeat their items. The loaders also check the file rules
+    (header, count, canonical order, string provenance in JSON), and
+    MbcCatalog checks player counts and duplicates. A coalition given twice
+    in one collection, and a JSON collection whose coalitions and weights
+    lists differ in length, are rejected; every rejection raises
+    CatalogError naming the collection.
     """
     with open(path) as fh:
         data = fh.read()
@@ -406,6 +424,7 @@ def _load_catalog_text(data):
         raise CatalogError("bad header fields: %r" % lines[0]) from None
     generated = tool = None
     body = []
+    memo = {}
     for ln in lines[1:]:
         if ln.startswith("#"):
             for tok in ln[1:].split():
@@ -416,7 +435,7 @@ def _load_catalog_text(data):
                     tool = val
             continue
         try:
-            body.append(parse_collection(ln))
+            body.append(parse_collection(ln, memo))
         except ValueError as exc:
             raise CatalogError("collection %d: %s" % (len(body) + 1, exc)) from None
     return _checked_catalog(n, method, count, body, generated, tool)
@@ -447,20 +466,27 @@ def _load_catalog_json(data):
         raise CatalogError("unsupported catalog version %r" % (version,))
     if type(count) is not int:
         raise CatalogError("header count=%r is not an integer" % (count,))
+    for key in ("generated", "tool"):
+        if key in obj and not isinstance(obj[key], str):
+            raise CatalogError("%s=%r is not a string" % (key, obj[key]))
     n = obj["n"]
     items = obj["collections"]
     if not isinstance(items, list):
         raise CatalogError("collections must be a list")
     body = []
+    memo = {}
     for item in items:
         try:
-            body.append(_json_collection(item, n))
+            body.append(_json_collection(item, n, memo))
         except ValueError as exc:
             raise CatalogError("collection %d: %s" % (len(body) + 1, exc)) from None
     return _checked_catalog(n, obj["method"], count, body, obj.get("generated"), obj.get("tool"))
 
 
-def _json_collection(item, n):
+def _json_collection(item, n, memo):
+    """The collection of one JSON item. memo maps a (coalition, weight) pair
+    of strings to its parse_item; a pair holding any other value, a number
+    or a bool, is parsed each time."""
     if not isinstance(item, dict):
         raise CatalogError("a collection must be a JSON object")
     coalitions, weights = item.get("coalitions"), item.get("weights")
@@ -468,6 +494,13 @@ def _json_collection(item, n):
         raise CatalogError("a collection needs coalitions and weights lists")
     if len(coalitions) != len(weights):
         raise CatalogError("%d coalitions but %d weights" % (len(coalitions), len(weights)))
-    return BalancedCollection(
-        n, [(parse_coalition(c, n), parse_weight(w)) for c, w in zip(coalitions, weights)]
-    )
+    parsed = []
+    for c, w in zip(coalitions, weights):
+        if type(c) is str and type(w) is str:
+            item = memo.get((c, w))
+            if item is None:
+                item = memo[c, w] = parse_item(c, w, n)
+        else:
+            item = parse_item(c, w, n)
+        parsed.append(item)
+    return BalancedCollection._from_items(n, parsed)

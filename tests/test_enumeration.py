@@ -438,6 +438,16 @@ def catalog6(direct6):
     return MbcCatalog(6, "direct", cols)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_round_trip_at_n6(catalog6, tmp_path, fmt):
+    path = tmp_path / ("n6." + fmt)
+    save_catalog(catalog6, path, fmt=fmt)
+    back = load_catalog(path)
+    assert (back.n, back.method, back.count) == (6, "direct", TABLE1[6])
+    assert (back.generated, back.tool) == (catalog6.generated, catalog6.tool)
+    assert back.collections == catalog6.collections
+
+
 def test_core_mbc_scan_index_at_n6(catalog6):
     # (lcd, width, coalitions packed) of core_mbc's index, lcd = lcm(1..9)
     core_mbc(random_game(6, 0), catalog6)
@@ -678,6 +688,62 @@ def test_load_rejects_malformed_json_item(tmp_path, coalitions, weights, message
     path.write_text(json.dumps(doc))
     with pytest.raises(CatalogError, match="must be a JSON object"):
         load_catalog(path)
+
+
+def test_item_memo_keys_keep_every_check(tmp_path):
+    # the text reader keys an item by its text and the line's n, so an item
+    # read on 3 players is parsed again on 2
+    path = tmp_path / "two.mbc"
+    path.write_text(
+        "mbc-catalog v1 n=3 method=direct count=2\n"
+        "n=3; [{1,2}:1, {3}:1]\n"
+        "n=2; [{1,2}:1, {3}:1]\n"
+    )
+    with pytest.raises(CatalogError, match=re.escape("collection 2: player id 3 out of range")):
+        load_catalog(path)
+    # the JSON reader keys only pairs of strings, so true after 1, equal as
+    # dict keys, is still refused
+    path = tmp_path / "two.json"
+    doc = {"format": "mbc-catalog", "version": 1, "n": 2, "method": "direct", "count": 2,
+           "collections": [{"coalitions": ["{1}", "{2}"], "weights": [1, 1]},
+                           {"coalitions": ["{1}", "{2}"], "weights": [1, True]}]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match="collection 2: .*a boolean is not a number"):
+        load_catalog(path)
+
+
+def test_text_catalog_keeps_provenance(tmp_path):
+    path = tmp_path / "c.mbc"
+    cat = enumerate_mbc(3)
+    cat.tool = "my tool 1.0"
+    with pytest.raises(ValueError, match="whitespace"):
+        save_catalog(cat, path)
+    cat.generated, cat.tool = "", "my-tool/1.0"
+    save_catalog(cat, path)
+    back = load_catalog(path)
+    assert (back.generated, back.tool) == ("", "my-tool/1.0")
+    # only a missing value is filled in
+    empty = MbcCatalog(3, "direct", [], generated="", tool="")
+    assert (empty.generated, empty.tool) == ("", "")
+    assert MbcCatalog(3, "direct", []).tool == enumeration.TOOL
+    cat.tool = ["x"]
+    for fmt in ("text", "json"):
+        with pytest.raises(ValueError, match="tool must be a string"):
+            save_catalog(cat, path, fmt=fmt)
+
+
+@pytest.mark.parametrize("value", [["x"], 1, None, True])
+def test_json_catalog_provenance_must_be_strings(tmp_path, value):
+    path = tmp_path / "c.json"
+    save_catalog(enumerate_mbc(2), path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["tool"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CatalogError, match="tool=.* is not a string"):
+        load_catalog(path)
+    del doc["tool"]
+    path.write_text(json.dumps(doc))
+    assert load_catalog(path).tool == enumeration.TOOL
 
 
 def test_save_rejects_unknown_format(tmp_path):

@@ -3,7 +3,7 @@ from operator import mul
 
 import pytest
 
-from balanced_forge import balanced, games
+from balanced_forge import core, games
 from balanced_forge._simplex import simplex_min, solve_square
 from balanced_forge.balanced import BalancedCollection, efficiency
 from balanced_forge.core import to_common_denominator
@@ -111,8 +111,9 @@ def test_core_tests_convert_no_worths(monkeypatch):
     def refuse(values):
         raise AssertionError("worths converted again")
 
+    # core defines the conversion and games is the one module importing it
+    monkeypatch.setattr(core, "to_common_denominator", refuse)
     monkeypatch.setattr(games, "to_common_denominator", refuse)
-    monkeypatch.setattr(balanced, "to_common_denominator", refuse)
     for (catalog, g), expected in zip(cases, want):
         assert outcome(catalog, g) == expected
         # an empty core_lp verdict builds its collection from weights,
