@@ -240,10 +240,10 @@ class BalancedCollection:
 
     def __init__(self, n, weights):
         """weights: a {coalition: weight} mapping or (coalition, weight) pairs,
-        each weight an int, a Fraction or anything Fraction() accepts; a
-        coalition given twice raises ValueError."""
+        each weight read as parse_weight reads it; a coalition given twice
+        raises ValueError."""
         pairs = weights.items() if hasattr(weights, "keys") else weights
-        items = [(s, *Fraction(w).as_integer_ratio()) for s, w in pairs]
+        items = [(s, *parse_weight(w).as_integer_ratio()) for s, w in pairs]
         self.n = n
         self.coalitions, self.numerators, self.denominator = _checked_items(n, items)
 
@@ -340,9 +340,7 @@ def _weight_text(a, den):
 def parse_item(coalition, weight, n):
     """The (mask, p, q) item of a coalition text and a weight on n players:
     parse_coalition, then parse_weight's Fraction in lowest terms."""
-    mask = parse_coalition(coalition, n)
-    w = parse_weight(weight)
-    return mask, w.numerator, w.denominator
+    return (parse_coalition(coalition, n), *parse_weight(weight).as_integer_ratio())
 
 
 def parse_collection(text, memo=None):

@@ -5,6 +5,12 @@ player i, so the canonical order of coalitions is plain numeric order and
 player 1 is the least significant bit. The worths of a game and the
 weights of a balanced collection are each kept as ints over their least
 common denominator, as to_common_denominator gives them.
+
+parse_weight is the one reader of a rational from outside the program:
+Game, BalancedCollection, to_common_denominator and every file reader
+(through read_json for JSON) call it, and no other code hands a caller's
+value to Fraction(). It reads text by one grammar, refuses a bool and
+caps numerators and denominators at MAX_DIGITS digits.
 """
 import json
 import re
@@ -51,25 +57,19 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-_INT = {int}
-_EXACT = {int, Fraction}
-
-
 def to_common_denominator(values):
     """(numerators, d): the rationals as ints over their least common denominator.
 
-    Each value is numerators[i] / d exactly; d >= 1. values is a sequence
-    of ints, Fractions, or anything Fraction() accepts. A list of plain
-    ints comes back as a fresh list with d = 1 after one look at the set
-    of types, so an integral game's worths are stored almost for free.
+    Each value is numerators[i] / d exactly; d >= 1. Each value is read as
+    parse_weight reads it, so a bool, a malformed text or a numerator or
+    denominator of more than MAX_DIGITS digits raises ValueError. A list
+    of plain ints comes back as a fresh list with d = 1 after one look at
+    the set of types and one at the largest magnitude, so an integral
+    game's worths are stored almost for free.
     """
-    kinds = set(map(type, values))
-    if kinds == _INT:
+    if set(map(type, values)) == {int} and max(map(abs, values)) < _TOO_LONG:
         return list(values), 1
-    if kinds <= _EXACT:
-        ratios = [v.as_integer_ratio() for v in values]
-    else:
-        ratios = [Fraction(v).as_integer_ratio() for v in values]
+    ratios = [parse_weight(v).as_integer_ratio() for v in values]
     d = lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
 
@@ -202,40 +202,54 @@ def read_json(text: str, what: str, keys: tuple) -> dict:
 def parse_weight(value) -> Fraction:
     """Fraction(value), with every malformed value raising ValueError.
 
-    Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
-    None, and takes a bool (a JSON true or false) as 1 or 0; a bool is
-    rejected here. JSON numbers reach it as read_json reads them. A weight
-    with a numerator or denominator of more than MAX_DIGITS digits is
-    refused, a decimal before 10^|exponent| is built.
+    The one reader of a rational from outside the program: weights, the
+    worths of a Game and the numbers of every file. Text (and a Decimal,
+    as read_json reads a JSON number) is read by one grammar, Fraction()'s
+    `p/q` and decimal forms, so 0.1 is 1/10 and a float is its binary
+    fraction. A numerator or denominator of more than MAX_DIGITS digits is
+    refused from the digits written, before any int is built, and from
+    the value otherwise. Fraction() alone raises ZeroDivisionError for 1/0
+    and TypeError for None, and takes a bool (a JSON true or false) as 1
+    or 0; here all three raise ValueError.
     """
     if isinstance(value, bool):
         raise ValueError("bad weight %r: a boolean is not a number" % (value,))
     try:
-        match = isinstance(value, (str, Decimal)) and _DECIMAL.fullmatch(str(value))
-        f = _decimal_fraction(*match.groups()) if match else Fraction(value)
+        match = isinstance(value, (str, Decimal)) and _NUMBER.fullmatch(str(value))
+        f = _text_fraction(*match.groups()) if match else Fraction(value)
     except ZeroDivisionError:
         raise ValueError("weight %r has a zero denominator" % (value,)) from None
     except (TypeError, OverflowError) as exc:
         raise ValueError("bad weight %r: %s" % (value, exc)) from None
     if f is None or max(abs(f.numerator), f.denominator) >= _TOO_LONG:
-        raise ValueError("weight %r has more than %d digits in its numerator or "
-                         "denominator" % (value, MAX_DIGITS))
+        # repr() cannot print such an int or Fraction, so its type is named
+        raise ValueError("weight %s has more than %d digits in its numerator or denominator"
+                         % (repr(value) if match else "of type " + type(value).__name__, MAX_DIGITS))
     return f
 
 
 # Python's default int-string limit: no longer numerator or denominator prints
 MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
-# a decimal in Fraction()'s syntax: sign, digits, fraction digits, exponent
-_DECIMAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
-                      r"(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+# Fraction()'s text syntax: sign, digits, then a denominator or else
+# fraction digits and an exponent
+_NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)|"
+                     r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
 
 
-def _decimal_fraction(sign, whole, part, exp):
-    """The decimal's Fraction, or None when it is too long by the lengths alone:
-    as kept * 10^e, kept free of leading and trailing zeros, its numerator has
-    at least len(kept) + e digits and its denominator those of 2^-e > 10^(-3e/10)."""
-    whole, part, exp = (g.replace("_", "") if g else "" for g in (whole, part, exp))
+def _text_fraction(sign, whole, over, part, exp):
+    """The text's Fraction, or None when it is too long by the lengths alone.
+
+    p/q is too long when p or q has more than MAX_DIGITS digits after its
+    leading zeros. A decimal is kept * 10^e, kept free of leading and
+    trailing zeros: its numerator has at least len(kept) + e digits and its
+    denominator those of 2^-e > 10^(-3e/10).
+    """
+    whole = whole.replace("_", "")
+    if over is not None:
+        p, q = whole.lstrip("0") or "0", over.replace("_", "").lstrip("0") or "0"
+        return Fraction(int(sign + p), int(q)) if max(len(p), len(q)) <= MAX_DIGITS else None
+    part = part.replace("_", "") if part else ""
     digits = (whole + part).lstrip("0")
     kept = digits.rstrip("0") or "0"
     e = int(exp or 0) - len(part) + len(digits) - len(kept) if digits else 0

@@ -132,7 +132,11 @@ def _direct_subtree(args):
 
 
 def _threads_default():
-    # the CPUs this process may run on, where the platform can tell
+    # the compiled search at n = 6 takes about as long as starting a pool;
+    # the pure one uses the CPUs this process may run on, where the
+    # platform can tell
+    if KERNEL == "compiled":
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -146,12 +150,15 @@ def enumerate_mbc(n, threads=None):
 
     Subtrees of the search split by the first chosen coalition and run on
     a process pool for n >= 6 (the threads argument caps workers; by
-    default one per CPU this process may run on); results are merged and
-    sorted, so the catalog is identical however the work was scheduled.
+    default one with the compiled kernel, whose n = 6 search a pool does
+    not speed up, and one per CPU this process may run on with the pure
+    kernel); results are merged and sorted, so the catalog is identical
+    however the work was scheduled.
 
     Diagnostics on the returned catalog name the kernel ("compiled" or
-    "pure") and give the wall time of the search and of building and
-    sorting the collections, in seconds (search_s, build_s).
+    "pure"), the number of processes that searched (workers) and the wall
+    time of the search and of building and sorting the collections, in
+    seconds (search_s, build_s).
     """
     check_players(n)
     if not 2 <= n <= 6:
@@ -167,10 +174,11 @@ def enumerate_mbc(n, threads=None):
         threads = _threads_default()
     check_int("threads", threads, 1)
     start = time.perf_counter()
-    if n >= 6 and threads > 1:
+    workers = min(threads, (1 << n) - 1) if n >= 6 else 1
+    if workers > 1:
         tasks = [(n, first) for first in range(1, 1 << n)]
         raw = []
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_direct_subtree, tasks):
                 raw.extend(chunk)
     else:
@@ -180,6 +188,7 @@ def enumerate_mbc(n, threads=None):
     catalog = MbcCatalog(n, "direct", cols)
     catalog.diagnostics = {
         "kernel": KERNEL,
+        "workers": workers,
         "search_s": searched - start,
         "build_s": time.perf_counter() - searched,
     }

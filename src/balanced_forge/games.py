@@ -55,32 +55,32 @@ def splitmix64(seed):
 
 class Game:
     """A TU game as ints: v(S) = worths[S] / den for each coalition mask S,
-    den being the worths' least common denominator, computed once when built."""
+    den being the worths' least common denominator, computed once when built.
+
+    Game(n, worths) takes a {mask: worth} mapping or (mask, worth) pairs
+    for every nonempty coalition, each worth read once, as parse_weight
+    reads it; a worth given for mask 0 must be 0."""
 
     __slots__ = ("n", "worths", "den", "_v")
 
     def __init__(self, n, worths):
         check_players(n)
-        table = [0] * (1 << n)
+        full = full_mask(n)
         items = dict(worths)
         for mask in items:
             if type(mask) is not int:
                 raise ValueError("coalition %r is not an int bitmask" % (mask,))
-        empty = items.pop(0, None)
-        if empty not in (None, 0) and Fraction(empty) != 0:
-            raise ValueError("v(empty) must be 0, got %r" % (empty,))
-        if len(items) != (1 << n) - 1:
-            raise ValueError(
-                "need worths for all %d nonempty coalitions, got %d"
-                % ((1 << n) - 1, len(items))
-            )
-        for mask, val in items.items():
-            if not 1 <= mask <= full_mask(n):
+            if not 0 <= mask <= full:
                 raise ValueError("coalition %r outside players 1..%d" % (mask, n))
-            table[mask] = val
+        if 0 in items and parse_weight(empty := items.pop(0)) != 0:
+            raise ValueError("v(empty) must be 0, got %r" % (empty,))
+        if len(items) != full:
+            raise ValueError("need worths for all %d nonempty coalitions, got %d" % (full, len(items)))
+        # every mask 1..full is present, its worth at index mask - 1
+        table = [items[mask] for mask in range(1, full + 1)]
         nums, self.den = to_common_denominator(table)
         self.n = n
-        self.worths = tuple(nums)
+        self.worths = (0, *nums)
 
     @property
     def v(self):
@@ -126,7 +126,7 @@ def game_from_json(text):
             raise ValueError("the empty coalition does not belong in a game file")
         if mask in vs:
             raise ValueError("coalition %s appears twice" % key)
-        vs[mask] = parse_weight(val)
+        vs[mask] = val
     return Game(n, vs)
 
 

@@ -187,9 +187,15 @@ def minimal_blocks(edges, nodes):
     constants. A uniform s that is not minimal thus holds a smaller
     minimal block with s's lowest node, found earlier in the scan, so
     skipping every s that holds a found block leaves the minimal ones.
+    A negative or empty node mask, which has no lowest node, raises
+    ValueError at the call, before the scan starts.
     """
-    if nodes < 0:
-        raise ValueError("negative node mask %d" % nodes)
+    if nodes <= 0:
+        raise ValueError("%s node mask %d" % ("negative" if nodes else "empty", nodes))
+    return _blocks(edges, nodes)
+
+
+def _blocks(edges, nodes):
     low = nodes & -nodes
     rest = nodes ^ low
     found = []
@@ -212,9 +218,11 @@ def minimally_uniform_on(edges, nodes):
     """Whether the edges restricted to the node mask are uniform and their
     restriction to every nonempty proper subset of it is not.
 
-    Edgeless input is not uniform.
+    Edgeless input is not uniform. The node mask is checked as
+    minimal_blocks checks it.
     """
-    return _uniform_on(edges, nodes) and next(minimal_blocks(edges, nodes)) == nodes
+    blocks = minimal_blocks(edges, nodes)
+    return _uniform_on(edges, nodes) and next(blocks) == nodes
 
 
 def is_minimally_uniform(h):

@@ -8,7 +8,7 @@ work raises ValueError, so a suite never passes by checking nothing.
 """
 import time
 
-from .balanced import is_minimal_balanced
+from .balanced import BalancedCollection, is_minimal_balanced
 from .core import check_int, format_coalition, full_mask
 from .counting import count_cumulative, count_spanning
 from .decomposition import IncompleteDecomposition, decompose, decompose_all
@@ -148,9 +148,10 @@ def verdict_problem(game, verdict):
     """What is wrong with a core verdict's certificate, or None.
 
     A payment must share out v(N) exactly and give every coalition at
-    least its worth. A collection must have weights summing to 1 for
-    every player and be minimal balanced, and its efficiency, recomputed
-    here, must equal the reported one and exceed v(N).
+    least its worth. A collection's weights, as .weights reads them, must
+    pass the BalancedCollection validator, whose message is the problem;
+    the collection must be minimal balanced, and its efficiency,
+    recomputed here, must equal the reported one and exceed v(N).
     """
     n, v = game.n, game.v
     vn = v[full_mask(n)]
@@ -164,9 +165,10 @@ def verdict_problem(game, verdict):
         return None
     bc = verdict.collection
     w = bc.weights
-    for i in range(n):
-        if sum(w[s] for s in bc.coalitions if s >> i & 1) != 1:
-            return "weights of player %d in %s do not sum to 1" % (i + 1, bc.to_text())
+    try:
+        BalancedCollection(n, w)
+    except ValueError as exc:
+        return str(exc)
     if not is_minimal_balanced(n, bc.coalitions):
         return "%s is not minimal balanced" % bc.to_text()
     eff = sum(w[s] * v[s] for s in bc.coalitions)

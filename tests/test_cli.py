@@ -51,7 +51,7 @@ def test_mbc_enum_writes_text_catalog(tmp_path, capsys):
 
 def test_mbc_enum_json_reports_diagnostics(capsys):
     keys = {
-        "direct": {"kernel", "search_s", "build_s"},
+        "direct": {"kernel", "workers", "search_s", "build_s"},
         "duality": {"kernel", "rejected", "k_max"},
         "oracle": set(),
     }
@@ -62,7 +62,7 @@ def test_mbc_enum_json_reports_diagnostics(capsys):
         assert set(diag) == want, method
     rc, out, _ = run(capsys, "mbc", "enum", "--players", "3", "--json")
     diag = json.loads(out)["diagnostics"]
-    assert diag["kernel"] == KERNEL
+    assert diag["kernel"] == KERNEL and diag["workers"] == 1
     assert diag["search_s"] >= 0 and diag["build_s"] >= 0
 
 

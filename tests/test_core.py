@@ -109,15 +109,20 @@ def test_parse_weight_refuses_more_than_4300_digits():
     # 5 / 10^4300 is 1 / (2 * 10^4299), whose denominator has 4300 digits
     assert parse_weight("5e-4300") == Fraction(1, 2 * 10**4299)
     assert parse_weight("0." + "0" * 5000 + "1e5001") == 1
+    # p/q is capped on its digits after leading zeros, as a decimal is
+    assert parse_weight("1/" + "0" * 5000 + "1") == 1
+    assert parse_weight("-0_0" + "0" * 5000 + "3/000_6") == Fraction(-1, 2)
+    assert parse_weight("1" * 4300 + "/1") == int("1" * 4300)
     assert parse_weight("-1_0.5_0e-1") == parse_weight(" -1.05 ") == Fraction(-21, 20)
     # a zero needs no power of ten, however large its exponent
     assert parse_weight("0e99999999999999999999") == parse_weight(Decimal("-0E+10000000")) == 0
     long = ("1e4300", "1e-4300", "1" * 4301, "1e10000000", "-2.5E-10000000",
-            Decimal("1e10000000"), "1e99999999999999999999")
+            Decimal("1e10000000"), "1e99999999999999999999", "1" * 4301 + "/1",
+            "1/" + "3" * 4301, "2" * 4301 + "/2", 10**4300, Fraction(1, 10**4300))
     for value in long:
         with pytest.raises(ValueError, match="more than 4300 digits"):
             parse_weight(value)
-    for value in ("1e", "1__0", "_1", ".", "1.5/2"):
+    for value in ("1e", "1__0", "_1", ".", "1.5/2", "1/-2", "1/2e3", "/2", "1/", "1 / 2"):
         with pytest.raises(ValueError, match="Invalid literal"):
             parse_weight(value)
 
@@ -194,7 +199,6 @@ def test_to_common_denominator_matches_the_per_value_reference():
     rng = random.Random(1013)
     makers = (
         lambda: rng.randint(-50, 50),
-        lambda: rng.random() < 0.5,
         lambda: -Fraction(rng.randint(0, 40), rng.randint(1, 12)),
         lambda: "%d/%d" % (rng.randint(-30, 30), rng.randint(1, 9)),
         lambda: rng.randint(-64, 64) / 8,
@@ -202,13 +206,23 @@ def test_to_common_denominator_matches_the_per_value_reference():
     )
     for trial in range(600):
         # one list in three holds ints only
-        kinds = makers[:1] if trial % 3 == 0 else rng.sample(makers, rng.randint(1, 6))
+        kinds = makers[:1] if trial % 3 == 0 else rng.sample(makers, rng.randint(1, 5))
         values = [rng.choice(kinds)() for _ in range(rng.randint(0, 12))]
         ratios = [Fraction(v).as_integer_ratio() for v in values]
         d = lcm(*[q for _, q in ratios])
         nums, den = to_common_denominator(values)
         assert (nums, den) == ([p * (d // q) for p, q in ratios], d), values
         assert all(type(p) is int for p in nums), values
+    # each value is read by parse_weight, which refuses a bool where
+    # Fraction() reads it as 0 or 1
+    for values in ([True], [1, False], [Fraction(1, 2), True]):
+        with pytest.raises(ValueError, match="a boolean is not a number"):
+            to_common_denominator(values)
+    # an int list skips parse_weight but not its digit cap
+    assert to_common_denominator([10**4300 - 1]) == ([10**4300 - 1], 1)
+    for values in ([10**4300], [1, -(10**4300)]):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            to_common_denominator(values)
 
 
 def test_read_json_keeps_numbers_as_written():

@@ -1,3 +1,5 @@
+import json
+import time
 from fractions import Fraction
 from operator import mul
 
@@ -6,7 +8,7 @@ import pytest
 from balanced_forge import core, games
 from balanced_forge._simplex import simplex_min, solve_square
 from balanced_forge.balanced import BalancedCollection, efficiency
-from balanced_forge.core import to_common_denominator
+from balanced_forge.core import json_number, to_common_denominator
 from balanced_forge.enumeration import MbcCatalog, enumerate_mbc
 from balanced_forge.games import (
     HALF,
@@ -122,6 +124,45 @@ def test_core_tests_convert_no_worths(monkeypatch):
             assert core_lp(g).payment == expected[2]
 
 
+BAD_VALUES = (None, [1], True, "x", "1/0", "1e2000000", "1" * 4301 + "/1")
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=lambda value: repr(value)[:12])
+def test_every_entry_point_refuses_a_bad_value_as_parse_weight_does(value):
+    with pytest.raises(ValueError) as refused:
+        core.parse_weight(value)
+    message = str(refused.value)
+    entry_points = {
+        "Game": lambda: Game(1, {1: value}),
+        "Game v(empty)": lambda: Game(1, {0: value, 1: 1}),
+        "BalancedCollection": lambda: BalancedCollection(1, {1: value}),
+        "to_common_denominator": lambda: to_common_denominator([Fraction(1, 2), value]),
+        "game_from_json": lambda: game_from_json('{"n":1,"v":{"{1}":%s}}' % json.dumps(value)),
+    }
+    for name, call in entry_points.items():
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert time.perf_counter() - start < 0.1, name
+        assert str(refused.value) == message, name
+
+
+def test_game_from_json_reads_each_worth_once(monkeypatch):
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return parse_weight(value)
+
+    g = Game(4, {m: Fraction(m, 3) for m in range(1, 16)})
+    parse_weight = core.parse_weight
+    monkeypatch.setattr(core, "parse_weight", counting)
+    monkeypatch.setattr(games, "parse_weight", counting)
+    assert game_from_json(g.to_json()) == g
+    # 2^4 - 1 distinct worths, each read once, as the file writes it
+    assert sorted(calls, key=Fraction) == [json_number(g.v[m]) for m in range(1, 16)]
+
+
 def test_game_json_exact_form():
     g = Game(2, {1: 0, 2: Fraction(1, 2), 3: 1})
     assert g.to_json() == '{"n":2,"v":{"{1}":0,"{2}":"1/2","{1,2}":1}}'
@@ -232,8 +273,7 @@ PAIR_GAME = Game(3, {1: 0, 2: 0, 4: 0, 3: 1, 5: 1, 6: 1, 7: 1})
 @pytest.mark.parametrize("case, message", [
     ("payment off v(N)", "payment sums to 3/2, v(N) = 1"),
     ("payment below a worth", "payment leaves {2} below its worth"),
-    ("one weight changed",
-     "weights of player 1 in n=3; [{1,2}:1, {1,3}:1/2, {2,3}:1/2] do not sum to 1"),
+    ("one weight changed", "player 1 weight sum is 3/2, expected 1"),
     ("not minimal", "n=3; [{1}:1/2, {2}:1/2, {3}:1/2, {1,2,3}:1/2] is not minimal balanced"),
     ("efficiency misreported", "efficiency is 3/2, reported 5/2"),
     ("efficiency at most v(N)", "efficiency 3/2 does not exceed v(N) = 2"),

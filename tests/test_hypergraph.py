@@ -9,6 +9,7 @@ from balanced_forge.enumeration import enumerate_proper, enumerate_uniform
 from balanced_forge.hypergraph import (
     Hypergraph,
     minimal_blocks,
+    minimally_uniform_on,
     parse_hypergraph,
     hypergraph_from_json,
     is_minimally_uniform,
@@ -217,6 +218,17 @@ def test_minimal_blocks_rejects_a_negative_mask():
     # the scan t = (t - rest) & rest never reaches a negative rest
     with pytest.raises(ValueError, match="negative node mask -1"):
         list(minimal_blocks([1, 2], -1))
+
+
+def test_minimal_blocks_refuses_the_empty_node_mask():
+    # the empty set has no lowest node; edgeless input is refused too,
+    # before minimally_uniform_on decides uniformity
+    for edges in ([1, 2], []):
+        with pytest.raises(ValueError, match="^empty node mask"):
+            minimal_blocks(edges, 0)
+        for nodes, why in ((0, "empty node mask"), (-1, "negative node mask -1")):
+            with pytest.raises(ValueError, match="^" + why):
+                minimally_uniform_on(edges, nodes)
 
 
 def test_uniform_restrictions_are_closed_under_differences():
