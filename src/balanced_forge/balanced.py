@@ -340,7 +340,9 @@ def _weight_text(a, den):
 def parse_item(coalition, weight, n):
     """The (mask, p, q) item of a coalition text and a weight on n players:
     parse_coalition, then parse_weight's Fraction in lowest terms."""
-    return (parse_coalition(coalition, n), *parse_weight(weight).as_integer_ratio())
+    mask = parse_coalition(coalition, n)
+    w = parse_weight(weight)
+    return mask, w.numerator, w.denominator
 
 
 def parse_collection(text, memo=None):

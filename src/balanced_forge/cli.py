@@ -326,8 +326,7 @@ def _build_parser():
         help="duality method: cap on the cover degree (default: the largest |det| of an "
         "n x n 0/1 matrix, which finds every collection)",
     )
-    enum.add_argument("--threads", type=int, default=None, help="direct method: worker processes "
-                      "at n=6 (default: 1 with the compiled kernel, one per usable CPU with the pure one)")
+    enum.add_argument("--threads", type=int, default=None, help="direct method: worker processes")
     enum.add_argument("--json", action="store_true")
     enum.set_defaults(func=_cmd_mbc_enum)
 

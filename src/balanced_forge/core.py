@@ -65,13 +65,23 @@ def to_common_denominator(values):
     denominator of more than MAX_DIGITS digits raises ValueError. A list
     of plain ints comes back as a fresh list with d = 1 after one look at
     the set of types and one at the largest magnitude, so an integral
-    game's worths are stored almost for free.
+    game's worths are stored almost for free; ints and Fractions, exact
+    already, are checked against the cap by that one look at the results.
     """
-    if set(map(type, values)) == {int} and max(map(abs, values)) < _TOO_LONG:
-        return list(values), 1
-    ratios = [parse_weight(v).as_integer_ratio() for v in values]
-    d = lcm(*[q for _, q in ratios])
-    return [p * (d // q) for p, q in ratios], d
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        nums, d = list(values), 1
+    else:
+        # ints and Fractions are exact already: the cap is checked below
+        exact = values if kinds <= {int, Fraction} else map(parse_weight, values)
+        ratios = [v.as_integer_ratio() for v in exact]
+        d = lcm(*[q for _, q in ratios])
+        nums = [p * (d // q) for p, q in ratios]
+    # no value's numerator or denominator is larger than |nums[i]| or d
+    if d >= _TOO_LONG or max(map(abs, nums), default=0) >= _TOO_LONG:
+        for v in values:
+            parse_weight(v)  # raises on the first value past the cap
+    return nums, d
 
 
 def binomial(n: int, k: int) -> int:
@@ -204,19 +214,28 @@ def parse_weight(value) -> Fraction:
 
     The one reader of a rational from outside the program: weights, the
     worths of a Game and the numbers of every file. Text (and a Decimal,
-    as read_json reads a JSON number) is read by one grammar, Fraction()'s
-    `p/q` and decimal forms, so 0.1 is 1/10 and a float is its binary
-    fraction. A numerator or denominator of more than MAX_DIGITS digits is
-    refused from the digits written, before any int is built, and from
-    the value otherwise. Fraction() alone raises ZeroDivisionError for 1/0
-    and TypeError for None, and takes a bool (a JSON true or false) as 1
-    or 0; here all three raise ValueError.
+    as read_json reads a JSON number) is read by one grammar, the `p/q`
+    and decimal forms of Fraction() on Python 3.11, so 0.1 is 1/10, and
+    any other text is an invalid literal on every Python; a float is its
+    binary fraction, and a Fraction is returned as it is. A numerator or
+    denominator of more than MAX_DIGITS digits is refused from the digits
+    written, before any int is built, and from the value otherwise.
+    Fraction() alone raises ZeroDivisionError for 1/0 and TypeError for
+    None, and takes a bool (a JSON true or false) as 1 or 0; here all
+    three raise ValueError.
     """
     if isinstance(value, bool):
         raise ValueError("bad weight %r: a boolean is not a number" % (value,))
+    # False for a value that is not text, None for text outside the grammar,
+    # which never reaches Fraction(): its text syntax varies by Python version
+    match = isinstance(value, (str, Decimal)) and _NUMBER.fullmatch(str(value))
+    if match is None:
+        raise ValueError("Invalid literal for Fraction: %r" % (value,))
     try:
-        match = isinstance(value, (str, Decimal)) and _NUMBER.fullmatch(str(value))
-        f = _text_fraction(*match.groups()) if match else Fraction(value)
+        if match:
+            f = _text_fraction(*match.groups())
+        else:  # a Fraction is immutable, so it is kept as it is
+            f = value if type(value) is Fraction else Fraction(value)
     except ZeroDivisionError:
         raise ValueError("weight %r has a zero denominator" % (value,)) from None
     except (TypeError, OverflowError) as exc:

@@ -132,11 +132,7 @@ def _direct_subtree(args):
 
 
 def _threads_default():
-    # the compiled search at n = 6 takes about as long as starting a pool;
-    # the pure one uses the CPUs this process may run on, where the
-    # platform can tell
-    if KERNEL == "compiled":
-        return 1
+    # the CPUs this process may run on, where the platform can tell
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -150,10 +146,8 @@ def enumerate_mbc(n, threads=None):
 
     Subtrees of the search split by the first chosen coalition and run on
     a process pool for n >= 6 (the threads argument caps workers; by
-    default one with the compiled kernel, whose n = 6 search a pool does
-    not speed up, and one per CPU this process may run on with the pure
-    kernel); results are merged and sorted, so the catalog is identical
-    however the work was scheduled.
+    default one per CPU this process may run on); results are merged and
+    sorted, so the catalog is identical however the work was scheduled.
 
     Diagnostics on the returned catalog name the kernel ("compiled" or
     "pure"), the number of processes that searched (workers) and the wall

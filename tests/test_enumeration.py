@@ -271,14 +271,9 @@ def test_threads_must_be_positive():
 
 
 def test_threads_default_counts_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.setattr(enumeration, "KERNEL", "pure")
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     assert enumeration._threads_default() == 2
-    # the compiled kernel searches n = 6 in one process
-    monkeypatch.setattr(enumeration, "KERNEL", "compiled")
-    assert enumeration._threads_default() == 1
-    monkeypatch.setattr(enumeration, "KERNEL", "pure")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert enumeration._threads_default() == 64
 
