@@ -199,32 +199,51 @@ def solve_square(M, rhs):
 def rank_of_masks(masks, n):
     """Rank over the rationals of 0/1 incidence vectors given as bitmasks.
 
-    Only bits 0..n-1 of each mask count. Each row is one Python int whose
-    entry i is the signed FIELD-bit field at bit FIELD * i, as in
-    _mbc_pure.direct_search, so scaling and adding rows acts on every
-    entry at once. The elimination is fraction-free with exact division
-    (Bareiss 1968): each step takes a nonzero row R as pivot, with a its
-    lowest nonzero entry and d the previous pivot (1 at first), and
-    replaces every other row r by (a * r - b * R) / d, b being r's entry
-    in a's column; rows that vanish are dropped, and the rank is the
-    number of pivots. By Sylvester's identity every stored entry is then
-    a minor of order at most n of the 0/1 matrix, so by Hadamard's
-    inequality at most (n + 1)^((n + 1) / 2) / 2^n in absolute value,
-    below 2^27 for n <= 20 = MAX_PLAYERS. Hence a * r - b * R stays below
-    2^55, every field inside +-2^63, and as d divides every field it
-    divides the packed int exactly.
+    Only bits 0..n-1 of each mask count. The nonzero masks are first
+    reduced mod 2 against an XOR basis keyed by highest bit. Rows that
+    are independent mod 2 are independent over Q, since a rational
+    dependency scaled to coprime integers is nonzero mod 2; then the rank
+    is their number. Only rows dependent mod 2, such as the triangle
+    {1,2}, {1,3}, {2,3}, go on to the elimination over Q.
+
+    There each row is one Python int whose entry i is the signed FIELD-bit
+    field at bit FIELD * i, as in _mbc_pure.direct_search, so scaling and
+    adding rows acts on every entry at once. The elimination is
+    fraction-free with exact division (Bareiss 1968): each step takes a
+    nonzero row R as pivot, with a its lowest nonzero entry and d the
+    previous pivot (1 at first), and replaces every other row r by
+    (a * r - b * R) / d, b being r's entry in a's column; rows that vanish
+    are dropped, and the rank is the number of pivots. By Sylvester's
+    identity every stored entry is then a minor of order at most n of the
+    0/1 matrix, so by Hadamard's inequality at most
+    (n + 1)^((n + 1) / 2) / 2^n in absolute value, below 2^27 for
+    n <= 20 = MAX_PLAYERS. Hence a * r - b * R stays below 2^55, every
+    field inside +-2^63, and as d divides every field it divides the
+    packed int exactly.
     """
     full = (1 << n) - 1
-    rows = []
+    kept = []
+    basis = {}  # highest bit -> a row of the XOR basis holding it
     for m in masks:
         m &= full
+        if m:
+            kept.append(m)
+            while m:
+                top = basis.get(m.bit_length())
+                if top is None:
+                    basis[m.bit_length()] = m
+                    break
+                m ^= top
+    if len(basis) == len(kept):
+        return len(kept)
+    rows = []
+    for m in kept:
         row = 0
         while m:
             low = m & -m
             row |= 1 << FIELD * (low.bit_length() - 1)
             m ^= low
-        if row:
-            rows.append(row)
+        rows.append(row)
     bias = _HALF * ((1 << FIELD * n) - 1) // _MASK  # _HALF in each of n fields
     rank = 0
     d = 1

@@ -21,10 +21,11 @@ find_balancing_weights is the one decision: it validates the masks once
 and hands them to _cached_weights, the only reader and writer of the
 process-wide _balanced_cache. The key is (n, sorted masks), the value
 the weights dict or None, each caller gets a fresh copy of the dict, and
-the cache is unbounded. is_balanced is that decision's `is not None`, so
-the oracle validates and solves each distinct collection once, and
-is_minimal_balanced, which checks its masks itself, calls _cached_weights
-directly.
+the cache is unbounded. is_balanced is that decision's `is not None`.
+The oracle validates its input once, through is_balanced, and reads every
+proper subcollection of the sorted masks through _cached_weights, so it
+solves each distinct collection once; is_minimal_balanced, which checks
+its masks itself, calls _cached_weights directly too.
 """
 from collections import Counter
 from fractions import Fraction
@@ -175,14 +176,14 @@ def is_minimal_balanced_oracle(n, coalitions):
     if n > 5:
         raise ValueError("oracle limited to n <= 5, got n=%d" % n)
     coalitions = tuple(coalitions)
-    # read twice, so held as a tuple; is_balanced validates it, after
-    # which sorting cannot meet a non-int
+    # read twice, so held as a tuple; is_balanced validates it, so sorted
+    # it is the checked masks, and so is every subcollection in order
     if not is_balanced(n, coalitions):
         return False
-    masks = sorted(coalitions)
+    masks = tuple(sorted(coalitions))
     for size in range(1, len(masks)):
         for sub in combinations(masks, size):
-            if is_balanced(n, sub):
+            if _cached_weights(n, sub) is not None:
                 return False
     return True
 
@@ -373,17 +374,29 @@ def parse_collection(text, memo=None):
 
 
 def from_regular_hypergraph(h):
-    """Weights = edge multiplicity / regularity; needs a proper regular H."""
-    if not h.is_proper:
-        raise ValueError("hypergraph must be proper (spanning, no empty edges)")
-    k = h.regularity()
-    if k is None:
-        raise ValueError("hypergraph is not regular")
+    """Weights = edge multiplicity / regularity; needs a proper regular H.
+
+    The edge multiset is counted once: properness and the node degrees
+    come from its distinct masks times their multiplicities. An improper
+    H raises ValueError before an irregular one.
+    """
+    n = h.n
     mult = Counter(h.edges)
+    cover = 0
+    degrees = [0] * (n + 1)  # by player id; degrees[0] stays 0
+    for s, c in mult.items():
+        cover |= s
+        for i in _PLAYERS[s] if s < 256 else players_of(s):
+            degrees[i] += c
+    if 0 in mult or cover != full_mask(n):
+        raise ValueError("hypergraph must be proper (spanning, no empty edges)")
+    k = degrees[1]  # >= 1, as player 1 is covered
+    if degrees.count(k) != n:
+        raise ValueError("hypergraph is not regular")
     masks = sorted(mult)
     g = gcd(k, *mult.values())
     # every player's multiplicities sum to k, so the weights sum to 1
-    return BalancedCollection._trusted(h.n, masks, [mult[s] // g for s in masks], k // g)
+    return BalancedCollection._trusted(n, masks, [mult[s] // g for s in masks], k // g)
 
 
 def efficiency(b, game):

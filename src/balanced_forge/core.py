@@ -121,7 +121,7 @@ def players_of(mask: int) -> tuple:
 
 
 # the player ids and the text of every coalition of up to 8 players, read by
-# the collection validator and the catalog writers
+# the collection validator, from_regular_hypergraph and the catalog writers
 _PLAYERS = tuple(players_of(mask) for mask in range(256))
 _COALITION_TEXT = tuple("{%s}" % ",".join(map(str, ids)) for ids in _PLAYERS)
 
@@ -260,9 +260,13 @@ def _text_fraction(sign, whole, over, part, exp):
     """The text's Fraction, or None when it is too long by the lengths alone.
 
     p/q is too long when p or q has more than MAX_DIGITS digits after its
-    leading zeros. A decimal is kept * 10^e, kept free of leading and
-    trailing zeros: its numerator has at least len(kept) + e digits and its
-    denominator those of 2^-e > 10^(-3e/10).
+    leading zeros. A decimal with a nonzero digit is kept * 10^e, kept free
+    of leading and trailing zeros: its numerator has at least len(kept) + e
+    digits and its denominator those of 2^-e > 10^(-3e/10). A kept of
+    more than MAX_DIGITS digits is refused from the digits written, as p
+    and q are. So is an exponent of more than MAX_DIGITS digits: no text
+    is long enough to bring |e| back below 10^MAX_DIGITS, so it is too
+    long whatever its sign.
     """
     whole = whole.replace("_", "")
     if over is not None:
@@ -270,8 +274,14 @@ def _text_fraction(sign, whole, over, part, exp):
         return Fraction(int(sign + p), int(q)) if max(len(p), len(q)) <= MAX_DIGITS else None
     part = part.replace("_", "") if part else ""
     digits = (whole + part).lstrip("0")
-    kept = digits.rstrip("0") or "0"
-    e = int(exp or 0) - len(part) + len(digits) - len(kept) if digits else 0
+    if not digits:
+        return Fraction(0)
+    kept = digits.rstrip("0")
+    exp = exp.replace("_", "") if exp else "0"
+    power = exp.lstrip("+-").lstrip("0") or "0"
+    if max(len(kept), len(power)) > MAX_DIGITS:
+        return None
+    e = (-int(power) if exp[0] == "-" else int(power)) - len(part) + len(digits) - len(kept)
     if len(kept) + e <= MAX_DIGITS and -3 * e <= 10 * MAX_DIGITS:
         return Fraction(int(sign + kept) * 10 ** max(e, 0), 10 ** max(-e, 0))
     return None

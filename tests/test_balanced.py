@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -19,7 +20,7 @@ from balanced_forge.balanced import (
     efficiency,
 )
 from balanced_forge._simplex import simplex_min
-from balanced_forge.enumeration import enumerate_mbc, enumerate_mbc_oracle
+from balanced_forge.enumeration import enumerate_mbc, enumerate_mbc_oracle, enumerate_proper
 from balanced_forge.hypergraph import Hypergraph
 from balanced_forge.games import Game
 from test_hypergraph import subhypergraph
@@ -139,7 +140,9 @@ def test_pair_rule_counts_at_sizes_up_to_n(monkeypatch, n, uncovered, rejected, 
 def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
     # one LP per distinct collection that reaches it (the to_lp pin of
     # test_pair_rule_counts_at_sizes_up_to_n), and one validation per
-    # find_balancing_weights call plus one per kept BalancedCollection
+    # candidate (its is_balanced call; its proper subcollections are read
+    # unvalidated) plus two per kept collection, find_balancing_weights
+    # and the BalancedCollection built from its weights
     lps, checks = [], []
 
     def counting_lp(*args, **kwargs):
@@ -155,7 +158,7 @@ def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
     monkeypatch.setattr(balanced, "simplex_min", counting_lp)
     monkeypatch.setattr(balanced, "_checked_masks", counting_check)
     assert enumerate_mbc_oracle(4).count == 42
-    assert (len(lps), len(checks)) == (118, 2898)
+    assert (len(lps), len(checks)) == (118, 1940 + 2 * 42)
     assert len(balanced._balanced_cache) == 1940
 
 
@@ -276,10 +279,50 @@ def test_from_regular_hypergraph():
     h = Hypergraph(2, [3, 3])
     bc = from_regular_hypergraph(h)
     assert bc.coalitions == (3,) and bc.weights[3] == F(1)
-    with pytest.raises(ValueError):
-        from_regular_hypergraph(Hypergraph(2, [1, 3]))  # not regular
-    with pytest.raises(ValueError):
-        from_regular_hypergraph(Hypergraph(2, [1, 1]))  # not spanning
+    with pytest.raises(ValueError, match="not regular"):
+        from_regular_hypergraph(Hypergraph(2, [1, 3]))
+    # not spanning, edgeless, and an empty edge in an irregular H: an
+    # improper input is named before an irregular one
+    for edges in ([1, 1], [], [0, 1, 3]):
+        with pytest.raises(ValueError, match="must be proper"):
+            from_regular_hypergraph(Hypergraph(2, edges))
+
+
+def _weights_by_degrees(h):
+    """Edge multiplicity over the common degree, from degrees() and a Counter."""
+    k = h.degrees()[0]
+    return {s: F(c, k) for s, c in Counter(h.edges).items()}
+
+
+@pytest.mark.parametrize("n, regular", [(1, 4), (2, 8), (3, 23), (4, 91)])
+def test_from_regular_hypergraph_matches_the_degree_reference(n, regular):
+    seen = 0
+    for i, h in enumerate(enumerate_proper(n, 4)):
+        # the edge order must not matter, so half the inputs come reversed
+        if i % 2:
+            h = Hypergraph(n, h.edges[::-1])
+        if len(set(h.degrees())) > 1:
+            with pytest.raises(ValueError, match="not regular"):
+                from_regular_hypergraph(h)
+            continue
+        seen += 1
+        bc = from_regular_hypergraph(h)
+        # the validating constructor puts the weights over their lcm
+        assert bc == BalancedCollection(n, _weights_by_degrees(h)), h
+    assert seen == regular
+
+
+def test_from_regular_hypergraph_past_eight_players():
+    # masks of 256 and more read their players through players_of
+    for h in (Hypergraph(9, [511, 15, 496]), Hypergraph(9, [511, 511, 15, 496]),
+              Hypergraph(10, [0b1100000000, 0b0011111111, 1023, 1023])):
+        assert from_regular_hypergraph(h) == BalancedCollection(h.n, _weights_by_degrees(h))
+    assert from_regular_hypergraph(Hypergraph(9, [496, 511, 15])).weights == {
+        15: F(1, 2), 496: F(1, 2), 511: F(1, 2)}
+    with pytest.raises(ValueError, match="not regular"):
+        from_regular_hypergraph(Hypergraph(9, [511, 256, 255, 1]))
+    with pytest.raises(ValueError, match="must be proper"):
+        from_regular_hypergraph(Hypergraph(10, [511, 511]))
 
 
 def test_to_regular_hypergraph_inverts():

@@ -114,11 +114,18 @@ def test_parse_weight_refuses_more_than_4300_digits():
     assert parse_weight("-0_0" + "0" * 5000 + "3/000_6") == Fraction(-1, 2)
     assert parse_weight("1" * 4300 + "/1") == int("1" * 4300)
     assert parse_weight("-1_0.5_0e-1") == parse_weight(" -1.05 ") == Fraction(-21, 20)
-    # a zero needs no power of ten, however large its exponent
+    # a zero needs no power of ten, however large its exponent, even one
+    # longer than Python's int-string limit
     assert parse_weight("0e99999999999999999999") == parse_weight(Decimal("-0E+10000000")) == 0
+    assert parse_weight("0e" + "1" * 5000) == parse_weight("-0.0e-" + "1" * 5000) == 0
+    # leading zeros of an exponent are not its length
+    assert parse_weight("1e+" + "0" * 5000 + "3") == 1000
+    # an exponent or a decimal's digits past that limit are refused by their
+    # length, with the cap message, not Python's int-string one
     long = ("1e4300", "1e-4300", "1" * 4301, "1e10000000", "-2.5E-10000000",
             Decimal("1e10000000"), "1e99999999999999999999", "1" * 4301 + "/1",
-            "1/" + "3" * 4301, "2" * 4301 + "/2", 10**4300, Fraction(1, 10**4300))
+            "1/" + "3" * 4301, "2" * 4301 + "/2", 10**4300, Fraction(1, 10**4300),
+            "1e" + "1" * 5000, "1e-" + "1" * 5000, "0." + "1" * 5000)
     for value in long:
         with pytest.raises(ValueError, match="more than 4300 digits"):
             parse_weight(value)

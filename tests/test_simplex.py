@@ -142,6 +142,43 @@ def _fraction_rank(masks, n):
     return rank
 
 
+def _rank_mod2(masks, n):
+    """Rank over GF(2), by elimination on 0/1 lists column by column."""
+    rows = [[m >> i & 1 for i in range(n)] for m in masks]
+    rank = 0
+    for col in range(n):
+        p = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i, r in enumerate(rows):
+            if i != rank and r[col]:
+                rows[i] = [x ^ y for x, y in zip(r, rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("masks, n, mod2, rank", [
+    # odd cycles: dependent mod 2, independent over Q
+    ([0b011, 0b101, 0b110], 3, 2, 3),
+    ([0b00011, 0b00110, 0b01100, 0b11000, 0b10001], 5, 4, 5),
+    # the 4-cycle: {1,2} + {3,4} = {1,3} + {2,4} over Q as well
+    ([0b0011, 0b1100, 0b0101, 0b1010], 4, 3, 3),
+    # zero and above-n masks count only their bits 0..n-1, so 0b1001 is
+    # {1} at n = 3 and 0b1000 is empty; independent mod 2
+    ([0, 0b1001, 0b010, 0b1000], 3, 2, 2),
+    # a repeated mask, once above n: dependent mod 2 and over Q
+    ([0b101, 0b1101, 0b011], 3, 2, 2),
+    # the triangle again, written with bits above n
+    ([0b11011, 0b10101, 0b01110], 3, 2, 3),
+])
+def test_rank_of_masks_on_both_sides_of_the_mod2_test(masks, n, mod2, rank):
+    # the rank is the count of nonzero rows exactly when they are
+    # independent mod 2; every other set goes on to the elimination over Q
+    assert _rank_mod2(masks, n) == mod2
+    assert rank_of_masks(masks, n) == _fraction_rank(masks, n) == rank
+
+
 def test_rank_of_masks_every_small_set_at_n4():
     for size in range(5):
         for masks in combinations(range(16), size):
