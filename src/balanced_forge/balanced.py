@@ -19,13 +19,14 @@ subcollection balanced) kept around to guard the equivalence.
 
 find_balancing_weights is the one decision: it validates the masks once
 and hands them to _cached_weights, the only reader and writer of the
-process-wide _balanced_cache. The key is (n, sorted masks), the value
-the weights dict or None, each caller gets a fresh copy of the dict, and
-the cache is unbounded. is_balanced is that decision's `is not None`.
-The oracle validates its input once, through is_balanced, and reads every
-proper subcollection of the sorted masks through _cached_weights, so it
-solves each distinct collection once; is_minimal_balanced, which checks
-its masks itself, calls _cached_weights directly too.
+process-wide, unbounded _balanced_cache: (n, sorted masks) to the
+BalancedCollection the LP built, unvalidated, or None. is_balanced is
+that decision's `is not None`. The oracle validates its input once,
+through is_balanced, and reads every proper subcollection of the sorted
+masks through _cached_weights, so it solves each distinct collection
+once; is_minimal_balanced and `mbc check`, which check their masks
+themselves, read _cached_weights too. _checked_items validates only
+outside input: the public constructor and the file readers.
 """
 from collections import Counter
 from fractions import Fraction
@@ -84,21 +85,22 @@ def find_balancing_weights(n, coalitions):
     no strictly positive weights exist. The rule fires only where the LP
     returns None, so every result, weights included, is the LP's.
 
-    Validates once, then looks (n, sorted masks) up in _balanced_cache,
-    which holds the weights or None; a miss decides the collection and
-    stores the result. A returned dict is a fresh copy, so a caller may
-    mutate it. The cache is unbounded.
+    Validates once, then reads the cached collection (_cached_weights).
+    The dict is built afresh from the collection's integers, so a caller
+    may mutate it, and the shared collection's weights view stays unbuilt.
     """
-    return _cached_weights(n, _checked_masks(n, coalitions))
+    bc = _cached_weights(n, _checked_masks(n, coalitions))
+    if bc is None:
+        return None
+    return dict(zip(bc.coalitions, map(Fraction, bc.numerators, repeat(bc.denominator))))
 
 
 def _cached_weights(n, masks):
-    """find_balancing_weights on masks that _checked_masks returned."""
+    """The shared cached collection, or None, of _checked_masks's masks."""
     key = (n, masks)
     if key not in _balanced_cache:
         _balanced_cache[key] = _decide(n, masks)
-    weights = _balanced_cache[key]
-    return None if weights is None else dict(weights)
+    return _balanced_cache[key]
 
 
 def _decide(n, masks):
@@ -127,22 +129,17 @@ def _balancing_lp(n, masks):
     m = len(masks)
     # variables: mu_S per coalition, then t+ and t-; lambda = mu + t
     a_rows = []
-    b_vec = []
     for i in range(n):
-        d = sum(1 for s in masks if s >> i & 1)
-        row = [1 if s >> i & 1 else 0 for s in masks]
-        row.append(d)
-        row.append(-d)
-        a_rows.append(row)
-        b_vec.append(1)
-    cost = [0] * m + [-1, 1]
-    res = simplex_min(a_rows, b_vec, cost)
+        row = [s >> i & 1 for s in masks]
+        d = sum(row)
+        a_rows.append(row + [d, -d])
+    res = simplex_min(a_rows, [1] * n, [0] * m + [-1, 1])
     if res.status != "optimal":
         return None
     t = res.x[m] - res.x[m + 1]
     if t <= 0:
         return None
-    return {s: res.x[j] + t for j, s in enumerate(masks)}
+    return BalancedCollection._from_vertex(n, [(s, res.x[j] + t) for j, s in enumerate(masks)])
 
 
 def is_balanced(n, coalitions):
@@ -173,6 +170,7 @@ def is_minimal_balanced_oracle(n, coalitions):
     rejected. Subsets are scanned smallest-first so that non-minimal
     inputs exit on the first balanced subcollection found.
     """
+    check_players(n)
     if n > 5:
         raise ValueError("oracle limited to n <= 5, got n=%d" % n)
     coalitions = tuple(coalitions)
@@ -251,19 +249,18 @@ class BalancedCollection:
     @classmethod
     def _from_items(cls, n, items):
         """The collection of (mask, p, q) items, validated by _checked_items."""
-        self = object.__new__(cls)
-        self.n = n
-        self.coalitions, self.numerators, self.denominator = _checked_items(n, items)
-        return self
+        return cls._trusted(n, *_checked_items(n, items))
 
     @classmethod
     def _trusted(cls, n, masks, nums, den):
         """Skip validation; the triple must be exact and in lowest terms.
 
-        The kernels emit weights straight from exact elimination, so the
-        per-player identity holds by construction; revalidating 200k+
+        The kernels' exact elimination and the LPs' vertices (_from_vertex)
+        give the per-player identity by construction; revalidating 200k+
         collections at n=6 would double the enumeration time. Tests
-        re-validate full catalogs for n <= 5 and samples beyond.
+        re-validate full catalogs for n <= 5 and samples beyond, and the LP
+        collections in test_oracle_cache_holds_valid_collections and
+        test_core_lp_hands_the_lp_only_ints.
         """
         self = object.__new__(cls)
         self.n = n
@@ -271,6 +268,13 @@ class BalancedCollection:
         self.numerators = tuple(nums)
         self.denominator = den
         return self
+
+    @classmethod
+    def _from_vertex(cls, n, pairs):
+        """Unvalidated collection of an LP vertex's (mask, Fraction) pairs."""
+        masks, ws = zip(*sorted(pairs))
+        den = lcm(*(w.denominator for w in ws))
+        return cls._trusted(n, masks, [w.numerator * (den // w.denominator) for w in ws], den)
 
     @property
     def weights(self):

@@ -13,11 +13,7 @@ from . import __version__
 from .core import format_coalition, full_mask, json_number, parse_coalition, split_line
 from .counting import count_total, count_spanning, count_cumulative, count_graphs, egf_table
 from .hypergraph import parse_hypergraph, hypergraph_from_json
-from .balanced import (
-    BalancedCollection,
-    parse_collection,
-    find_balancing_weights,
-)
+from .balanced import _cached_weights, _checked_masks, parse_collection
 from .enumeration import (
     MbcCatalog,
     enumerate_mbc,
@@ -99,9 +95,8 @@ def _cmd_mbc_check(args):
     else:
         # weightless form n=3; [{1,2}, {1,3}]: decide balancedness here
         n, items = split_line(text)
-        masks = tuple(sorted(parse_coalition(tok, n) for tok in items))
-        weights = find_balancing_weights(n, masks)
-        bc = None if weights is None else BalancedCollection(n, weights)
+        masks = _checked_masks(n, [parse_coalition(tok, n) for tok in items])
+        bc = _cached_weights(n, masks)
     balanced = bc is not None
     # balanced is settled above (checked weights or one LP), so minimality
     # is independence alone, as in mbc_via_duality

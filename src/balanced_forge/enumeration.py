@@ -33,7 +33,7 @@ from .counting import count_total
 from .hypergraph import Hypergraph, is_minimally_uniform
 from .balanced import (
     BalancedCollection,
-    find_balancing_weights,
+    _cached_weights,
     from_regular_hypergraph,
     is_minimal_balanced_oracle,
     parse_collection,
@@ -196,6 +196,7 @@ def enumerate_mbc_oracle(n):
     collections (their incidence vectors are independent); the criterion
     itself is the proper-subcollection oracle, nothing rank-based.
     """
+    check_players(n)
     if not 2 <= n <= 5:
         raise ValueError("oracle enumeration supports 2 <= n <= 5, got %d" % n)
     univ = coalitions_of(n)
@@ -203,8 +204,7 @@ def enumerate_mbc_oracle(n):
     for size in range(1, n + 1):
         for combo in combinations(univ, size):
             if is_minimal_balanced_oracle(n, combo):
-                w = find_balancing_weights(n, combo)
-                cols.append(BalancedCollection(n, w))
+                cols.append(_cached_weights(n, combo))  # combo is ascending
     return MbcCatalog(n, "oracle", cols)
 
 

@@ -205,7 +205,7 @@ def core_lp(game):
     zstar = -res.objective  # den * z*
     if zstar > vN:
         weights = [(j + 1, res.x[j]) for j in res.basis if res.x[j] > 0]
-        bc = BalancedCollection(n, weights)
+        bc = BalancedCollection._from_vertex(n, weights)
         return CoreVerdict(False, collection=bc, eff=zstar / den, pivots=res.pivots)
     x = solve_square([members[j] for j in res.basis], [worth[j + 1] for j in res.basis])
     surplus = (vN - zstar) / n

@@ -140,9 +140,8 @@ def test_pair_rule_counts_at_sizes_up_to_n(monkeypatch, n, uncovered, rejected, 
 def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
     # one LP per distinct collection that reaches it (the to_lp pin of
     # test_pair_rule_counts_at_sizes_up_to_n), and one validation per
-    # candidate (its is_balanced call; its proper subcollections are read
-    # unvalidated) plus two per kept collection, find_balancing_weights
-    # and the BalancedCollection built from its weights
+    # candidate, its is_balanced call: its proper subcollections are read
+    # unvalidated, and a kept collection is the cached one the LP built
     lps, checks = [], []
 
     def counting_lp(*args, **kwargs):
@@ -158,8 +157,21 @@ def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
     monkeypatch.setattr(balanced, "simplex_min", counting_lp)
     monkeypatch.setattr(balanced, "_checked_masks", counting_check)
     assert enumerate_mbc_oracle(4).count == 42
-    assert (len(lps), len(checks)) == (118, 1940 + 2 * 42)
+    assert (len(lps), len(checks)) == (118, 1940)
     assert len(balanced._balanced_cache) == 1940
+
+
+def test_oracle_cache_holds_valid_collections(monkeypatch):
+    # the cache's collections are built from LP vertices unvalidated, so
+    # each is rebuilt here through the validating constructor
+    monkeypatch.setattr(balanced, "_balanced_cache", {})
+    catalog = enumerate_mbc_oracle(4)
+    solved = {key: bc for key, bc in balanced._balanced_cache.items() if bc is not None}
+    assert len(solved) == 118
+    for (n, masks), bc in solved.items():
+        assert bc.coalitions == masks
+        assert bc == BalancedCollection(n, bc.weights)
+    assert all(bc is solved[4, bc.coalitions] for bc in catalog.collections)
 
 
 def test_minimality_test_validates_each_collection_once(monkeypatch):
@@ -188,6 +200,14 @@ def test_cached_weights_are_handed_out_as_fresh_dicts(monkeypatch):
     assert find_balancing_weights(3, (6, 5, 3)) == {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)}
     assert find_balancing_weights(3, [3, 5, 6]) is not find_balancing_weights(3, [3, 5, 6])
     assert list(balanced._balanced_cache) == [(3, (3, 5, 6))]
+    # the oracle catalog hands out the cached collections themselves; a
+    # caller that mutates one's weights view leaves the decision intact
+    catalog = enumerate_mbc_oracle(3)
+    [bc] = [c for c in catalog.collections if c.coalitions == (3, 5, 6)]
+    assert bc is balanced._balanced_cache[3, (3, 5, 6)]
+    bc.weights[3] = F(7)
+    del bc.weights[5]
+    assert find_balancing_weights(3, [3, 5, 6]) == {3: F(1, 2), 5: F(1, 2), 6: F(1, 2)}
 
 
 def test_known_mbcs_n3():

@@ -18,7 +18,12 @@ import pytest
 
 from balanced_forge import _mbc_pure, enumeration
 from balanced_forge._kernel import cover_search, direct_search
-from balanced_forge.balanced import BalancedCollection, from_regular_hypergraph, is_minimal_balanced
+from balanced_forge.balanced import (
+    BalancedCollection,
+    from_regular_hypergraph,
+    is_minimal_balanced,
+    is_minimal_balanced_oracle,
+)
 from balanced_forge.core import format_coalition, parse_coalition
 from balanced_forge.enumeration import (
     MAX_DET,
@@ -210,6 +215,13 @@ def test_kernel_output_revalidates_at_n6():
 def test_oracle_range():
     with pytest.raises(ValueError):
         enumerate_mbc_oracle(6)
+    # n is checked as the other routes check it before the range tests
+    for bad in ("5", None, 5.0, True):
+        for route in (enumerate_mbc_oracle, enumerate_mbc, mbc_via_duality):
+            with pytest.raises(ValueError, match="player count"):
+                route(bad)
+        with pytest.raises(ValueError, match="player count"):
+            is_minimal_balanced_oracle(bad, (1,))
 
 
 def _denominators(catalog):

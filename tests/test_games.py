@@ -337,6 +337,9 @@ def test_core_lp_hands_the_lp_only_ints(monkeypatch):
             for game in (g, halved, negative):
                 verdict = core_lp(game)
                 assert verdict_problem(game, verdict) is None, (n, seed)
+                # the certificate is built from the LP vertex unvalidated
+                c = verdict.collection
+                assert c is None or c == BalancedCollection(n, c.weights), (n, seed)
                 if game is not negative:
                     assert verdict.nonempty == bool(seed % 2), (n, seed)
     for seed in range(6):
