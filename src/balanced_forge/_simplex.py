@@ -27,6 +27,7 @@ at a time with _pivot: simplex_min's start from a given basis and
 solve_square both run it.
 """
 from fractions import Fraction
+from itertools import compress
 
 ZERO = Fraction(0)
 FIELD = 64  # bits per packed row entry in rank_of_masks
@@ -48,18 +49,26 @@ class LpResult:
 
 
 def _pivot(tab, d, r, c):
-    """Fraction-free pivot on tab[r][c] over every row; returns the new d."""
+    """Fraction-free pivot on tab[r][c] over every row; returns the new d.
+
+    When p == d == 1, as in most pivots of core_lp's 0/1 dual, a row
+    becomes a - f * b entry by entry, with no product by p or division.
+    """
     row = tab[r]
     p = row[c]
     if p < 0:
         p = -p
         row = tab[r] = [-v for v in row]
+    unit = p == d == 1
     for i, other in enumerate(tab):
         if i == r:
             continue
         f = other[c]
         if f:
-            tab[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
+            if unit:
+                tab[i] = [a - f * b for a, b in zip(other, row)]
+            else:
+                tab[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
         elif p != d:
             tab[i] = [p * a // d for a in other]
     return p
@@ -93,12 +102,8 @@ def _iterate(tab, basis, d, allowed):
     m = len(basis)
     pivots = 0
     while True:
-        cost = tab[-1]
-        enter = -1
-        for j in range(allowed):
-            if cost[j] < 0:
-                enter = j
-                break
+        # Bland: the first column whose reduced cost is negative
+        enter = next(compress(range(allowed), map((0).__gt__, tab[-1])), -1)
         if enter < 0:
             return "optimal", d, pivots
         leave = -1
@@ -204,22 +209,7 @@ def rank_of_masks(masks, n):
     are independent mod 2 are independent over Q, since a rational
     dependency scaled to coprime integers is nonzero mod 2; then the rank
     is their number. Only rows dependent mod 2, such as the triangle
-    {1,2}, {1,3}, {2,3}, go on to the elimination over Q.
-
-    There each row is one Python int whose entry i is the signed FIELD-bit
-    field at bit FIELD * i, as in _mbc_pure.direct_search, so scaling and
-    adding rows acts on every entry at once. The elimination is
-    fraction-free with exact division (Bareiss 1968): each step takes a
-    nonzero row R as pivot, with a its lowest nonzero entry and d the
-    previous pivot (1 at first), and replaces every other row r by
-    (a * r - b * R) / d, b being r's entry in a's column; rows that vanish
-    are dropped, and the rank is the number of pivots. By Sylvester's
-    identity every stored entry is then a minor of order at most n of the
-    0/1 matrix, so by Hadamard's inequality at most
-    (n + 1)^((n + 1) / 2) / 2^n in absolute value, below 2^27 for
-    n <= 20 = MAX_PLAYERS. Hence a * r - b * R stays below 2^55, every
-    field inside +-2^63, and as d divides every field it divides the
-    packed int exactly.
+    {1,2}, {1,3}, {2,3}, go on to the elimination over Q, _exact_rank.
     """
     full = (1 << n) - 1
     kept = []
@@ -236,14 +226,38 @@ def rank_of_masks(masks, n):
                 m ^= top
     if len(basis) == len(kept):
         return len(kept)
+    return _exact_rank(kept, n)
+
+
+def _exact_rank(masks, n):
+    """rank_of_masks by elimination over Q alone, without the mod-2 pass.
+
+    Only bits 0..n-1 of each mask count. Each nonzero row is one Python
+    int whose entry i is the signed FIELD-bit field at bit FIELD * i, as
+    in _mbc_pure.direct_search, so scaling and adding rows acts on every
+    entry at once. The elimination is fraction-free with exact division
+    (Bareiss 1968): each step takes a nonzero row R as pivot, with a its
+    lowest nonzero entry and d the previous pivot (1 at first), and
+    replaces every other row r by (a * r - b * R) / d, b being r's entry
+    in a's column; rows that vanish are dropped, and the rank is the
+    number of pivots. By Sylvester's identity every stored entry is then
+    a minor of order at most n of the 0/1 matrix, so by Hadamard's
+    inequality at most (n + 1)^((n + 1) / 2) / 2^n in absolute value,
+    below 2^27 for n <= 20 = MAX_PLAYERS. Hence a * r - b * R stays below
+    2^55, every field inside +-2^63, and as d divides every field it
+    divides the packed int exactly.
+    """
+    full = (1 << n) - 1
     rows = []
-    for m in kept:
+    for m in masks:
+        m &= full
         row = 0
         while m:
             low = m & -m
             row |= 1 << FIELD * (low.bit_length() - 1)
             m ^= low
-        rows.append(row)
+        if row:
+            rows.append(row)
     bias = _HALF * ((1 << FIELD * n) - 1) // _MASK  # _HALF in each of n fields
     rank = 0
     d = 1

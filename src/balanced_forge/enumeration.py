@@ -40,7 +40,7 @@ from .balanced import (
     parse_item,
 )
 from ._kernel import KERNEL, direct_search, cover_search
-from ._simplex import rank_of_masks
+from ._simplex import _exact_rank, rank_of_masks
 
 TOOL = "balanced-forge/%s" % __version__
 
@@ -86,8 +86,9 @@ class MbcCatalog:
 
     Each entry keeps its weights as the kernels emit them and core_mbc
     scans them: integer numerators over one denominator. _scan holds
-    core_mbc's index: every entry's numerators over the catalog's least
-    common denominator, packed in catalog order. It is None until the
+    core_mbc's index: the catalog's least common denominator, and for
+    each field width a game has needed, every entry's numerators over it
+    packed in catalog order, one field per entry. It is None until the
     first core_mbc call on the catalog builds it, and core_mbc builds it
     again when collections no longer equals the list it was built from.
     """
@@ -309,12 +310,16 @@ def mbc_via_duality(n, kmax=None):
     cols = []
     rejected = 0
     for k in range(1, kmax + 1):
+        # at an even k the masks of odd multiplicity (there is one, as
+        # gcd(k, multiplicities) = 1) sum to k times the all-ones vector,
+        # 0 mod 2, so rank_of_masks's mod-2 pass could never decide
+        rank = _exact_rank if k % 2 == 0 else rank_of_masks
         for masks, mults in cover_search(n, k):
             # n passed check_players and every kernel mask is in 1..full
             edges = tuple(m for m, c in zip(masks, mults) for _ in range(c))
             bc = from_regular_hypergraph(Hypergraph._trusted(n, edges))
             # balanced by construction, so independence decides minimality
-            if rank_of_masks(bc.coalitions, n) != len(bc.coalitions):
+            if rank(bc.coalitions, n) != len(bc.coalitions):
                 rejected += 1
                 continue
             cols.append(bc)

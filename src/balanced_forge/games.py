@@ -31,11 +31,6 @@ from ._simplex import simplex_min, solve_square
 
 MASK64 = (1 << 64) - 1
 
-# core_mbc's packed scan keeps one efficiency numerator per 32-bit field
-# of an array("I"); a field holds HALF + t for |t| < HALF
-assert array("I").itemsize == 4
-HALF = 1 << 31
-
 
 def splitmix64(seed):
     """Yield the splitmix64 stream: 64-bit mixing, stable across platforms.
@@ -240,20 +235,24 @@ def core_mbc(game, catalog):
     efficiency().
 
     The first call on a catalog builds an index, catalog._scan, and a
-    later call rebuilds it when catalog.collections has changed. When
-    the catalog's largest numerator sum over lcd, its width, is below
-    HALF = 2^31, the index holds, for each coalition S, one int whose
-    32-bit fields are the numerators of S over lcd, one field per
-    collection in catalog order. Then bias + sum(V(S) * column(S)), with
-    HALF in every field of bias, holds HALF + t in each field, with no
-    carry between fields while |t| < HALF, which holds whenever max|V|
-    times the width is below HALF; one max and one index then give the
-    first collection of largest t. A collection's weights sum to at most
-    n, and to n for the singleton partition, so the width is at most
-    n * lcd, and equal to it on a full catalog: 300 at n=5 and 15120 at
-    n=6, which packs worths up to 7,158,278 and 142,029. Larger worths,
-    such as Fraction(0.1) with its denominator 2^55, or a wider catalog
-    sum t collection by collection.
+    later call rebuilds it when catalog.collections has changed. Its
+    width is the catalog's largest numerator sum over lcd: n * lcd on a
+    full catalog, 300 at n=5 and 15120 at n=6. A collection's numerators
+    are nonnegative and sum to at most width, so with lo = min(V) and
+    hi = max(V) (V(empty) = 0 is among them) every t lies in
+    [lo * width, hi * width], and off + t in [0, span] for
+    off = -lo * width and span = (hi - lo) * width. The game's fields are
+    bits wide, the least multiple of 8 with span < 2^(bits - 1), so each
+    field's top bit is clear; for each bits the index holds, built on
+    first use, one int per coalition S whose fields are S's numerators
+    over lcd, one per collection in catalog order. Then
+    off * ones + sum(V(S) * column(S)) holds off + t in every field, with
+    no carry between fields, and _field_max and _first_field reduce it
+    without unpacking. random_game's worths 0..100 take 16-bit fields at
+    n=5, or 24-bit ones with v(N) raised to 500, and 24-bit ones at n=6.
+    A game whose span needs more than 64 bits, such as one with a
+    Fraction(0.1) worth (denominator 2^55), sums t collection by
+    collection.
     """
     if catalog.n != game.n:
         raise ValueError(
@@ -263,53 +262,115 @@ def core_mbc(game, catalog):
     vN = worth[full_mask(game.n)]
     worth_of = worth.__getitem__
     cols = catalog.collections
+    if not cols:  # an empty catalog certifies nothing
+        return core_lp(game)
     # comparing the lists checks identity first: about a microsecond per
     # thousand collections
     if catalog._scan is None or catalog._scan[0] != cols:
-        catalog._scan = _build_scan(cols)
-    _, lcd, width, bias, masks, columns = catalog._scan
-    if bias is not None and max(map(abs, worth)) * width < HALF:
-        x = bias + sum(map(mul, map(worth_of, masks), columns))
-        ts = array("I", x.to_bytes(4 * len(cols), sys.byteorder))
-        shift = HALF
+        lcd = lcm(*{b.denominator for b in cols})
+        width = max(sum(b.numerators) * (lcd // b.denominator) for b in cols)
+        masks = sorted(set().union(*(b.coalitions for b in cols)))
+        catalog._scan = (list(cols), lcd, width, masks, {})
+    _, lcd, width, masks, packed = catalog._scan
+    lo = min(worth)
+    # at least 1, so that every numerator fits its field
+    span = max(max(worth) - lo, 1) * width
+    bits = (span.bit_length() + 8) // 8 * 8
+    limit = lcd * vN
+    if bits <= 64:
+        if bits not in packed:
+            packed[bits] = _build_scan(cols, lcd, masks, bits)
+        columns, ones, levels = packed[bits]
+        off = -lo * width
+        x = off * ones + sum(map(mul, map(worth_of, masks), columns))
+        top = _field_max(x, bits, levels)
+        if top - off <= limit:
+            return core_lp(game)
+        worst = cols[_first_field(x, top, bits, ones)]
     else:
         ts = [sum(map(mul, b.numerators, map(worth_of, b.coalitions))) * (lcd // b.denominator)
               for b in cols]
-        shift = 0
-    if ts:  # an empty catalog certifies nothing
         top = max(ts)
-        if top - shift > lcd * vN:
-            worst = cols[ts.index(top)]
-            return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
-    return core_lp(game)
+        if top <= limit:
+            return core_lp(game)
+        worst = cols[ts.index(top)]
+    return CoreVerdict(False, collection=worst, eff=efficiency(worst, game))
 
 
-def _build_scan(cols):
-    """(copy of cols, lcd, width, bias, masks, columns), core_mbc's index.
+def _build_scan(cols, lcd, masks, bits):
+    """(columns, ones, levels), core_mbc's index for fields of `bits` bits.
 
-    lcd is the lcm of the denominators in cols and width the largest sum
-    of a collection's numerators over lcd; width = n * lcd for a catalog
-    holding the singleton partition. When width is below HALF, masks lists
-    the coalitions that are members somewhere in cols and columns holds,
-    for each, the int packing its numerators over lcd, one 32-bit field per
-    collection in catalog order, 0 where it is no member; bias, masks and
-    columns are None when no game could use them.
+    columns[i] packs the numerators over lcd of coalition masks[i], one
+    bits-wide field per collection of cols in catalog order, field j at
+    bit bits * j, and 0 where it is no member; ones and levels are
+    _field_masks(len(cols), bits). Each column is filled as an array of
+    the smallest item size that holds bits, whose little-endian bytes
+    are cut to bits // 8 per field by slicing and read by
+    int.from_bytes: OR-ing shifted ints together would be quadratic.
     """
-    lcd = lcm(*{b.denominator for b in cols})
-    width = max((sum(b.numerators) * (lcd // b.denominator) for b in cols), default=0)
-    bias = masks = columns = None
-    if width < HALF:
-        size = len(cols)
-        fields = {}
-        for j, b in enumerate(cols):
-            scale = lcd // b.denominator
-            for s, num in zip(b.coalitions, b.numerators):
-                if s not in fields:
-                    fields[s] = array("I", bytes(4 * size))
-                fields[s][j] = num * scale
-        # the fields are read in native byte order, and to_bytes in
-        # core_mbc writes them back in the same order
-        masks = sorted(fields)
-        columns = [int.from_bytes(fields.pop(s), sys.byteorder) for s in masks]
-        bias = int.from_bytes(array("I", [HALF]) * size, sys.byteorder)
-    return list(cols), lcd, width, bias, masks, columns
+    size = len(cols)
+    step = bits // 8
+    code = next(c for c in "BHIQ" if array(c).itemsize >= step)
+    item = array(code).itemsize
+    fields = {s: array(code, bytes(item * size)) for s in masks}
+    for j, b in enumerate(cols):
+        scale = lcd // b.denominator
+        for s, num in zip(b.coalitions, b.numerators):
+            fields[s][j] = num * scale
+    columns = []
+    for s in masks:
+        arr = fields.pop(s)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        raw = arr.tobytes()
+        if item != step:
+            cut = bytearray(step * size)
+            for i in range(step):
+                cut[i::step] = raw[i::item]
+            raw = cut
+        columns.append(int.from_bytes(raw, "little"))
+    return (columns, *_field_masks(size, bits))
+
+
+def _field_masks(size, bits):
+    """(ones, levels) for size fields of bits bits: ones has a 1 in each
+    field, and levels holds _field_max's (shift, low, tops) per halving."""
+    ones = int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * size, "little")
+    tops = ones << bits - 1
+    levels = []
+    while size > 1:
+        size = (size + 1) // 2
+        low = (1 << bits * size) - 1
+        levels.append((bits * size, low, tops & low))
+    return ones, levels
+
+
+def _field_max(x, bits, levels):
+    """Largest field of x, whose fields all have their top bit clear.
+
+    Each level folds the upper fields onto the lower ones, a field of
+    hi standing against the field of lo below it: lo | tops sets every
+    field's top bit, so subtracting hi borrows within no field but
+    clears its top bit exactly when lo < hi. Widened to a mask of the
+    field's low bits, that selects the larger of each pair. An odd field
+    count leaves the last lower field against a zero, which keeps it.
+    """
+    for shift, low, tops in levels:
+        lo = x & low
+        hi = x >> shift
+        ge = ((lo | tops) - hi) & tops
+        x = hi ^ ((lo ^ hi) & (ge - (ge >> bits - 1)))
+    return x
+
+
+def _first_field(x, top, bits, ones):
+    """Index of the first field of x that equals top, given that one does.
+
+    z is 0 exactly in the fields equal to top, and (z | tops) - ones
+    borrows within no field and clears a field's top bit exactly where
+    z is 0, so the lowest set bit of zeros lies in the first such field.
+    """
+    tops = ones << bits - 1
+    z = x ^ top * ones
+    zeros = ~((z | tops) - ones) & tops
+    return ((zeros & -zeros).bit_length() - 1) // bits

@@ -20,6 +20,7 @@ from balanced_forge import _mbc_pure, enumeration
 from balanced_forge._kernel import cover_search, direct_search
 from balanced_forge.balanced import (
     BalancedCollection,
+    efficiency,
     from_regular_hypergraph,
     is_minimal_balanced,
     is_minimal_balanced_oracle,
@@ -40,7 +41,7 @@ from balanced_forge.enumeration import (
     mbc_via_duality,
     save_catalog,
 )
-from balanced_forge.games import core_mbc, random_game
+from balanced_forge.games import core_lp, core_mbc, random_game
 from balanced_forge.hypergraph import Hypergraph, is_minimally_regular, is_minimally_uniform
 from balanced_forge.verify import sharpbs_catalog
 
@@ -461,11 +462,20 @@ def test_catalog_round_trip_at_n6(catalog6, tmp_path, fmt):
 
 
 def test_core_mbc_scan_index_at_n6(catalog6):
-    # (lcd, width, coalitions packed) of core_mbc's index, lcd = lcm(1..9)
-    core_mbc(random_game(6, 0), catalog6)
-    _, lcd, width, _, masks, _ = catalog6._scan
+    # (lcd, width, coalitions packed) of core_mbc's index, lcd = lcm(1..9);
+    # worths 0..100 span less than 100 * 15120 < 2^23, so 24-bit fields.
+    # The catalog is copied, so its index is this test's alone.
+    catalog = MbcCatalog(6, "direct", catalog6.collections)
+    g = random_game(6, 0)
+    verdict, via_lp = core_mbc(g, catalog), core_lp(g)
+    assert not verdict.nonempty and verdict.efficiency == via_lp.efficiency
+    # the certificate is the first collection of that efficiency
+    assert next(b for b in catalog.collections
+                if efficiency(b, g) == verdict.efficiency) is verdict.collection
+    _, lcd, width, masks, packed = catalog._scan
     assert (lcd, width, len(masks)) == (2520, 15120, 63)
     assert width == 6 * lcd
+    assert list(packed) == [24]
 
 
 def test_compiled_n6_output_is_pinned(direct6):
@@ -498,7 +508,8 @@ def test_pure_n7_subtree_is_pinned():
 
 def test_sharpbs_lp_equals_catalog_at_n6(catalog6):
     # 40 seeded games and 10 raised ones; core_mbc's packed scan costs
-    # about 64 ms per game at n = 6, and building its index about 0.8 s
+    # about 20 ms per game at n = 6, and building its index for the first
+    # field width about 0.3 s, for the second (the raised games') 0.15 s
     checks = sharpbs_catalog(catalog6, 40)
     assert [name for name, _, _ in checks] == [
         "sharpbs n=6 agreement",

@@ -1,6 +1,8 @@
 import json
+import random
 import time
 from fractions import Fraction
+from itertools import chain, product
 from operator import mul
 
 import pytest
@@ -11,9 +13,11 @@ from balanced_forge.balanced import BalancedCollection, efficiency
 from balanced_forge.core import json_number, to_common_denominator
 from balanced_forge.enumeration import MbcCatalog, enumerate_mbc
 from balanced_forge.games import (
-    HALF,
     CoreVerdict,
     Game,
+    _field_masks,
+    _field_max,
+    _first_field,
     core_lp,
     core_mbc,
     game_from_json,
@@ -440,41 +444,50 @@ def _assert_first_maximal(catalog, g):
     return not verdict.nonempty
 
 
-@pytest.mark.parametrize("change", ["scaled by 2^40", "one worth Fraction(0.1)"])
+@pytest.mark.parametrize("change", ["scaled by 2^56", "one worth Fraction(0.1)"])
 def test_core_mbc_scalar_path(change):
-    # worths too wide for 32-bit fields take the scalar loop
-    catalog = enumerate_mbc(4)
+    # worths too wide for 64-bit fields take the scalar loop: the span of
+    # these games, max(V) - min(V) times the width 24, is 2^63 or more.
+    # `wide` scans them and `catalog`, holding the same collections, the
+    # unscaled games, so that each keeps its own index
+    wide = enumerate_mbc(4)
+    catalog = MbcCatalog(4, "direct", wide.collections)
     empty = 0
     for seed in range(30):
         base = _fractional_game(seed)
-        if change == "scaled by 2^40":
-            g = Game(4, {m: base.v[m] * (1 << 40) for m in range(1, 16)})
+        if change == "scaled by 2^56":
+            g = Game(4, {m: base.v[m] * (1 << 56) for m in range(1, 16)})
         else:
             g = Game(4, {m: Fraction(0.1) if m == 1 + seed % 14 else base.v[m]
                          for m in range(1, 16)})
         worth, _ = to_common_denominator(g.v)
-        assert max(map(abs, worth)) >= HALF
-        empty += _assert_first_maximal(catalog, g)
-        unscaled, verdict = core_mbc(base, catalog), core_mbc(g, catalog)
-        if change == "scaled by 2^40" and not verdict.nonempty:
+        assert (max(worth) - min(0, *worth)) * 24 >= 1 << 63
+        empty += _assert_first_maximal(wide, g)
+        unscaled, verdict = core_mbc(base, catalog), core_mbc(g, wide)
+        if change == "scaled by 2^56" and not verdict.nonempty:
             assert verdict.collection is unscaled.collection
-            assert verdict.efficiency == unscaled.efficiency * (1 << 40)
+            assert verdict.efficiency == unscaled.efficiency * (1 << 56)
     assert empty >= 10
+    # the unscaled games packed fields, the wide ones none
+    assert list(catalog._scan[4]) == [24] and wide._scan[4] == {}
 
 
 def test_core_mbc_catalog_too_wide_for_packed_fields():
-    # balanced but not minimal: its numerators sum to about 2^41
+    # balanced but not minimal: its numerators sum to about 2^41, so even
+    # worths of 1 take 48-bit fields
     eps = Fraction(1, 1 << 40)
     wide = BalancedCollection(2, {1: 1 - eps, 2: 1 - eps, 3: eps})
     g = Game(2, {1: 1, 2: 1, 3: 1})
-    verdict = core_mbc(g, MbcCatalog(2, "direct", [wide]))
+    catalog = MbcCatalog(2, "direct", [wide])
+    verdict = core_mbc(g, catalog)
     assert verdict.collection is wide
     assert verdict.efficiency == 2 - eps
+    assert list(catalog._scan[4]) == [48]
 
 
-def test_core_mbc_one_too_wide_collection_unpacks_the_catalog():
-    # balanced but not minimal: denominator 2^40 makes lcd = 3 * 2^40, so the
-    # index packs nothing and every collection is summed one by one
+def test_core_mbc_one_too_wide_collection_widens_the_fields():
+    # balanced but not minimal: denominator 2^40 makes lcd = 3 * 2^40 and
+    # the width about 2^43.6, so worths 0..100 take 56-bit fields
     eps = Fraction(1, 1 << 40)
     wide = BalancedCollection(4, {1: 1 - eps, 2: 1 - eps, 4: 1 - eps, 8: 1 - eps, 15: eps})
     kept = [b for b in enumerate_mbc(4).collections if b.coalitions not in ((1, 2, 4, 8), (15,))]
@@ -482,7 +495,9 @@ def test_core_mbc_one_too_wide_collection_unpacks_the_catalog():
     singletons = Game(4, {m: 100 if m.bit_count() == 1 else 0 for m in range(1, 16)})
     assert _assert_first_maximal(catalog, singletons)
     assert core_mbc(singletons, catalog).collection is wide
-    assert catalog._scan[1] == 3 << 40 and catalog._scan[3] is None
+    _, lcd, width, masks, packed = catalog._scan
+    assert (lcd, width, len(masks)) == (3 << 40, 3 * ((4 << 40) - 3), 15)
+    assert list(packed) == [56]
     # the wide collection certifies 11 of these 30 empty cores
     wins = 0
     for seed in range(30):
@@ -490,26 +505,77 @@ def test_core_mbc_one_too_wide_collection_unpacks_the_catalog():
         assert _assert_first_maximal(catalog, g)
         wins += core_mbc(g, catalog).collection is wide
     assert 0 < wins < 30
+    assert list(packed) == [56]
+    # a game worth 0 everywhere spans nothing, but its fields still hold
+    # every numerator, up to lcd
+    assert not _assert_first_maximal(catalog, Game(4, dict.fromkeys(range(1, 16), 0)))
+    assert list(packed) == [56, 48]
 
 
-@pytest.mark.parametrize("limit, packed", [(7_158_278, True), (7_158_279, False)])
-def test_core_mbc_packed_bound_at_n5(limit, packed):
-    # |t| <= limit * width with width = 5 * 60: the singleton partition of
-    # a game worth +-limit everywhere reaches it, the packed fields' extremes
-    catalog = enumerate_mbc(5)
-    extremes = [Game(5, {m: sign * limit for m in range(1, 32)}) for sign in (1, -1)]
-    gen = splitmix64(limit)
-    mixed = []
-    for seed in range(10):
-        worths = {m: next(gen) % (2 * limit + 1) - limit for m in range(1, 32)}
-        worths[1 + 3 * seed] = limit if seed % 2 else -limit
-        mixed.append(Game(5, worths))
+def _pack(values, bits):
+    return sum(v << bits * j for j, v in enumerate(values))
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_field_reduction_matches_max_and_index(bits):
+    # every field count 1..9 over the values 0, 1, top - 1 and top, the
+    # largest a field may hold (without 1 past six fields): all-equal
+    # fields, and a maximum, tied or not, in every position; then 300
+    # draws over the whole range each
+    top = (1 << bits - 1) - 1
+    rng = random.Random(bits)
+    for k in range(1, 10):
+        ones, levels = _field_masks(k, bits)
+        alphabet = (0, 1, top - 1, top) if k <= 6 else (0, top - 1, top)
+        draws = [[rng.randint(0, top) for _ in range(k)] for _ in range(300)]
+        for values in chain(product(alphabet, repeat=k), draws):
+            values = list(values)
+            x = _pack(values, bits)
+            best = _field_max(x, bits, levels)
+            assert best == max(values)
+            assert _first_field(x, best, bits, ones) == values.index(best)
+
+
+def _runs_catalog(n):
+    """The 2^(n-1) partitions of 1..n into runs of consecutive players,
+    each block of weight 1: lcd 1, and width n, the singleton partition's."""
+    cols = []
+    for cuts in range(1 << n - 1):
+        blocks, block = [], 0
+        for i in range(n):
+            block |= 1 << i
+            if i == n - 1 or cuts >> i & 1:
+                blocks.append(block)
+                block = 0
+        cols.append(BalancedCollection(n, {b: 1 for b in blocks}))
+    return MbcCatalog(n, "direct", cols)
+
+
+@pytest.mark.parametrize("bits", [16, 40, 64])
+def test_core_mbc_field_width_boundaries(bits):
+    # at n = 7 on the run partitions the span is 7 * (max(V) - min(V)),
+    # and 7 divides 2^(bits - 1) - 1: a game of that span takes fields of
+    # bits, with the singleton partition of an all-top game filling its
+    # field to the top, and one worth unit more takes bits + 8, or the
+    # scalar loop past 64
+    n, full = 7, 127
+    edge = ((1 << bits - 1) - 1) // 7
+    assert 7 * edge == (1 << bits - 1) - 1
+    gen = splitmix64(bits)
     empty = 0
-    for g in extremes + mixed:
-        assert max(map(abs, g.worths)) == limit
-        empty += _assert_first_maximal(catalog, g)
-        assert (limit * catalog._scan[2] < HALF) == packed
-    assert 0 < empty < 12
+    for spread, want in ((edge, [bits]), (edge + 1, [bits + 8] if bits < 64 else [])):
+        low = -(spread // 3)
+        games = [Game(n, {m: spread for m in range(1, full + 1)}),
+                 Game(n, {m: -spread for m in range(1, full + 1)})]
+        for _ in range(6):
+            worths = {m: low + next(gen) % (spread + 1) for m in range(1, full + 1)}
+            worths[1 + next(gen) % 63], worths[64 + next(gen) % 63] = low, low + spread
+            games.append(Game(n, worths))
+        for g in games:
+            catalog = _runs_catalog(n)
+            empty += _assert_first_maximal(catalog, g)
+            assert list(catalog._scan[4]) == want
+    assert 2 < empty < 16
 
 
 def test_core_mbc_ties_across_denominators_keep_first_in_catalog_order():
@@ -532,7 +598,7 @@ def test_core_mbc_ties_across_denominators_keep_first_in_catalog_order():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_core_mbc_negative_worths(n):
-    # every field of the packed scan falls below its bias
+    # every efficiency is negative: each field holds less than its offset
     catalog = enumerate_mbc(n)
     empty = 0
     for seed in range(12):
@@ -556,12 +622,24 @@ def test_core_mbc_rebuilds_a_stale_index():
                                     (5, (60, 300, 31))], ids=["n=2", "n=3", "n=4", "n=5"])
 def test_core_mbc_scan_index(n, pin):
     # (lcd, width, coalitions packed) of core_mbc's index, lcd being the
-    # lcm of the catalog's denominators
+    # lcm of the catalog's denominators; worths 0..100 take 16-bit fields
+    # and 2^8 times those 24-bit ones, cut from 4-byte items; each width's
+    # columns equal the numerators shifted into place one by one
     catalog = enumerate_mbc(n)
-    core_mbc(random_game(n, 0), catalog)
-    _, lcd, width, _, masks, _ = catalog._scan
+    g = random_game(n, 0)
+    _assert_first_maximal(catalog, g)
+    _, lcd, width, masks, packed = catalog._scan
     assert (lcd, width, len(masks)) == pin
     assert width == n * lcd
+    assert list(packed) == [16]
+    _assert_first_maximal(catalog, Game(n, {m: g.worths[m] << 8 for m in range(1, 1 << n)}))
+    assert list(packed) == [16, 24]
+    for bits, (columns, _, _) in packed.items():
+        want = dict.fromkeys(masks, 0)
+        for j, b in enumerate(catalog.collections):
+            for s, num in zip(b.coalitions, b.numerators):
+                want[s] |= num * (lcd // b.denominator) << bits * j
+        assert columns == [want[s] for s in masks]
 
 
 def test_core_mbc_on_an_empty_catalog_defers_to_core_lp():
