@@ -15,7 +15,7 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import isqrt
 from operator import or_
 
@@ -191,22 +191,69 @@ def enumerate_mbc(n, threads=None):
 
 
 def enumerate_mbc_oracle(n):
-    """Definition-literal engine: test every coalition subset of size <= n.
+    """Definition-literal engine: a levelwise search over collections of
+    at most n coalitions, each candidate judged by the proper-subcollection
+    oracle, nothing rank-based.
 
     The size cap is the classical bound |B| <= n for minimal balanced
-    collections (their incidence vectors are independent); the criterion
-    itself is the proper-subcollection oracle, nothing rank-based.
+    collections (their incidence vectors are independent). A collection
+    holding a balanced proper subcollection is not minimal by definition,
+    so the search builds only collections with none (Mannila & Toivonen's
+    levelwise search, Apriori's candidate join). Level 1 is every
+    singleton. A candidate the oracle keeps is minimal balanced; one it
+    does not keep is alive: it has no balanced subcollection at all,
+    itself included. Level s+1 joins two alive s-collections that differ
+    only in their last coalition, and keeps the join only if all its
+    s-subcollections are alive. Every proper subcollection of a candidate
+    is then alive, so the oracle's answer rests on the candidate alone,
+    and every minimal balanced collection is built: its proper
+    subcollections have no balanced subcollection. At n=4 the oracle
+    decides 850 candidates and solves 42 LPs; at n=5, 103,612 and 1,292.
+
+    Diagnostics on the returned catalog give, for sizes 1..n, the
+    candidates decided (candidates) and the collections kept (kept), and
+    the wall time of the search in seconds (search_s).
     """
     check_players(n)
     if not 2 <= n <= 5:
         raise ValueError("oracle enumeration supports 2 <= n <= 5, got %d" % n)
-    univ = coalitions_of(n)
-    cols = []
+    start = time.perf_counter()
+    level = [(s,) for s in coalitions_of(n)]
+    cols, candidates, kept = [], [], []
     for size in range(1, n + 1):
-        for combo in combinations(univ, size):
+        alive = []
+        for combo in level:
             if is_minimal_balanced_oracle(n, combo):
                 cols.append(_cached_weights(n, combo))  # combo is ascending
-    return MbcCatalog(n, "oracle", cols)
+            else:
+                alive.append(combo)
+        candidates.append(len(level))
+        kept.append(len(level) - len(alive))
+        if size < n:
+            level = _join(alive)
+    diagnostics = {"candidates": candidates, "kept": kept, "search_s": time.perf_counter() - start}
+    return MbcCatalog(n, "oracle", cols, diagnostics=diagnostics)
+
+
+def _join(alive):
+    """The (s+1)-collections all of whose s-subcollections are in alive.
+
+    alive lists ascending s-tuples of masks in lexicographic order, so the
+    tuples sharing their first s-1 masks are adjacent, and the result
+    comes out in lexicographic order too. Dropping either of the last two
+    masks of a join gives one of the two tuples joined; the others are
+    looked up.
+    """
+    members = set(alive)
+    out = []
+    for head, group in groupby(alive, key=lambda c: c[:-1]):
+        lasts = [c[-1] for c in group]
+        for i, x in enumerate(lasts):
+            for y in lasts[i + 1 :]:
+                c = head + (x, y)
+                if all(c[:k] + c[k + 1 :] in members for k in range(len(head))):
+                    out.append(c)
+    return out
 
 
 def enumerate_uniform(n, k, p, spanning):
@@ -294,8 +341,12 @@ def mbc_via_duality(n, kmax=None):
     gcd(k, multiplicities) = 1 and is its collection's weights times k.
     MbcCatalog's duplicate check would raise if one arose twice.
 
-    Diagnostics on the returned catalog name the kernel and count the
-    covers that failed the minimality validation. That count is 0 for
+    Diagnostics on the returned catalog name the kernel (kernel) and the
+    regularity cap (k_max), and give, for k = 1..kmax, the covers
+    cover_search returned (covers) and the collections accepted
+    (accepted): accepted[k - 1] counts the catalog's collections of
+    weight denominator k. rejected is the total of the covers that failed
+    the minimality validation. That count is 0 for
     n <= 5, but not at n = 6: k = 2 yields 150 minimally 2-regular
     covers whose support has a balanced proper subcollection, e.g.
     {1},{2},{1,2},{3,4},{3,5,6},{4,5,6} contains {1,2}:1, {3,4}:1/2,
@@ -308,24 +359,31 @@ def mbc_via_duality(n, kmax=None):
         kmax = MAX_DET[n]
     check_int("kmax", kmax, 1)
     cols = []
-    rejected = 0
+    covers, accepted = [], []
     for k in range(1, kmax + 1):
         # at an even k the masks of odd multiplicity (there is one, as
         # gcd(k, multiplicities) = 1) sum to k times the all-ones vector,
         # 0 mod 2, so rank_of_masks's mod-2 pass could never decide
         rank = _exact_rank if k % 2 == 0 else rank_of_masks
-        for masks, mults in cover_search(n, k):
+        found = cover_search(n, k)
+        before = len(cols)
+        for masks, mults in found:
             # n passed check_players and every kernel mask is in 1..full
             edges = tuple(m for m, c in zip(masks, mults) for _ in range(c))
             bc = from_regular_hypergraph(Hypergraph._trusted(n, edges))
             # balanced by construction, so independence decides minimality
-            if rank(bc.coalitions, n) != len(bc.coalitions):
-                rejected += 1
-                continue
-            cols.append(bc)
-    return MbcCatalog(
-        n, "duality", cols, diagnostics={"kernel": KERNEL, "rejected": rejected, "k_max": kmax}
-    )
+            if rank(bc.coalitions, n) == len(bc.coalitions):
+                cols.append(bc)
+        covers.append(len(found))
+        accepted.append(len(cols) - before)
+    diagnostics = {
+        "kernel": KERNEL,
+        "rejected": sum(covers) - len(cols),
+        "k_max": kmax,
+        "covers": covers,
+        "accepted": accepted,
+    }
+    return MbcCatalog(n, "duality", cols, diagnostics=diagnostics)
 
 
 HEADER_PREFIX = "mbc-catalog"

@@ -7,7 +7,7 @@ from operator import or_
 
 import pytest
 
-from balanced_forge import balanced
+from balanced_forge import balanced, enumeration
 from balanced_forge.balanced import (
     BalancedCollection,
     _balancing_lp,
@@ -131,17 +131,19 @@ def test_pair_rule_rejects_only_what_the_lp_rejects(monkeypatch):
     [(4, 354, 1468, 118, 118), (5, 23590, 176420, 6357, 5337)],
 )
 def test_pair_rule_counts_at_sizes_up_to_n(monkeypatch, n, uncovered, rejected, to_lp, balanced_count):
-    # sizes <= n are the ones the oracle route tests
+    # every collection of at most n coalitions, the size cap on a minimal
+    # balanced collection; the oracle route decides only those with no
+    # balanced proper subcollection (test_oracle_join_decides_...)
     got_uncovered, got_rejected, reached = _pair_rule_sweep(monkeypatch, n, n)
     assert (got_uncovered, len(got_rejected), len(reached)) == (uncovered, rejected, to_lp)
     assert sum(_balancing_lp(n, masks) is not None for masks in reached) == balanced_count
 
 
 def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
-    # one LP per distinct collection that reaches it (the to_lp pin of
-    # test_pair_rule_counts_at_sizes_up_to_n), and one validation per
-    # candidate, its is_balanced call: its proper subcollections are read
-    # unvalidated, and a kept collection is the cached one the LP built
+    # the levelwise search decides 850 candidates, one cache entry and one
+    # validation each, its is_balanced call: its proper subcollections are
+    # read unvalidated, and a kept collection is the cached one the LP
+    # built. Only the 42 minimal balanced ones reach an LP, each once
     lps, checks = [], []
 
     def counting_lp(*args, **kwargs):
@@ -157,8 +159,8 @@ def test_oracle_route_validates_and_solves_each_collection_once(monkeypatch):
     monkeypatch.setattr(balanced, "simplex_min", counting_lp)
     monkeypatch.setattr(balanced, "_checked_masks", counting_check)
     assert enumerate_mbc_oracle(4).count == 42
-    assert (len(lps), len(checks)) == (118, 1940)
-    assert len(balanced._balanced_cache) == 1940
+    assert (len(lps), len(checks)) == (42, 850)
+    assert len(balanced._balanced_cache) == 850
 
 
 def test_oracle_cache_holds_valid_collections(monkeypatch):
@@ -167,11 +169,42 @@ def test_oracle_cache_holds_valid_collections(monkeypatch):
     monkeypatch.setattr(balanced, "_balanced_cache", {})
     catalog = enumerate_mbc_oracle(4)
     solved = {key: bc for key, bc in balanced._balanced_cache.items() if bc is not None}
-    assert len(solved) == 118
+    assert len(solved) == 42
     for (n, masks), bc in solved.items():
         assert bc.coalitions == masks
         assert bc == BalancedCollection(n, bc.weights)
     assert all(bc is solved[4, bc.coalitions] for bc in catalog.collections)
+
+
+def test_oracle_join_decides_the_collections_without_balanced_subcollections(monkeypatch):
+    # the levelwise join neither drops nor adds a candidate: by brute force
+    # at n <= 4, the oracle decides, level by level in lexicographic order,
+    # every collection of at most n coalitions with no balanced proper
+    # subcollection, and nothing else. Criterion 02 pins the n = 5 counts
+    decided = []
+    oracle = enumeration.is_minimal_balanced_oracle
+
+    def recording_oracle(n, combo):
+        decided.append(combo)
+        return oracle(n, combo)
+
+    monkeypatch.setattr(enumeration, "is_minimal_balanced_oracle", recording_oracle)
+    for n in range(2, 5):
+        combos = [c for size in range(1, n + 1) for c in combinations(range(1, 1 << n), size)]
+        balanced_sets = {c for c in combos if is_balanced(n, c)}
+        want = [
+            c for c in combos
+            if not any(
+                sub in balanced_sets for size in range(1, len(c)) for sub in combinations(c, size)
+            )
+        ]
+        decided.clear()
+        catalog = enumerate_mbc_oracle(n)
+        assert decided == want, n
+        candidates = Counter(map(len, want))
+        kept = Counter(len(b.coalitions) for b in catalog.collections)
+        assert catalog.diagnostics["candidates"] == [candidates[s] for s in range(1, n + 1)]
+        assert catalog.diagnostics["kept"] == [kept[s] for s in range(1, n + 1)]
 
 
 def test_minimality_test_validates_each_collection_once(monkeypatch):

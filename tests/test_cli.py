@@ -52,8 +52,8 @@ def test_mbc_enum_writes_text_catalog(tmp_path, capsys):
 def test_mbc_enum_json_reports_diagnostics(capsys):
     keys = {
         "direct": {"kernel", "workers", "search_s", "build_s"},
-        "duality": {"kernel", "rejected", "k_max"},
-        "oracle": set(),
+        "duality": {"kernel", "rejected", "k_max", "covers", "accepted"},
+        "oracle": {"candidates", "kept", "search_s"},
     }
     for method, want in keys.items():
         rc, out, _ = run(capsys, "mbc", "enum", "--players", "3", "--method", method, "--json")
@@ -64,6 +64,23 @@ def test_mbc_enum_json_reports_diagnostics(capsys):
     diag = json.loads(out)["diagnostics"]
     assert diag["kernel"] == KERNEL and diag["workers"] == 1
     assert diag["search_s"] >= 0 and diag["build_s"] >= 0
+
+
+def test_mbc_enum_json_reports_the_work_per_size_and_per_k(capsys):
+    # the levelwise oracle at n = 4 decides 850 candidates and keeps the 42
+    # minimal balanced collections, by size; the duality route accepts,
+    # per regularity k, the collections of weight denominator k
+    rc, out, _ = run(capsys, "mbc", "enum", "--players", "4", "--method", "oracle", "--json")
+    assert rc == 0
+    blob = json.loads(out)
+    assert (blob["method"], blob["count"]) == ("oracle", 42)
+    diag = blob["diagnostics"]
+    assert diag["candidates"] == [15, 91, 280, 464]
+    assert diag["kept"] == [1, 7, 12, 22]
+    assert diag["search_s"] >= 0
+    rc, out, _ = run(capsys, "mbc", "enum", "--players", "4", "--method", "duality", "--json")
+    diag = json.loads(out)["diagnostics"]
+    assert (diag["covers"], diag["accepted"], diag["rejected"]) == ([15, 22, 5], [15, 22, 5], 0)
 
 
 def test_mbc_enum_writes_json_catalog(tmp_path, capsys):

@@ -231,14 +231,16 @@ def _denominators(catalog):
 
 def test_duality_agrees_with_direct():
     # the default kmax = MAX_DET[n]; mbc_via_duality rejects no cover for n <= 5.
-    # Each collection is accepted at k = its weight denominator, so grouping
-    # the route's collections by denominator gives its ledger of accepted
-    # covers per k, which must equal the direct catalog's histogram
+    # Each collection is accepted at k = its weight denominator, so the
+    # route's ledger of accepted covers per k, in its diagnostics, must
+    # equal the direct catalog's histogram by denominator
     for n in range(2, 6):
         dual = mbc_via_duality(n)
         direct = enumerate_mbc(n)
         assert dual.coalition_sets() == direct.coalition_sets()
-        assert _denominators(dual) == _denominators(direct)
+        histogram = _denominators(direct)
+        assert dual.diagnostics["accepted"] == [histogram[k] for k in range(1, MAX_DET[n] + 1)]
+        assert dual.diagnostics["covers"] == dual.diagnostics["accepted"]
         assert dual.diagnostics["rejected"] == 0
     # the COVER_PINS counts at n = 5
     assert _denominators(dual) == {1: 52, 2: 447, 3: 517, 4: 216, 5: 60}
@@ -258,7 +260,9 @@ def test_duality_rejects_non_minimal_covers_at_n6():
     # from n = 6 on, a cover that survives cover_search's filter can have a
     # balanced proper subcollection; k = 2 is the first regularity with any
     assert mbc_via_duality(6, kmax=1).diagnostics["rejected"] == 0
-    assert mbc_via_duality(6, kmax=2).diagnostics["rejected"] == 150
+    diagnostics = mbc_via_duality(6, kmax=2).diagnostics
+    assert diagnostics["rejected"] == 150
+    assert (diagnostics["covers"], diagnostics["accepted"]) == ([203, 10292], [203, 10142])
 
 
 def test_duality_rejection_counts_at_n6_k3_k4(speedups, catalog6, monkeypatch):
@@ -272,6 +276,8 @@ def test_duality_rejection_counts_at_n6_k3_k4(speedups, catalog6, monkeypatch):
     assert dual.coalition_sets() <= catalog6.coalition_sets()
     # accepted covers per k, equal to the direct histogram at d = 1..4
     assert _denominators(dual) == {1: 203, 2: 10142, 3: 56407, 4: 61186}
+    assert dual.diagnostics["accepted"] == [203, 10142, 56407, 61186]
+    assert dual.diagnostics["covers"] == [203, 10292, 61927, 63886]
 
 
 def test_threads_must_be_positive():
